@@ -2,7 +2,7 @@
 comparators (Levenshtein distance, common-prefix suffix-tail test) consumed
 by the error classifier.
 
-align() uses longest-matching-block decomposition: recursively anchor on the
+align() uses longest-matching-block decomposition: repeatedly anchor on the
 longest common contiguous block, preferring the earliest start in `a`, then
 the earliest in `b`, on ties. This reproduces classic sequence-matcher
 opcodes without any junk heuristic.
@@ -96,18 +96,22 @@ def _longest_match(a: Sequence, b: Sequence, alo: int, ahi: int, blo: int, bhi: 
     return besti, bestj, bestsize
 
 
-def _matching_blocks(a, b, alo, ahi, blo, bhi, out: list) -> None:
-    i, j, k = _longest_match(a, b, alo, ahi, blo, bhi)
-    if k:
-        _matching_blocks(a, b, alo, i, blo, j, out)
-        out.append((i, j, k))
-        _matching_blocks(a, b, i + k, ahi, j + k, bhi, out)
+def _matching_blocks(a: Sequence, b: Sequence) -> list[tuple[int, int, int]]:
+    # Windows wait on an explicit stack, so no input is too long for the
+    # recursion limit; blocks increase in both sequences, so sorting orders them.
+    blocks, windows = [], [(0, len(a), 0, len(b))]
+    while windows:
+        alo, ahi, blo, bhi = windows.pop()
+        i, j, k = _longest_match(a, b, alo, ahi, blo, bhi)
+        if k:
+            blocks.append((i, j, k))
+            windows += [(alo, i, blo, j), (i + k, ahi, j + k, bhi)]
+    return sorted(blocks)
 
 
 def align(a: Sequence, b: Sequence) -> EditScript:
     """Align two sequences of hashable items (token texts, strings, ints)."""
-    blocks: list[tuple[int, int, int]] = []
-    _matching_blocks(a, b, 0, len(a), 0, len(b), blocks)
+    blocks = _matching_blocks(a, b)
     # Merge adjacent blocks so equal opcodes are maximal.
     merged: list[tuple[int, int, int]] = []
     for i, j, k in blocks:

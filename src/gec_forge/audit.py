@@ -8,10 +8,10 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
-from .alignment import align, levenshtein
-from .classifier import CATEGORY_ORDER, ErrorCategory, classify_pair
+from .alignment import levenshtein
+from .classifier import CATEGORY_ORDER, ErrorCategory, _classify, _Pair
 from .errors import InputError
-from .tokenizer import LanguageProfile, token_texts, tokenize
+from .tokenizer import LanguageProfile
 
 DEFAULT_DISTANCE_CAP = 5  # tokens; beyond this an edit counts as drift
 
@@ -85,18 +85,18 @@ class DualReport:
         }
 
 
-def _tokens_of(text, profile) -> list[str]:
-    return token_texts(tokenize("" if text is None else str(text), profile))
-
-
 def audit_pair(
     input, prediction, profile: LanguageProfile, cap: int = DEFAULT_DISTANCE_CAP
 ) -> EditAudit:
     """Classify input→prediction and bind the result to a functional stratum."""
+    return _audit(_Pair(input, prediction, profile), cap)
+
+
+def _audit(pair: _Pair, cap: int) -> EditAudit:
     if cap < 0:
         raise InputError(f"cap must be >= 0, got {cap}")
-    category = classify_pair(input, prediction, profile).category
-    distance = levenshtein(_tokens_of(input, profile), _tokens_of(prediction, profile))
+    category = _classify(pair).category
+    distance = levenshtein(*pair.texts())
     if category in _NON_EDITS:
         stratum = Stratum.NONE
     elif category is ErrorCategory.PUNCT_WHITESPACE:
@@ -119,11 +119,14 @@ def audit_pair(
 def reordered_token_count(input, prediction, profile: LanguageProfile) -> int:
     """Tokens that were both removed somewhere and added elsewhere: the
     signature of a move rather than a local substitution."""
-    a = _tokens_of(input, profile)
-    b = _tokens_of(prediction, profile)
+    return _moved_tokens(_Pair(input, prediction, profile))
+
+
+def _moved_tokens(pair: _Pair) -> int:
+    a, b = pair.texts()
     removed: Counter = Counter()
     added: Counter = Counter()
-    for op in align(a, b).ops:
+    for op in pair.ops():
         if op.tag in ("delete", "replace"):
             removed.update(a[op.a_start:op.a_end])
         if op.tag in ("insert", "replace"):
@@ -133,8 +136,8 @@ def reordered_token_count(input, prediction, profile: LanguageProfile) -> int:
 
 def _reconcile_audited(input, cand_a, cand_b, profile, cap):
     """Returns (side, chosen_text, reason, audit_a, audit_b)."""
-    audit_a = audit_pair(input, cand_a, profile, cap)
-    audit_b = audit_pair(input, cand_b, profile, cap)
+    pair_a, pair_b = _Pair(input, cand_a, profile), _Pair(input, cand_b, profile)
+    audit_a, audit_b = _audit(pair_a, cap), _audit(pair_b, cap)
     if str(cand_a) == str(cand_b):
         return "a", cand_a, "identical", audit_a, audit_b
     pref_a, pref_b = _PREFERENCE[audit_a.stratum], _PREFERENCE[audit_b.stratum]
@@ -146,8 +149,7 @@ def _reconcile_audited(input, cand_a, cand_b, profile, cap):
         winner = "a" if audit_a.edit_distance < audit_b.edit_distance else "b"
         reason = "edit_distance"
     else:
-        moves_a = reordered_token_count(input, cand_a, profile)
-        moves_b = reordered_token_count(input, cand_b, profile)
+        moves_a, moves_b = _moved_tokens(pair_a), _moved_tokens(pair_b)
         if moves_a != moves_b:
             winner = "a" if moves_a < moves_b else "b"
             reason = "reordering"

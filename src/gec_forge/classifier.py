@@ -18,7 +18,7 @@ from enum import Enum
 
 from .alignment import align, levenshtein, suffix_tail_change, touches_syntax
 from .textnorm import alnum_projection
-from .tokenizer import LanguageProfile, is_punct, same_script, token_texts, tokenize
+from .tokenizer import SYNTAX_LABELS, LanguageProfile, is_punct, same_script, tokenize
 
 SPELL_THRESHOLD = 2  # max Levenshtein distance still counted as a spelling slip
 
@@ -46,9 +46,8 @@ class ErrorCategory(Enum):
         for cat in cls:
             if s == cat.value or s == _DISPLAY_LABELS[cat]:
                 return cat
-        for lang_label in ("Syntax/Case/Agreement",):
-            if s == lang_label:
-                return cls.SYNTAX_AGREEMENT
+        if s in SYNTAX_LABELS.values():
+            return cls.SYNTAX_AGREEMENT
         raise ValueError(f"unknown error category: {s!r}")
 
 
@@ -93,15 +92,42 @@ def constants() -> dict:
     return {"SPELL_THR": SPELL_THRESHOLD}
 
 
-def _nonpunct_multiset(tokens, profile) -> Counter:
-    return Counter(t.text for t in tokens if not is_punct(t, profile))
+class _Pair:
+    """One (input, output) pair as text, with None read as "". Its token
+    texts and edit script are computed on first use and then kept, so the
+    classifier and the audit share one tokenization and one alignment."""
+
+    def __init__(self, inp, out, profile: LanguageProfile):
+        self.inp = "" if inp is None else str(inp)
+        self.out = "" if out is None else str(out)
+        self.profile = profile
+        self._texts = self._ops = None
+
+    def texts(self) -> tuple[list[str], list[str]]:
+        if self._texts is None:
+            self._texts = ([t.text for t in tokenize(self.inp, self.profile)],
+                           [t.text for t in tokenize(self.out, self.profile)])
+        return self._texts
+
+    def ops(self) -> tuple:
+        if self._ops is None:
+            self._ops = align(*self.texts()).ops
+        return self._ops
+
+
+def _nonpunct_multiset(texts) -> Counter:
+    return Counter(t for t in texts if not is_punct(t))
 
 
 def classify_pair(inp, out, profile: LanguageProfile) -> Classification:
     """Assign exactly one category to the pair; total on any input."""
+    return _classify(_Pair(inp, out, profile))
+
+
+def _classify(pair: _Pair) -> Classification:
+    inp, out, profile = pair.inp, pair.out, pair.profile
     if nullish(inp) or nullish(out):
         return Classification(ErrorCategory.NULL_EMPTY, Evidence(1, "nullish"))
-    inp, out = str(inp), str(out)
 
     if inp == out:
         return Classification(ErrorCategory.NO_ERROR, Evidence(2, "identical"))
@@ -111,15 +137,14 @@ def classify_pair(inp, out, profile: LanguageProfile) -> Classification:
             ErrorCategory.PUNCT_WHITESPACE, Evidence(3, "equal_projection")
         )
 
-    toks_a, toks_b = tokenize(inp, profile), tokenize(out, profile)
-    a, b = token_texts(toks_a), token_texts(toks_b)
-    if _nonpunct_multiset(toks_a, profile) == _nonpunct_multiset(toks_b, profile) and a != b:
+    a, b = pair.texts()
+    if _nonpunct_multiset(a) == _nonpunct_multiset(b) and a != b:
         return Classification(ErrorCategory.WORD_ORDER, Evidence(4, "permuted_multiset"))
 
     touched_syn = saw_insdel = saw_repl = saw_morph = saw_spell = False
     syntax_hits: list[str] = []
     morph_hits: list[list[str]] = []
-    for op in align(a, b).ops:
+    for op in pair.ops():
         seg_a, seg_b = a[op.a_start:op.a_end], b[op.b_start:op.b_end]
         if op.tag in ("insert", "delete"):
             saw_insdel = True

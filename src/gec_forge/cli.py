@@ -19,10 +19,10 @@ from . import __version__
 from .audit import DEFAULT_DISTANCE_CAP, Stratum, audit_pair, dual_report
 from .classifier import CATEGORY_ORDER, classify_pair, constants
 from .corpus import DistributionReport, analyze, load_pairs, synthesize_prompt
-from .errors import GecForgeError, InputError, UsageError
+from .errors import GecForgeError, InputError, ParseError, SchemaError, UsageError
 from .gleu import gleu_corpus, note_ignored_sampling_args
-from .reports import render_json, write_report, write_text_atomic
-from .textnorm import NormalizationPolicy, normalize_text, postprocess_hypothesis
+from .reports import write_report, write_text_atomic
+from .textnorm import POLICY_KEYS, NormalizationPolicy, normalize_text, postprocess_hypothesis
 from .tokenizer import profile_for
 
 log = logging.getLogger(__name__)
@@ -42,16 +42,6 @@ class RunConfig:
     seed: int | None = None
 
 
-_POLICY_KEYS = (
-    "strip_invisibles",
-    "collapse_whitespace",
-    "unify_terminal_punct",
-    "danda_policy",
-    "digit_policy",
-    "keep_joiners",
-)
-
-
 def load_config(path) -> RunConfig:
     """Read a flat key/value JSON config file into a RunConfig."""
     with open(path, encoding="utf-8") as fh:
@@ -64,7 +54,7 @@ def load_config(path) -> RunConfig:
     config = RunConfig()
     norm = dict(data.pop("normalization", {}))
     for key in list(data):
-        if key in _POLICY_KEYS:  # flat normalization keys are also accepted
+        if key in POLICY_KEYS:  # flat normalization keys are also accepted
             norm[key] = data.pop(key)
     config.normalization = NormalizationPolicy.from_dict(norm)
     for key, value in data.items():
@@ -72,12 +62,15 @@ def load_config(path) -> RunConfig:
             config.lang = value
         elif key == "lexicon_path":
             config.lexicon_path = value
-        elif key == "max_n":
-            config.max_n = int(value)
-        elif key == "cap":
-            config.cap = int(value)
-        elif key == "seed":
-            config.seed = None if value is None else int(value)
+        elif key == "seed" and value is None:
+            config.seed = None
+        elif key in ("max_n", "cap", "seed"):
+            try:
+                setattr(config, key, int(value))
+            except (TypeError, ValueError) as exc:
+                raise SchemaError(
+                    f"{path}: config key {key!r} expects an integer, got {value!r}"
+                ) from exc
         else:
             raise InputError(f"{path}: unknown config key: {key!r}")
     return config
@@ -98,7 +91,7 @@ def _resolve_config(args) -> RunConfig:
     if getattr(args, "seed", None) is not None:
         config.seed = args.seed
     policy_overrides = {}
-    for key in _POLICY_KEYS:
+    for key in POLICY_KEYS:
         value = getattr(args, key, None)
         if value is not None:
             policy_overrides[key] = value
@@ -127,14 +120,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_common(sub, lang=True):
+def _add_common(sub):
     sub.add_argument("--config", help="JSON config file with shared defaults")
-    if lang:
-        sub.add_argument("--lang", choices=["hi", "ml"], help="language profile")
-        sub.add_argument(
-            "--lexicon",
-            help=f"lexicon file overriding the bundled one (or ${LEXICON_ENV_VAR})",
-        )
+    sub.add_argument("--lang", choices=["hi", "ml"], help="language profile")
+    sub.add_argument(
+        "--lexicon",
+        help=f"lexicon file overriding the bundled one (or ${LEXICON_ENV_VAR})",
+    )
     group = sub.add_argument_group("normalization")
     group.add_argument("--strip-invisibles", dest="strip_invisibles",
                        action="store_true", default=None)
@@ -292,8 +284,14 @@ def cmd_normalize(args) -> int:
 def cmd_synth_prompt(args) -> int:
     config = _resolve_config(args)
     with open(args.dist, encoding="utf-8") as fh:
-        data = json.load(fh)
-    report = DistributionReport.from_dict(data)
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{args.dist}: invalid JSON distribution report: {exc}") from exc
+    try:
+        report = DistributionReport.from_dict(data)
+    except SchemaError as exc:
+        raise SchemaError(f"{args.dist}: {exc}") from exc
     profile = profile_for(config.lang or report.lang, config.lexicon_path)
     spec = synthesize_prompt(report, profile)
     write_text_atomic(args.outfile, spec.rendered)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from .classifier import CATEGORY_ORDER, ErrorCategory, classify_pair
 from .errors import InputError, ParseError, SchemaError
 from .textnorm import DEFAULT_POLICY, NormalizationPolicy, normalize_text
-from .tokenizer import LanguageProfile
+from .tokenizer import SYNTAX_LABELS, LanguageProfile
 
 log = logging.getLogger(__name__)
 
@@ -53,6 +53,8 @@ class DistributionReport:
 
     @classmethod
     def from_dict(cls, data: dict) -> "DistributionReport":
+        if not isinstance(data, dict) or not isinstance(data.get("counts"), dict):
+            raise SchemaError("bad distribution report: 'counts' must be a JSON object")
         try:
             counts = {
                 ErrorCategory(name): int(count)
@@ -64,7 +66,7 @@ class DistributionReport:
                 total=int(data["total"]),
                 counts={cat: counts.get(cat, 0) for cat in CATEGORY_ORDER},
             )
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"bad distribution report: {exc}") from exc
         return report
 
@@ -140,6 +142,8 @@ def load_pairs(
         raise ParseError(
             f"{path}: invalid UTF-8 byte sequence at offset {exc.start}"
         ) from exc
+    except csv.Error as exc:  # e.g. a cell over csv.field_size_limit()
+        raise ParseError(f"{path}: line {reader.line_num}: {exc}") from exc
     if drop_duplicates:
         seen: set[tuple[str, str]] = set()
         unique = []
@@ -215,8 +219,8 @@ def render_prompt(
 ) -> str:
     """Deterministic template instantiation; a pure function of its inputs."""
     labels = {cat: cat.display_label() for cat in CATEGORY_ORDER}
-    if lang == "hi":
-        labels[ErrorCategory.SYNTAX_AGREEMENT] = "Syntax/Case/Agreement"
+    syntax = ErrorCategory.SYNTAX_AGREEMENT
+    labels[syntax] = SYNTAX_LABELS.get(lang, labels[syntax])
     priorities = "\n".join(
         f"  {i}. {labels[cat]}" for i, cat in enumerate(prioritized, start=1)
     ) or "  (no category emphasis)"

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import re
 import unicodedata
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from importlib import resources
 
@@ -68,36 +68,26 @@ class NormalizationPolicy:
     keep_joiners: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "strip_invisibles": self.strip_invisibles,
-            "collapse_whitespace": self.collapse_whitespace,
-            "unify_terminal_punct": self.unify_terminal_punct,
-            "danda_policy": self.danda_policy.value,
-            "digit_policy": self.digit_policy.value,
-            "keep_joiners": self.keep_joiners,
-        }
+        values = {key: getattr(self, key) for key in POLICY_KEYS}
+        return {key: v.value if isinstance(v, Enum) else v for key, v in values.items()}
 
     @classmethod
     def from_dict(cls, data: dict) -> "NormalizationPolicy":
         policy = cls()
         for key, value in data.items():
-            if key == "danda_policy":
-                value = DandaPolicy(value)
-            elif key == "digit_policy":
-                value = DigitPolicy(value)
-            elif key not in {
-                "strip_invisibles",
-                "collapse_whitespace",
-                "unify_terminal_punct",
-                "keep_joiners",
-            }:
+            if key not in POLICY_KEYS:
                 raise InputError(f"unknown normalization key: {key!r}")
+            if key in _ENUM_KEYS:
+                value = _ENUM_KEYS[key](value)
             elif not isinstance(value, bool):
                 raise InputError(f"normalization key {key!r} expects a boolean")
             policy = replace(policy, **{key: value})
         return policy
 
 
+# The normalization keys, in report order, shared by config files and flags.
+POLICY_KEYS = tuple(f.name for f in fields(NormalizationPolicy))
+_ENUM_KEYS = {"danda_policy": DandaPolicy, "digit_policy": DigitPolicy}
 DEFAULT_POLICY = NormalizationPolicy()
 
 

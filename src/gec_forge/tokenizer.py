@@ -11,7 +11,7 @@ import unicodedata
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import SchemaError
 
@@ -44,14 +44,12 @@ class Token:
 
 @dataclass(frozen=True)
 class LanguageProfile:
-    """Per-language lexica and script metadata, immutable after load."""
+    """Per-language lexica and syntax label, immutable after load."""
 
     name: str  # "hi" | "ml"
-    script_ranges: tuple[tuple[int, int], ...]
     auxiliaries: frozenset[str]
     postpositions: frozenset[str]
     suffixes: tuple[str, ...]  # deduplicated, longest-first
-    digit_range: tuple[int, int]
     syntax_label: str
 
     def __post_init__(self):
@@ -165,15 +163,11 @@ def load_lexicon(path) -> dict[str, list[str]]:
 
 
 def _profile_from_sections(name: str, sections: dict[str, list[str]]) -> LanguageProfile:
-    block = SCRIPT_BLOCKS["deva"] if name == "hi" else SCRIPT_BLOCKS["mlym"]
-    digits = DEVANAGARI_DIGITS if name == "hi" else MALAYALAM_DIGITS
     return LanguageProfile(
         name=name,
-        script_ranges=(block,),
         auxiliaries=frozenset(sections["auxiliaries"]),
         postpositions=frozenset(sections["postpositions"]),
         suffixes=_order_suffixes(sections["suffixes"]),
-        digit_range=digits,
         syntax_label=SYNTAX_LABELS[name],
     )
 
@@ -189,7 +183,3 @@ def profile_for(lang: str, lexicon_path=None) -> LanguageProfile:
         with resources.as_file(ref) as path:
             sections = load_lexicon(path)
     return _profile_from_sections(lang, sections)
-
-
-def token_texts(tokens: Sequence[Token]) -> list[str]:
-    return [t.text for t in tokens]

@@ -189,3 +189,66 @@ def classify_pair(inp, out, prof):
         return "grammar_syntax"
 
     return "grammar_syntax"
+
+
+# ---------------------------------------------------------------------------
+# Audit and dual-candidate reconciliation, transcribed the same flat way.
+
+CAP = 5
+_NO_EDIT = ("no_error", "null_empty")
+_RANK = {"rectifying": 0, "redundant": 1, "risky": 2, "none": 3}
+
+
+def audit(inp, pred, prof, cap=CAP):
+    """Returns (category, token edit distance, stratum)."""
+    category = classify_pair(inp, pred, prof)
+    A = tokenize("" if inp is None else inp)
+    B = tokenize("" if pred is None else pred)
+    distance = levenshtein(A, B)
+    if category in _NO_EDIT:
+        stratum = "none"
+    elif category == "punct_whitespace":
+        stratum = "redundant"
+    elif category == "word_order":
+        stratum = "risky"
+    elif distance <= cap:
+        stratum = "rectifying"
+    else:
+        stratum = "risky"
+    return category, distance, stratum
+
+
+def moved_tokens(inp, pred):
+    A = tokenize("" if inp is None else inp)
+    B = tokenize("" if pred is None else pred)
+    removed = Counter()
+    added = Counter()
+    for tag, i1, i2, j1, j2 in SequenceMatcher(None, A, B, autojunk=False).get_opcodes():
+        if tag in ("delete", "replace"):
+            removed.update(A[i1:i2])
+        if tag in ("insert", "replace"):
+            added.update(B[j1:j2])
+    return sum((removed & added).values())
+
+
+def reconcile(inp, cand_a, cand_b, prof, cap=CAP):
+    """Returns (chosen text, reason)."""
+    if str(cand_a) == str(cand_b):
+        return cand_a, "identical"
+    _, dist_a, stratum_a = audit(inp, cand_a, prof, cap)
+    _, dist_b, stratum_b = audit(inp, cand_b, prof, cap)
+    if _RANK[stratum_a] < _RANK[stratum_b]:
+        return cand_a, "stratum:" + stratum_a
+    if _RANK[stratum_b] < _RANK[stratum_a]:
+        return cand_b, "stratum:" + stratum_b
+    if dist_a < dist_b:
+        return cand_a, "edit_distance"
+    if dist_b < dist_a:
+        return cand_b, "edit_distance"
+    moves_a = moved_tokens(inp, cand_a)
+    moves_b = moved_tokens(inp, cand_b)
+    if moves_a < moves_b:
+        return cand_a, "reordering"
+    if moves_b < moves_a:
+        return cand_b, "reordering"
+    return cand_a, "positional"

@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gec_forge import align, levenshtein, profile_for, suffix_tail_change, touches_syntax
+from gec_forge import (
+    ErrorCategory,
+    align,
+    classify_pair,
+    levenshtein,
+    profile_for,
+    suffix_tail_change,
+    touches_syntax,
+)
 
 from _oracles import levenshtein_recursive
 
@@ -79,6 +87,20 @@ def test_align_matches_sequence_matcher_semantics():
         mine = [op.astuple() for op in align(a, b).ops]
         theirs = SequenceMatcher(None, a, b, autojunk=False).get_opcodes()
         assert mine == [tuple(op) for op in theirs]
+
+
+def test_align_long_alternating_input(hi):
+    # Every other token differs, so the longest-block decomposition finds one
+    # matching block per two tokens: 1,100 blocks, deeper than Python's
+    # default recursion limit if each block cost a stack frame.
+    def word(i):
+        return "".join("abcdefghijklmnopqrstuvwxyz"[int(d)] for d in f"{i:04d}")
+
+    a = [word(i) for i in range(2200)]
+    b = [w + "z" if i % 2 else w for i, w in enumerate(a)]
+    mine = [op.astuple() for op in align(a, b).ops]
+    assert mine == SequenceMatcher(None, a, b, autojunk=False).get_opcodes()
+    assert classify_pair(" ".join(a), " ".join(b), hi).category is ErrorCategory.SPELLING
 
 
 def test_suffix_tail_change_hand_example(hi):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from gec_forge import (
@@ -10,7 +12,8 @@ from gec_forge import (
 )
 from gec_forge.audit import reordered_token_count
 
-from _gen import random_pairs
+import _pseudocode as ref
+from _gen import mutate, random_pairs
 
 C = ErrorCategory
 
@@ -19,6 +22,13 @@ def test_punct_only_fix_is_redundant(hi):
     audit = audit_pair("नमस्ते ।", "नमस्ते.", hi)
     assert audit.category is C.PUNCT_WHITESPACE
     assert audit.stratum is Stratum.REDUNDANT
+
+
+def test_none_input_is_null_empty_with_token_distance(hi):
+    audit = audit_pair(None, "राम है", hi)
+    assert audit.category is C.NULL_EMPTY
+    assert audit.stratum is Stratum.NONE
+    assert audit.edit_distance == 2
 
 
 def test_identical_prediction_is_none(hi):
@@ -194,3 +204,22 @@ def test_dual_report_identical_candidates_mass_on_no_error(hi):
 def test_dual_report_empty_rejected(hi):
     with pytest.raises(InputError):
         dual_report([], hi)
+
+
+@pytest.mark.parametrize("lang", ["hi", "ml"])
+def test_audit_and_reconcile_match_straight_line_reference(lang, request):
+    profile = request.getfixturevalue(lang)
+    prof = ref.profile_dict(profile)
+    rng = random.Random(2024)
+    triples = [(inp, out, mutate(rng, inp, lang)) for inp, out in random_pairs(2024, 1000, lang)]
+    reasons = set()
+    for inp, cand_a, cand_b in triples:
+        for cand in (cand_a, cand_b):
+            audit = audit_pair(inp, cand, profile)
+            got = (audit.category.value, audit.edit_distance, audit.stratum.value)
+            assert got == ref.audit(inp, cand, prof), (inp, cand)
+        chosen, reason = reconcile(inp, cand_a, cand_b, profile)
+        assert (chosen, reason) == ref.reconcile(inp, cand_a, cand_b, prof), (inp, cand_a, cand_b)
+        reasons.add(reason.split(":")[0])
+    # Every branch of the reconcile order was exercised.
+    assert reasons == {"identical", "stratum", "edit_distance", "reordering", "positional"}

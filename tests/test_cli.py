@@ -241,3 +241,36 @@ def test_reports_byte_identical_across_runs(tmp_path):
         assert run(["analyze", "--lang", "hi", "--split", "train",
                     "--in", str(FIXTURE_CSV), "--report", str(target)]) == 0
     assert first.read_bytes() == second.read_bytes()
+
+
+def _oversize_cell_csv(tmp_path):
+    path = _write(tmp_path / "big.csv", "input,output\n" + "क" * 131073 + ",ख\n")
+    return ["analyze", "--lang", "hi", "--split", "train", "--in", path,
+            "--report", str(tmp_path / "r.json")], path
+
+
+def _non_integer_config(tmp_path):
+    path = _write(tmp_path / "config.json", '{"max_n": "abc"}')
+    src = _write(tmp_path / "s.txt", "क\n")
+    return ["score", "--config", path, "--src", src, "--hyp", src, "--ref", src], path
+
+
+def _non_json_dist(tmp_path):
+    path = _write(tmp_path / "dist.json", "not json")
+    return ["synth-prompt", "--dist", path, "--out", str(tmp_path / "p.txt")], path
+
+
+def _list_counts_dist(tmp_path):
+    body = {"lang": "hi", "split": "train", "total": 1, "counts": []}
+    path = _write(tmp_path / "dist.json", json.dumps(body))
+    return ["synth-prompt", "--dist", path, "--out", str(tmp_path / "p.txt")], path
+
+
+@pytest.mark.parametrize("case", [_oversize_cell_csv, _non_integer_config,
+                                  _non_json_dist, _list_counts_dist])
+def test_malformed_input_exits_1_naming_the_file(tmp_path, capsys, case):
+    argv, path = case(tmp_path)
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert "internal error" not in err
+    assert path in err
