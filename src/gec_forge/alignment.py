@@ -2,15 +2,15 @@
 comparators (Levenshtein distance, common-prefix suffix-tail test) consumed
 by the error classifier.
 
-align() uses longest-matching-block decomposition: repeatedly anchor on the
-longest common contiguous block, preferring the earliest start in `a`, then
-the earliest in `b`, on ties. This reproduces classic sequence-matcher
-opcodes without any junk heuristic.
+align() is difflib's Ratcliff/Obershelp matcher with autojunk off: it
+anchors on the longest common contiguous block (earliest in `a`, then in `b`,
+on ties) and recurses on both sides, with no item ever treated as junk.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Sequence
+from difflib import SequenceMatcher
+from typing import Sequence
 
 from .errors import InputError
 from .tokenizer import LanguageProfile, Token, _text_of
@@ -78,63 +78,13 @@ class EditScript:
         return out
 
 
-def _longest_match(a: Sequence, b: Sequence, alo: int, ahi: int, blo: int, bhi: int):
-    """Longest block a[i:i+k]==b[j:j+k] within the window; smallest i, then j."""
-    b_positions: dict[Hashable, list[int]] = {}
-    for j in range(blo, bhi):
-        b_positions.setdefault(b[j], []).append(j)
-    besti, bestj, bestsize = alo, blo, 0
-    run_ending_at: dict[int, int] = {}
-    for i in range(alo, ahi):
-        new_runs: dict[int, int] = {}
-        for j in b_positions.get(a[i], ()):
-            k = run_ending_at.get(j - 1, 0) + 1
-            new_runs[j] = k
-            if k > bestsize:
-                besti, bestj, bestsize = i - k + 1, j - k + 1, k
-        run_ending_at = new_runs
-    return besti, bestj, bestsize
-
-
-def _matching_blocks(a: Sequence, b: Sequence) -> list[tuple[int, int, int]]:
-    # Windows wait on an explicit stack, so no input is too long for the
-    # recursion limit; blocks increase in both sequences, so sorting orders them.
-    blocks, windows = [], [(0, len(a), 0, len(b))]
-    while windows:
-        alo, ahi, blo, bhi = windows.pop()
-        i, j, k = _longest_match(a, b, alo, ahi, blo, bhi)
-        if k:
-            blocks.append((i, j, k))
-            windows += [(alo, i, blo, j), (i + k, ahi, j + k, bhi)]
-    return sorted(blocks)
-
-
 def align(a: Sequence, b: Sequence) -> EditScript:
     """Align two sequences of hashable items (token texts, strings, ints)."""
-    blocks = _matching_blocks(a, b)
-    # Merge adjacent blocks so equal opcodes are maximal.
-    merged: list[tuple[int, int, int]] = []
-    for i, j, k in blocks:
-        if merged and merged[-1][0] + merged[-1][2] == i and merged[-1][1] + merged[-1][2] == j:
-            pi, pj, pk = merged[-1]
-            merged[-1] = (pi, pj, pk + k)
-        else:
-            merged.append((i, j, k))
-    merged.append((len(a), len(b), 0))  # sentinel
-
-    ops: list[EditOp] = []
-    ai = bi = 0
-    for i, j, k in merged:
-        if ai < i and bi < j:
-            ops.append(EditOp("replace", ai, i, bi, j))
-        elif ai < i:
-            ops.append(EditOp("delete", ai, i, bi, j))
-        elif bi < j:
-            ops.append(EditOp("insert", ai, i, bi, j))
-        if k:
-            ops.append(EditOp("equal", i, i + k, j, j + k))
-        ai, bi = i + k, j + k
-    return EditScript(tuple(ops))
+    # autojunk=False: with the default, a side of 200 or more items treats
+    # items that occur in over 1% of it as junk, which would change the
+    # opcodes of long pairs.
+    matcher = SequenceMatcher(None, a, b, autojunk=False)
+    return EditScript(tuple(EditOp(*op) for op in matcher.get_opcodes()))
 
 
 def levenshtein(a: Sequence, b: Sequence) -> int:

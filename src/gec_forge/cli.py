@@ -52,16 +52,23 @@ def load_config(path) -> RunConfig:
     if not isinstance(data, dict):
         raise InputError(f"{path}: config must be a JSON object")
     config = RunConfig()
-    norm = dict(data.pop("normalization", {}))
+    norm = data.pop("normalization", {})
+    if not isinstance(norm, dict):
+        raise SchemaError(f"{path}: config key 'normalization' must be a JSON object")
     for key in list(data):
         if key in POLICY_KEYS:  # flat normalization keys are also accepted
             norm[key] = data.pop(key)
-    config.normalization = NormalizationPolicy.from_dict(norm)
+    try:
+        config.normalization = NormalizationPolicy.from_dict(norm)
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from exc
     for key, value in data.items():
-        if key == "lang":
-            config.lang = value
-        elif key == "lexicon_path":
-            config.lexicon_path = value
+        if key in ("lang", "lexicon_path"):
+            if value is not None and not isinstance(value, str):
+                raise SchemaError(
+                    f"{path}: config key {key!r} expects a string, got {value!r}"
+                )
+            setattr(config, key, value)
         elif key == "seed" and value is None:
             config.seed = None
         elif key in ("max_n", "cap", "seed"):

@@ -55,6 +55,8 @@ class DistributionReport:
     def from_dict(cls, data: dict) -> "DistributionReport":
         if not isinstance(data, dict) or not isinstance(data.get("counts"), dict):
             raise SchemaError("bad distribution report: 'counts' must be a JSON object")
+        if not isinstance(data.get("lang"), str):
+            raise SchemaError("bad distribution report: 'lang' must be a string")
         try:
             counts = {
                 ErrorCategory(name): int(count)

@@ -15,6 +15,7 @@ from enum import Enum
 from importlib import resources
 
 from .errors import InputError
+from .tokenizer import DEVANAGARI_DIGITS, MALAYALAM_DIGITS
 
 # Fixed invisible-character inventory; the authoritative copy ships as a
 # versioned data table (data/invisible_chars.json) and is loaded below.
@@ -27,11 +28,11 @@ JOINER_CHARS = frozenset(chr(int(cp[2:], 16)) for cp in _INVISIBLE_TABLE["joiner
 DANDA = "।"  # Devanagari sentence terminator (।)
 TERMINAL_MARKS = ".।?!"
 
-# Native decimal digits mapped by digit_policy=to_ascii. Devanagari digits
-# occupy U+0966-U+096F and Malayalam digits U+0D66-U+0D6F.
-_DIGIT_MAP = {chr(0x0966 + i): str(i) for i in range(10)}
-_DIGIT_MAP.update({chr(0x0D66 + i): str(i) for i in range(10)})
-_DIGIT_TRANSLATION = str.maketrans(_DIGIT_MAP)
+# Native decimal digits mapped by digit_policy=to_ascii; the tokenizer's
+# digit ranges are the one source.
+_DIGIT_TRANSLATION = str.maketrans({
+    chr(lo + i): str(i) for lo, _ in (DEVANAGARI_DIGITS, MALAYALAM_DIGITS) for i in range(10)
+})
 
 _WHITESPACE_RUN = re.compile(r"\s+")
 # Trailing run of sentence-final marks (optionally space-separated); the run
@@ -78,6 +79,11 @@ class NormalizationPolicy:
             if key not in POLICY_KEYS:
                 raise InputError(f"unknown normalization key: {key!r}")
             if key in _ENUM_KEYS:
+                allowed = [member.value for member in _ENUM_KEYS[key]]
+                if value not in allowed:
+                    raise InputError(
+                        f"normalization key {key!r} expects one of {allowed}, got {value!r}"
+                    )
                 value = _ENUM_KEYS[key](value)
             elif not isinstance(value, bool):
                 raise InputError(f"normalization key {key!r} expects a boolean")

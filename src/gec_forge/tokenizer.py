@@ -7,6 +7,7 @@ align token-by-token; the profile contributes lexica and labels.
 """
 from __future__ import annotations
 
+import re
 import unicodedata
 from dataclasses import dataclass
 from enum import Enum
@@ -63,27 +64,30 @@ class LanguageProfile:
             raise SchemaError("Malayalam profiles use suffixes, not postpositions")
 
 
-def _char_class(ch: str) -> tuple[str, str | None]:
-    """Classify one character: ('digit'|'script'|'punct', script id or None)."""
-    cp = ord(ch)
-    if "0" <= ch <= "9" or DEVANAGARI_DIGITS[0] <= cp <= DEVANAGARI_DIGITS[1] \
-            or MALAYALAM_DIGITS[0] <= cp <= MALAYALAM_DIGITS[1]:
-        return "digit", None
-    if "A" <= ch <= "Z" or "a" <= ch <= "z":
-        return "script", "latn"
-    for script, (lo, hi) in SCRIPT_BLOCKS.items():
-        if lo <= cp <= hi:
-            cat = unicodedata.category(ch)
-            if cat.startswith("L") or cat.startswith("M"):
-                return "script", script
-            return "punct", None
-    return "punct", None
+def _letters_and_marks(lo: int, hi: int) -> str:
+    # Letters and combining marks of a block; its digits, danda and signs
+    # carry Nd/P*/S* categories and fall to the digit or punct groups.
+    return "".join(
+        chr(cp) for cp in range(lo, hi + 1)
+        if unicodedata.category(chr(cp))[0] in "LM"
+    )
 
 
-_KIND_BY_CLASS = {
-    "digit": TokenKind.DIGIT_RUN,
-    "script": TokenKind.SCRIPT_WORD,
-    "punct": TokenKind.PUNCT_SYMBOL,
+_DIGITS = "0-9" + "".join(
+    f"{chr(lo)}-{chr(hi)}" for lo, hi in (DEVANAGARI_DIGITS, MALAYALAM_DIGITS)
+)
+_WORD_CLASSES = {"latn": "A-Za-z"} | {
+    script: _letters_and_marks(lo, hi) for script, (lo, hi) in SCRIPT_BLOCKS.items()
+}
+# One named group per character class; a token is a maximal run of one class,
+# and whitespace only separates. Anything else that is not whitespace is punct.
+_TOKEN_RE = re.compile("|".join(
+    [f"(?P<digit>[{_DIGITS}]+)"]
+    + [f"(?P<{script}>[{chars}]+)" for script, chars in _WORD_CLASSES.items()]
+    + [f"(?P<punct>[^\\s{_DIGITS}{''.join(_WORD_CLASSES.values())}]+)"]
+))
+_KIND_BY_GROUP = {"digit": TokenKind.DIGIT_RUN, "punct": TokenKind.PUNCT_SYMBOL} | {
+    script: TokenKind.SCRIPT_WORD for script in _WORD_CLASSES
 }
 
 
@@ -93,19 +97,7 @@ def tokenize(s: str, profile: LanguageProfile) -> list[Token]:
     Spans index into s exactly as given, so callers should pass normalized
     text when they need span arithmetic over the normalized source.
     """
-    tokens: list[Token] = []
-    i, n = 0, len(s)
-    while i < n:
-        if s[i].isspace():
-            i += 1
-            continue
-        cls = _char_class(s[i])
-        j = i + 1
-        while j < n and not s[j].isspace() and _char_class(s[j]) == cls:
-            j += 1
-        tokens.append(Token(s[i:j], _KIND_BY_CLASS[cls[0]], (i, j)))
-        i = j
-    return tokens
+    return [Token(m[0], _KIND_BY_GROUP[m.lastgroup], m.span()) for m in _TOKEN_RE.finditer(s)]
 
 
 def _text_of(tok: Token | str) -> str:
@@ -114,13 +106,12 @@ def _text_of(tok: Token | str) -> str:
 
 def is_punct(tok: Token | str, profile: LanguageProfile | None = None) -> bool:
     """True iff every character is outside the script and digit classes."""
-    text = _text_of(tok)
-    return all(_char_class(ch)[0] == "punct" for ch in text)
+    return all(m.lastgroup == "punct" for m in _TOKEN_RE.finditer(_text_of(tok)))
 
 
 def token_script(tok: Token | str) -> str | None:
     """The single script of a token's letters, or None if mixed/absent."""
-    scripts = {scr for cls, scr in map(_char_class, _text_of(tok)) if cls == "script"}
+    scripts = {m.lastgroup for m in _TOKEN_RE.finditer(_text_of(tok))} & _WORD_CLASSES.keys()
     if len(scripts) == 1:
         return scripts.pop()
     return None

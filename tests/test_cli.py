@@ -266,8 +266,39 @@ def _list_counts_dist(tmp_path):
     return ["synth-prompt", "--dist", path, "--out", str(tmp_path / "p.txt")], path
 
 
+def _analyze_with_config(tmp_path, body):
+    path = _write(tmp_path / "config.json", body)
+    return ["analyze", "--config", path, "--split", "train", "--in", str(FIXTURE_CSV),
+            "--report", str(tmp_path / "r.json")], path
+
+
+def _bad_enum_config(tmp_path):
+    return _analyze_with_config(tmp_path, '{"lang": "hi", "danda_policy": "bogus"}')
+
+
+def _non_object_normalization_config(tmp_path):
+    return _analyze_with_config(tmp_path, '{"lang": "hi", "normalization": "x"}')
+
+
+def _list_lang_config(tmp_path):
+    return _analyze_with_config(tmp_path, '{"lang": ["hi"]}')
+
+
+def _integer_lexicon_path_config(tmp_path):
+    return _analyze_with_config(tmp_path, '{"lang": "hi", "lexicon_path": 5}')
+
+
+def _list_lang_dist(tmp_path):
+    body = {"lang": ["hi"], "split": "train", "total": 1, "counts": {}}
+    path = _write(tmp_path / "dist.json", json.dumps(body))
+    return ["synth-prompt", "--dist", path, "--out", str(tmp_path / "p.txt")], path
+
+
 @pytest.mark.parametrize("case", [_oversize_cell_csv, _non_integer_config,
-                                  _non_json_dist, _list_counts_dist])
+                                  _non_json_dist, _list_counts_dist,
+                                  _bad_enum_config, _non_object_normalization_config,
+                                  _list_lang_config, _integer_lexicon_path_config,
+                                  _list_lang_dist])
 def test_malformed_input_exits_1_naming_the_file(tmp_path, capsys, case):
     argv, path = case(tmp_path)
     assert run(argv) == 1

@@ -70,6 +70,14 @@ def test_tokenize_matches_class_oracle(seed):
     assert toks == tokens_by_class(rng_sentence)
 
 
+def test_tokenize_matches_class_oracle_on_every_code_point(hi):
+    text = "".join(map(chr, range(0x110000)))
+    toks = tokenize(text, hi)
+    assert [(t.text, KIND_NAMES[t.kind]) for t in toks] == tokens_by_class(text)
+    for tok in toks:
+        assert is_punct(tok, hi) == (tok.kind == TokenKind.PUNCT_SYMBOL)
+
+
 def _rng(seed):
     import random
 
