@@ -5,6 +5,12 @@ by the error classifier.
 align() is difflib's Ratcliff/Obershelp matcher with autojunk off: it
 anchors on the longest common contiguous block (earliest in `a`, then in `b`,
 on ties) and recurses on both sides, with no item ever treated as junk.
+
+levenshtein() is the bit-parallel unit-cost edit distance of Myers (1999),
+in the global-distance form of Hyyrö (2003), on Python ints: one column of
+the DP matrix is two bit vectors of vertical deltas, updated with about ten
+integer operations per item of the longer side. Items are compared as dict
+keys, so they must be hashable.
 """
 from __future__ import annotations
 
@@ -88,19 +94,44 @@ def align(a: Sequence, b: Sequence) -> EditScript:
 
 
 def levenshtein(a: Sequence, b: Sequence) -> int:
-    """Unit-cost edit distance; works on strings and on token-text lists."""
-    n, m = len(a), len(b)
-    if n == 0:
-        return m
+    """Unit-cost edit distance; works on strings and on token-text lists.
+
+    Myers, "A fast bit-vector algorithm for approximate string matching
+    based on dynamic programming" (JACM 1999), with the global-distance
+    boundary of Hyyrö, "A bit-vector algorithm for computing Levenshtein and
+    Damerau edit distances" (Nordic J. Computing 2003). Bit i of `pv`/`mv`
+    says that D[i+1][j] - D[i][j] is +1/-1 in the current column j, with the
+    shorter side along i; `peq[x]` marks where x occurs on that side. The
+    cost is O(max(n, m)) operations on ints of min(n, m) bits. Items are
+    compared as dict keys, so they must be hashable.
+    """
+    if len(a) < len(b):
+        a, b = b, a
+    m = len(b)
     if m == 0:
-        return n
-    dp = list(range(m + 1))
-    for i in range(1, n + 1):
-        prev, dp[0] = dp[0], i
-        for j in range(1, m + 1):
-            cost = 0 if a[i - 1] == b[j - 1] else 1
-            prev, dp[j] = dp[j], min(dp[j] + 1, dp[j - 1] + 1, prev + cost)
-    return dp[m]
+        return len(a)
+    peq: dict = {}
+    bit = 1
+    for x in b:
+        peq[x] = peq.get(x, 0) | bit
+        bit <<= 1
+    mask, last = bit - 1, bit >> 1
+    pv, mv, dist = mask, 0, m
+    for x in a:
+        eq = peq.get(x, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        if ph & last:
+            dist += 1
+        elif mh & last:
+            dist -= 1
+        # Row 0 of the matrix is D[0][j] = j: a +1 enters at the bottom bit.
+        ph = (ph << 1) | 1
+        pv = ((mh << 1) | ~(xv | ph)) & mask
+        mv = ph & xv
+    return dist
 
 
 def suffix_tail_change(a: str, b: str, suffixes: Sequence[str]) -> bool:

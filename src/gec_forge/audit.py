@@ -89,12 +89,16 @@ def audit_pair(
     input, prediction, profile: LanguageProfile, cap: int = DEFAULT_DISTANCE_CAP
 ) -> EditAudit:
     """Classify input→prediction and bind the result to a functional stratum."""
+    _check_cap(cap)
     return _audit(_Pair(input, prediction, profile), cap)
 
 
-def _audit(pair: _Pair, cap: int) -> EditAudit:
+def _check_cap(cap: int) -> None:
     if cap < 0:
         raise InputError(f"cap must be >= 0, got {cap}")
+
+
+def _audit(pair: _Pair, cap: int) -> EditAudit:
     category = _classify(pair).category
     distance = levenshtein(*pair.texts())
     if category in _NON_EDITS:
@@ -168,6 +172,7 @@ def reconcile(
     token edit distance, then to the candidate with fewer moved tokens,
     then to cand_a.
     """
+    _check_cap(cap)
     _, chosen, reason, _, _ = _reconcile_audited(input, cand_a, cand_b, profile, cap)
     return chosen, reason
 
@@ -177,6 +182,7 @@ def dual_report(
 ) -> DualReport:
     """Aggregate two candidate streams: category agreement matrix, strata
     cross-matrix, union/intersection/conflict counts, and per-pair picks."""
+    _check_cap(cap)
     triples = list(triples)
     if not triples:
         raise InputError("dual_report needs at least one (input, cand_a, cand_b) triple")

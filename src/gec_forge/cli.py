@@ -95,6 +95,10 @@ def _resolve_config(args) -> RunConfig:
         config.max_n = args.max_n
     if getattr(args, "cap", None) is not None:
         config.cap = args.cap
+    if config.cap < 0:  # checked here, before any input file is read
+        source = ("--cap" if getattr(args, "cap", None) is not None
+                  else f"{args.config}: config key 'cap'")
+        raise InputError(f"{source} must be >= 0, got {config.cap}")
     if getattr(args, "seed", None) is not None:
         config.seed = args.seed
     policy_overrides = {}

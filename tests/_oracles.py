@@ -24,6 +24,22 @@ def levenshtein_recursive(a, b):
     return go(len(a), len(b))
 
 
+def levenshtein_matrix(a, b):
+    """Full (len(a)+1) x (len(b)+1) edit-distance table, filled row by row;
+    items are compared with == only."""
+    table = [[0] * (len(b) + 1) for _ in range(len(a) + 1)]
+    for i in range(len(a) + 1):
+        table[i][0] = i
+    for j in range(len(b) + 1):
+        table[0][j] = j
+    for i in range(1, len(a) + 1):
+        for j in range(1, len(b) + 1):
+            sub = 0 if a[i - 1] == b[j - 1] else 1
+            table[i][j] = min(table[i - 1][j] + 1, table[i][j - 1] + 1,
+                              table[i - 1][j - 1] + sub)
+    return table[len(a)][len(b)]
+
+
 def projection_filter(s):
     """Per-character filter: keep letters, digits, and combining marks."""
     kept = []

@@ -2,7 +2,7 @@ import random
 from difflib import SequenceMatcher
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gec_forge import (
@@ -15,7 +15,7 @@ from gec_forge import (
     touches_syntax,
 )
 
-from _oracles import levenshtein_recursive
+from _oracles import levenshtein_matrix, levenshtein_recursive
 
 short_strings = st.text(alphabet="abc", max_size=6)
 
@@ -37,6 +37,33 @@ def test_levenshtein_on_token_lists():
 @given(short_strings, short_strings)
 def test_levenshtein_matches_recursive_oracle(a, b):
     assert levenshtein(a, b) == levenshtein_recursive(a, b)
+
+
+@st.composite
+def _sequence_pairs(draw):
+    """Two sequences of one kind (str, int list or tuple list) over a shared
+    alphabet of 1-4 symbols, so that many items are equal."""
+    symbols = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["str", "int", "tuple"]))
+    # Draw each length first: st.lists alone rarely goes past a few dozen items.
+    len_a, len_b = draw(st.integers(0, 300)), draw(st.integers(0, 300))
+    items = st.integers(0, symbols - 1)
+    a = draw(st.lists(items, min_size=len_a, max_size=len_a))
+    b = draw(st.lists(items, min_size=len_b, max_size=len_b))
+    if kind == "str":
+        return "".join("abcd"[i] for i in a), "".join("abcd"[i] for i in b)
+    if kind == "tuple":
+        return [("t", i) for i in a], [("t", i) for i in b]
+    return a, b
+
+
+@settings(max_examples=60)
+@given(_sequence_pairs())
+def test_levenshtein_matches_full_matrix_oracle(pair):
+    a, b = pair
+    expected = levenshtein_matrix(a, b)
+    assert levenshtein(a, b) == expected
+    assert levenshtein(b, a) == expected
 
 
 @given(short_strings, short_strings, short_strings)

@@ -7,13 +7,14 @@ from gec_forge import (
     InputError,
     Stratum,
     audit_pair,
+    classify_pair,
     dual_report,
     reconcile,
 )
 from gec_forge.audit import reordered_token_count
 
 import _pseudocode as ref
-from _gen import mutate, random_pairs
+from _gen import HI_WORDS, mutate, random_pairs
 
 C = ErrorCategory
 
@@ -91,6 +92,26 @@ def test_none_stratum_iff_no_edit_category(hi):
 def test_negative_cap_rejected(hi):
     with pytest.raises(InputError):
         audit_pair("क", "ख", hi, cap=-1)
+    with pytest.raises(InputError):
+        reconcile("क", "ख", "ग", hi, cap=-1)
+    with pytest.raises(InputError):
+        dual_report([("क", "ख", "ग")], hi, cap=-1)
+
+
+def test_five_thousand_token_pair_has_exact_distance(hi):
+    # Each fresh token occurs nowhere in the source, so it costs at least one
+    # edit; k substitutions reach the candidate, so the distance is exactly k.
+    rng = random.Random(5000)
+    source = [rng.choice(HI_WORDS) for _ in range(5000)]
+    positions = range(37, 5000, 250)
+    fresh = ["झ" + letter for letter in "कखगघचछजटठडढतथदधनपफबभ"]
+    assert len(fresh) == len(positions) and not set(fresh) & set(source)
+    candidate = list(source)
+    for pos, token in zip(positions, fresh):
+        candidate[pos] = token
+    inp, pred = " ".join(source), " ".join(candidate)
+    assert audit_pair(inp, pred, hi).edit_distance == len(positions)
+    assert classify_pair(inp, pred, hi).category in ErrorCategory
 
 
 def test_reconcile_prefers_rectifying_over_redundant(hi):

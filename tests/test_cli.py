@@ -230,6 +230,16 @@ def test_audit_dual_mismatched_inputs(tmp_path, capsys):
     assert "row 0" in capsys.readouterr().err
 
 
+def test_audit_negative_cap_rejected_before_reading_rows(tmp_path, capsys):
+    # A header-only CSV has no row for a per-pair check to reject.
+    preds = _write(tmp_path / "preds.csv", "Input sentence,Output sentence\n")
+    report_path = tmp_path / "audit.json"
+    assert run(["audit", "--lang", "hi", "--in", preds, "--cap", "-1",
+                "--report", str(report_path)]) == 1
+    assert "--cap" in capsys.readouterr().err
+    assert not report_path.exists()
+
+
 def test_audit_requires_exactly_one_mode(tmp_path, capsys):
     assert run(["audit", "--lang", "hi", "--report", str(tmp_path / "r.json")]) == 1
 
@@ -288,6 +298,13 @@ def _integer_lexicon_path_config(tmp_path):
     return _analyze_with_config(tmp_path, '{"lang": "hi", "lexicon_path": 5}')
 
 
+def _negative_cap_config(tmp_path):
+    path = _write(tmp_path / "config.json", '{"lang": "hi", "cap": -1}')
+    preds = _write(tmp_path / "preds.csv", "Input sentence,Output sentence\n")
+    return ["audit", "--config", path, "--in", preds,
+            "--report", str(tmp_path / "r.json")], path
+
+
 def _list_lang_dist(tmp_path):
     body = {"lang": ["hi"], "split": "train", "total": 1, "counts": {}}
     path = _write(tmp_path / "dist.json", json.dumps(body))
@@ -298,7 +315,7 @@ def _list_lang_dist(tmp_path):
                                   _non_json_dist, _list_counts_dist,
                                   _bad_enum_config, _non_object_normalization_config,
                                   _list_lang_config, _integer_lexicon_path_config,
-                                  _list_lang_dist])
+                                  _negative_cap_config, _list_lang_dist])
 def test_malformed_input_exits_1_naming_the_file(tmp_path, capsys, case):
     argv, path = case(tmp_path)
     assert run(argv) == 1
