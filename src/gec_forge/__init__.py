@@ -2,7 +2,9 @@
 
 __version__ = "0.1.0"
 
-from .alignment import EditOp, EditScript, align, levenshtein, suffix_tail_change, touches_syntax
+from .alignment import (
+    align, apply_opcodes, levenshtein, suffix_tail_change, touches_syntax, validate_opcodes,
+)
 from .audit import DualReport, EditAudit, Stratum, audit_pair, dual_report, reconcile
 from .classifier import (
     CATEGORY_ORDER,
@@ -34,8 +36,6 @@ from .textnorm import (
 )
 from .tokenizer import (
     LanguageProfile,
-    Token,
-    TokenKind,
     is_punct,
     load_lexicon,
     profile_for,
@@ -45,7 +45,8 @@ from .tokenizer import (
 
 __all__ = [
     "__version__",
-    "EditOp", "EditScript", "align", "levenshtein", "suffix_tail_change", "touches_syntax",
+    "align", "apply_opcodes", "levenshtein", "suffix_tail_change", "touches_syntax",
+    "validate_opcodes",
     "DualReport", "EditAudit", "Stratum", "audit_pair", "dual_report", "reconcile",
     "CATEGORY_ORDER", "Classification", "ErrorCategory", "Evidence",
     "classify_pair", "constants", "nullish",
@@ -55,6 +56,5 @@ __all__ = [
     "GleuReport", "gleu_corpus",
     "DEFAULT_POLICY", "DandaPolicy", "DigitPolicy", "NormalizationPolicy",
     "alnum_projection", "normalize_text", "postprocess_hypothesis",
-    "LanguageProfile", "Token", "TokenKind",
-    "is_punct", "load_lexicon", "profile_for", "same_script", "tokenize",
+    "LanguageProfile", "is_punct", "load_lexicon", "profile_for", "same_script", "tokenize",
 ]

@@ -1,4 +1,4 @@
-"""Token-sequence alignment into edit opcodes, plus the intra-token
+"""Alignment of token sequences into difflib edit opcodes, plus the intra-token
 comparators (Levenshtein distance, common-prefix suffix-tail test) consumed
 by the error classifier.
 
@@ -14,83 +14,66 @@ keys, so they must be hashable.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from difflib import SequenceMatcher
 from typing import Sequence
 
 from .errors import InputError
-from .tokenizer import LanguageProfile, Token, _text_of
+from .tokenizer import LanguageProfile
 
 OPCODE_TAGS = ("equal", "insert", "delete", "replace")
+Opcode = tuple[str, int, int, int, int]  # (tag, i1, i2, j1, j2), as difflib
 
 
-@dataclass(frozen=True)
-class EditOp:
-    tag: str
-    a_start: int
-    a_end: int
-    b_start: int
-    b_end: int
-
-    def astuple(self) -> tuple:
-        return (self.tag, self.a_start, self.a_end, self.b_start, self.b_end)
-
-
-@dataclass(frozen=True)
-class EditScript:
-    """Ordered opcodes whose spans tile both sequences in order."""
-
-    ops: tuple[EditOp, ...]
-
-    def validate(self, a: Sequence, b: Sequence) -> None:
-        """Raise InputError unless the script is a well-formed edit of a→b."""
-        ai = bi = 0
-        prev_tag = None
-        for op in self.ops:
-            if op.tag not in OPCODE_TAGS:
-                raise InputError(f"unknown opcode tag {op.tag!r}")
-            if (op.a_start, op.b_start) != (ai, bi):
-                raise InputError("opcode spans do not tile the sequences")
-            if op.tag == prev_tag:
-                raise InputError(f"adjacent {op.tag!r} opcodes are not merged")
-            a_len, b_len = op.a_end - op.a_start, op.b_end - op.b_start
-            if op.tag == "equal":
-                if a_len != b_len or a_len == 0:
-                    raise InputError("equal opcode with mismatched or empty spans")
-                if list(a[op.a_start:op.a_end]) != list(b[op.b_start:op.b_end]):
-                    raise InputError("equal opcode over unequal content")
-            elif op.tag == "insert":
-                if a_len != 0 or b_len == 0:
-                    raise InputError("bad insert spans")
-            elif op.tag == "delete":
-                if a_len == 0 or b_len != 0:
-                    raise InputError("bad delete spans")
-            elif op.tag == "replace":
-                if a_len == 0 or b_len == 0:
-                    raise InputError("bad replace spans")
-            ai, bi = op.a_end, op.b_end
-            prev_tag = op.tag
-        if ai != len(a) or bi != len(b):
-            raise InputError("opcodes do not cover both sequences")
-
-    def apply(self, a: Sequence, b: Sequence) -> list:
-        """Reconstruct b from a plus the b-side material of the script."""
-        out: list = []
-        for op in self.ops:
-            if op.tag == "equal":
-                out.extend(a[op.a_start:op.a_end])
-            elif op.tag in ("insert", "replace"):
-                out.extend(b[op.b_start:op.b_end])
-        return out
-
-
-def align(a: Sequence, b: Sequence) -> EditScript:
-    """Align two sequences of hashable items (token texts, strings, ints)."""
+def align(a: Sequence, b: Sequence) -> list[Opcode]:
+    """Align two sequences of hashable items (token texts, strings, ints)
+    into difflib opcodes whose spans tile both sequences in order."""
     # autojunk=False: with the default, a side of 200 or more items treats
     # items that occur in over 1% of it as junk, which would change the
     # opcodes of long pairs.
-    matcher = SequenceMatcher(None, a, b, autojunk=False)
-    return EditScript(tuple(EditOp(*op) for op in matcher.get_opcodes()))
+    return SequenceMatcher(None, a, b, autojunk=False).get_opcodes()
+
+
+def validate_opcodes(ops: Sequence[Opcode], a: Sequence, b: Sequence) -> None:
+    """Raise InputError unless ops is a well-formed edit script of a→b."""
+    ai = bi = 0
+    prev_tag = None
+    for tag, i1, i2, j1, j2 in ops:
+        if tag not in OPCODE_TAGS:
+            raise InputError(f"unknown opcode tag {tag!r}")
+        if (i1, j1) != (ai, bi):
+            raise InputError("opcode spans do not tile the sequences")
+        if tag == prev_tag:
+            raise InputError(f"adjacent {tag!r} opcodes are not merged")
+        a_len, b_len = i2 - i1, j2 - j1
+        if tag == "equal":
+            if a_len != b_len or a_len == 0:
+                raise InputError("equal opcode with mismatched or empty spans")
+            if list(a[i1:i2]) != list(b[j1:j2]):
+                raise InputError("equal opcode over unequal content")
+        elif tag == "insert":
+            if a_len != 0 or b_len == 0:
+                raise InputError("bad insert spans")
+        elif tag == "delete":
+            if a_len == 0 or b_len != 0:
+                raise InputError("bad delete spans")
+        elif tag == "replace":
+            if a_len == 0 or b_len == 0:
+                raise InputError("bad replace spans")
+        ai, bi = i2, j2
+        prev_tag = tag
+    if ai != len(a) or bi != len(b):
+        raise InputError("opcodes do not cover both sequences")
+
+
+def apply_opcodes(ops: Sequence[Opcode], a: Sequence, b: Sequence) -> list:
+    """Reconstruct b from a plus the b-side material of the opcodes."""
+    out: list = []
+    for tag, i1, i2, j1, j2 in ops:
+        if tag == "equal":
+            out.extend(a[i1:i2])
+        elif tag in ("insert", "replace"):
+            out.extend(b[j1:j2])
+    return out
 
 
 def levenshtein(a: Sequence, b: Sequence) -> int:
@@ -152,9 +135,6 @@ def suffix_tail_change(a: str, b: str, suffixes: Sequence[str]) -> bool:
     return any(tail_a.endswith(s) or tail_b.endswith(s) for s in suffixes)
 
 
-def touches_syntax(segment: Sequence[Token | str], profile: LanguageProfile) -> bool:
+def touches_syntax(segment: Sequence[str], profile: LanguageProfile) -> bool:
     """True iff any token in the segment is an auxiliary or postposition."""
-    return any(
-        _text_of(t) in profile.auxiliaries or _text_of(t) in profile.postpositions
-        for t in segment
-    )
+    return any(t in profile.auxiliaries or t in profile.postpositions for t in segment)

@@ -130,11 +130,11 @@ def _moved_tokens(pair: _Pair) -> int:
     a, b = pair.texts()
     removed: Counter = Counter()
     added: Counter = Counter()
-    for op in pair.ops():
-        if op.tag in ("delete", "replace"):
-            removed.update(a[op.a_start:op.a_end])
-        if op.tag in ("insert", "replace"):
-            added.update(b[op.b_start:op.b_end])
+    for tag, i1, i2, j1, j2 in pair.ops():
+        if tag in ("delete", "replace"):
+            removed.update(a[i1:i2])
+        if tag in ("insert", "replace"):
+            added.update(b[j1:j2])
     return sum((removed & added).values())
 
 

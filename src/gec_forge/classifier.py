@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .alignment import align, levenshtein, suffix_tail_change, touches_syntax
+from .alignment import Opcode, align, levenshtein, suffix_tail_change, touches_syntax
 from .textnorm import alnum_projection
 from .tokenizer import SYNTAX_LABELS, LanguageProfile, is_punct, same_script, tokenize
 
@@ -94,7 +94,7 @@ def constants() -> dict:
 
 class _Pair:
     """One (input, output) pair as text, with None read as "". Its token
-    texts and edit script are computed on first use and then kept, so the
+    texts and edit opcodes are computed on first use and then kept, so the
     classifier and the audit share one tokenization and one alignment."""
 
     def __init__(self, inp, out, profile: LanguageProfile):
@@ -105,13 +105,12 @@ class _Pair:
 
     def texts(self) -> tuple[list[str], list[str]]:
         if self._texts is None:
-            self._texts = ([t.text for t in tokenize(self.inp, self.profile)],
-                           [t.text for t in tokenize(self.out, self.profile)])
+            self._texts = tokenize(self.inp), tokenize(self.out)
         return self._texts
 
-    def ops(self) -> tuple:
+    def ops(self) -> list[Opcode]:
         if self._ops is None:
-            self._ops = align(*self.texts()).ops
+            self._ops = align(*self.texts())
         return self._ops
 
 
@@ -144,14 +143,14 @@ def _classify(pair: _Pair) -> Classification:
     touched_syn = saw_insdel = saw_repl = saw_morph = saw_spell = False
     syntax_hits: list[str] = []
     morph_hits: list[list[str]] = []
-    for op in pair.ops():
-        seg_a, seg_b = a[op.a_start:op.a_end], b[op.b_start:op.b_end]
-        if op.tag in ("insert", "delete"):
+    for tag, i1, i2, j1, j2 in pair.ops():
+        seg_a, seg_b = a[i1:i2], b[j1:j2]
+        if tag in ("insert", "delete"):
             saw_insdel = True
             if touches_syntax(seg_a, profile) or touches_syntax(seg_b, profile):
                 touched_syn = True
                 syntax_hits.extend(seg_a + seg_b)
-        elif op.tag == "replace":
+        elif tag == "replace":
             saw_repl = True
             if touches_syntax(seg_a, profile) or touches_syntax(seg_b, profile):
                 touched_syn = True
@@ -160,7 +159,7 @@ def _classify(pair: _Pair) -> Classification:
                 # Length-mismatched replace segments are zipped pairwise;
                 # the overhang carries no morphology/spelling signal.
                 for ta, tb in zip(seg_a, seg_b):
-                    if same_script(ta, tb, profile) and suffix_tail_change(
+                    if same_script(ta, tb) and suffix_tail_change(
                         ta, tb, profile.suffixes
                     ):
                         saw_morph = True

@@ -21,7 +21,7 @@ from .classifier import CATEGORY_ORDER, classify_pair, constants
 from .corpus import DistributionReport, analyze, load_pairs, synthesize_prompt
 from .errors import GecForgeError, InputError, ParseError, SchemaError, UsageError
 from .gleu import gleu_corpus, note_ignored_sampling_args
-from .reports import write_report, write_text_atomic
+from .reports import read_text, write_report, write_text_atomic
 from .textnorm import POLICY_KEYS, NormalizationPolicy, normalize_text, postprocess_hypothesis
 from .tokenizer import profile_for
 
@@ -44,11 +44,10 @@ class RunConfig:
 
 def load_config(path) -> RunConfig:
     """Read a flat key/value JSON config file into a RunConfig."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}: invalid JSON config: {exc}") from exc
+    try:
+        data = json.loads(read_text(path))
+    except ValueError as exc:  # bad JSON, or an integer past int_max_str_digits
+        raise InputError(f"{path}: invalid JSON config: {exc}") from exc
     if not isinstance(data, dict):
         raise InputError(f"{path}: config must be a JSON object")
     config = RunConfig()
@@ -68,16 +67,17 @@ def load_config(path) -> RunConfig:
                 raise SchemaError(
                     f"{path}: config key {key!r} expects a string, got {value!r}"
                 )
+            if key == "lexicon_path" and value and "\0" in value:  # open() would raise
+                raise SchemaError(f"{path}: config key 'lexicon_path' contains a NUL character")
             setattr(config, key, value)
         elif key == "seed" and value is None:
             config.seed = None
         elif key in ("max_n", "cap", "seed"):
-            try:
-                setattr(config, key, int(value))
-            except (TypeError, ValueError) as exc:
+            if type(value) is not int:  # not a float, bool or numeric string
                 raise SchemaError(
                     f"{path}: config key {key!r} expects an integer, got {value!r}"
-                ) from exc
+                )
+            setattr(config, key, value)
         else:
             raise InputError(f"{path}: unknown config key: {key!r}")
     return config
@@ -120,8 +120,7 @@ def _profile(config: RunConfig):
 
 
 def _read_lines(path) -> list[str]:
-    with open(path, encoding="utf-8") as fh:
-        return fh.read().splitlines()
+    return read_text(path).splitlines()
 
 
 class _Parser(argparse.ArgumentParser):
@@ -294,11 +293,10 @@ def cmd_normalize(args) -> int:
 
 def cmd_synth_prompt(args) -> int:
     config = _resolve_config(args)
-    with open(args.dist, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{args.dist}: invalid JSON distribution report: {exc}") from exc
+    try:
+        data = json.loads(read_text(args.dist))
+    except ValueError as exc:  # bad JSON, or an integer past int_max_str_digits
+        raise ParseError(f"{args.dist}: invalid JSON distribution report: {exc}") from exc
     try:
         report = DistributionReport.from_dict(data)
     except SchemaError as exc:

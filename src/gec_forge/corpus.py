@@ -57,18 +57,23 @@ class DistributionReport:
             raise SchemaError("bad distribution report: 'counts' must be a JSON object")
         if not isinstance(data.get("lang"), str):
             raise SchemaError("bad distribution report: 'lang' must be a string")
+        numbers = {"total": data.get("total")} | {
+            f"counts[{name!r}]": count for name, count in data["counts"].items()
+        }
+        for key, value in numbers.items():
+            if type(value) is not int:  # not a float, bool, string or null
+                raise SchemaError(
+                    f"bad distribution report: {key} must be an integer, got {value!r}"
+                )
         try:
-            counts = {
-                ErrorCategory(name): int(count)
-                for name, count in data["counts"].items()
-            }
+            counts = {ErrorCategory(name): count for name, count in data["counts"].items()}
             report = cls(
                 lang=data["lang"],
                 split=data["split"],
-                total=int(data["total"]),
+                total=data["total"],
                 counts={cat: counts.get(cat, 0) for cat in CATEGORY_ORDER},
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, ValueError) as exc:
             raise SchemaError(f"bad distribution report: {exc}") from exc
         return report
 

@@ -1,11 +1,24 @@
-"""Deterministic report serialization: sorted-key JSON, atomic writes."""
+"""File I/O shared by the readers and writers: UTF-8 reads whose errors name
+the file, and deterministic report serialization (sorted-key JSON, atomic
+writes)."""
 from __future__ import annotations
 
 import json
 import os
 import tempfile
 
+from .errors import ParseError
+
 SCHEMA_VERSION = "1"
+
+
+def read_text(path) -> str:
+    """The whole file as strict UTF-8; a decode error names the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: invalid UTF-8 byte sequence at offset {exc.start}") from exc
 
 
 def render_json(obj: dict) -> str:

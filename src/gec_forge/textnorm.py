@@ -136,16 +136,15 @@ def normalize_text(s: str | bytes, policy: NormalizationPolicy = DEFAULT_POLICY)
     return s
 
 
-def alnum_projection(s: str, profile=None) -> str:
+def alnum_projection(s: str) -> str:
     """Letters-and-digits view of s: everything that is not a letter, digit,
     or combining mark is dropped.
 
     Combining marks (Unicode M*) must survive because Indic vowel signs and
     virama are combining characters; dropping them would make inflectional
     edits look like punctuation-only edits. Two strings with equal
-    projections differ only in whitespace/punctuation. The profile argument
-    is accepted for signature symmetry and currently unused (the rule is
-    script-independent).
+    projections differ only in whitespace/punctuation. The rule is
+    script-independent.
     """
     return "".join(
         ch for ch in s if ch.isalnum() or unicodedata.category(ch).startswith("M")

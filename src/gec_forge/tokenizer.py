@@ -1,20 +1,20 @@
-"""Language-profile-driven tokenization into script words, digit runs, and
-punctuation/symbol residue, plus script membership tests.
+"""Tokenization into script words, digit runs, and punctuation/symbol
+residue, plus script membership tests and the per-language profiles.
 
 Tokenization is script-universal across the supported scripts (Devanagari,
-Malayalam, Latin) regardless of the active profile, so code-mixed pairs still
-align token-by-token; the profile contributes lexica and labels.
+Malayalam, Latin) and takes no profile, so code-mixed pairs still align
+token-by-token; the profile contributes lexica and labels.
 """
 from __future__ import annotations
 
 import re
 import unicodedata
 from dataclasses import dataclass
-from enum import Enum
 from importlib import resources
 from typing import Iterable
 
 from .errors import SchemaError
+from .reports import read_text
 
 # Script blocks recognized as word material. Danda, abbreviation signs, and
 # the archaic Malayalam number/date signs sit inside these blocks but carry
@@ -28,19 +28,6 @@ DEVANAGARI_DIGITS = (0x0966, 0x096F)
 MALAYALAM_DIGITS = (0x0D66, 0x0D6F)
 
 SYNTAX_LABELS = {"hi": "Syntax/Case/Agreement", "ml": "Syntax/Agreement"}
-
-
-class TokenKind(Enum):
-    SCRIPT_WORD = "script_word"
-    DIGIT_RUN = "digit_run"
-    PUNCT_SYMBOL = "punct_symbol"
-
-
-@dataclass(frozen=True)
-class Token:
-    text: str
-    kind: TokenKind
-    span: tuple[int, int]  # [start, end) character offsets into the source
 
 
 @dataclass(frozen=True)
@@ -86,38 +73,27 @@ _TOKEN_RE = re.compile("|".join(
     + [f"(?P<{script}>[{chars}]+)" for script, chars in _WORD_CLASSES.items()]
     + [f"(?P<punct>[^\\s{_DIGITS}{''.join(_WORD_CLASSES.values())}]+)"]
 ))
-_KIND_BY_GROUP = {"digit": TokenKind.DIGIT_RUN, "punct": TokenKind.PUNCT_SYMBOL} | {
-    script: TokenKind.SCRIPT_WORD for script in _WORD_CLASSES
-}
 
 
-def tokenize(s: str, profile: LanguageProfile) -> list[Token]:
-    """Split s into maximal same-class runs; whitespace only separates.
-
-    Spans index into s exactly as given, so callers should pass normalized
-    text when they need span arithmetic over the normalized source.
-    """
-    return [Token(m[0], _KIND_BY_GROUP[m.lastgroup], m.span()) for m in _TOKEN_RE.finditer(s)]
+def tokenize(s: str) -> list[str]:
+    """Split s into maximal same-class runs; whitespace only separates."""
+    return [m[0] for m in _TOKEN_RE.finditer(s)]
 
 
-def _text_of(tok: Token | str) -> str:
-    return tok.text if isinstance(tok, Token) else tok
-
-
-def is_punct(tok: Token | str, profile: LanguageProfile | None = None) -> bool:
+def is_punct(tok: str) -> bool:
     """True iff every character is outside the script and digit classes."""
-    return all(m.lastgroup == "punct" for m in _TOKEN_RE.finditer(_text_of(tok)))
+    return all(m.lastgroup == "punct" for m in _TOKEN_RE.finditer(tok))
 
 
-def token_script(tok: Token | str) -> str | None:
+def token_script(tok: str) -> str | None:
     """The single script of a token's letters, or None if mixed/absent."""
-    scripts = {m.lastgroup for m in _TOKEN_RE.finditer(_text_of(tok))} & _WORD_CLASSES.keys()
+    scripts = {m.lastgroup for m in _TOKEN_RE.finditer(tok)} & _WORD_CLASSES.keys()
     if len(scripts) == 1:
         return scripts.pop()
     return None
 
 
-def same_script(a: Token | str, b: Token | str, profile: LanguageProfile | None = None) -> bool:
+def same_script(a: str, b: str) -> bool:
     """True iff both tokens' letters fall within the same single script."""
     sa = token_script(a)
     return sa is not None and sa == token_script(b)
@@ -133,23 +109,22 @@ def load_lexicon(path) -> dict[str, list[str]]:
     one entry per line, '#' comments."""
     sections: dict[str, list[str]] = {"auxiliaries": [], "postpositions": [], "suffixes": []}
     current: str | None = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if line.startswith("[") and line.endswith("]"):
-                name = line[1:-1].strip().lower()
-                if name not in sections:
-                    raise SchemaError(
-                        f"{path}: line {lineno}: unknown section [{name}] "
-                        f"(expected {sorted(sections)})"
-                    )
-                current = name
-                continue
-            if current is None:
-                raise SchemaError(f"{path}: line {lineno}: entry before any [section]")
-            sections[current].append(line)
+    for lineno, raw in enumerate(read_text(path).split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("[") and line.endswith("]"):
+            name = line[1:-1].strip().lower()
+            if name not in sections:
+                raise SchemaError(
+                    f"{path}: line {lineno}: unknown section [{name}] "
+                    f"(expected {sorted(sections)})"
+                )
+            current = name
+            continue
+        if current is None:
+            raise SchemaError(f"{path}: line {lineno}: entry before any [section]")
+        sections[current].append(line)
     return sections
 
 

@@ -20,6 +20,7 @@ from gec_forge import (
     align,
     alnum_projection,
     analyze,
+    apply_opcodes,
     classify_pair,
     gleu_corpus,
     levenshtein,
@@ -27,6 +28,7 @@ from gec_forge import (
     normalize_text,
     postprocess_hypothesis,
     profile_for,
+    validate_opcodes,
 )
 from gec_forge.cli import run
 from gec_forge.textnorm import DandaPolicy, DigitPolicy, NormalizationPolicy
@@ -228,9 +230,9 @@ def test_criterion_levenshtein_exhaustive_and_align_reconstruction():
     for _ in range(1000):
         a = [rng.choice("abcdef") for _ in range(rng.randint(0, 12))]
         b = [rng.choice("abcdef") for _ in range(rng.randint(0, 12))]
-        script = align(a, b)
-        script.validate(a, b)
-        assert script.apply(a, b) == b
+        ops = align(a, b)
+        validate_opcodes(ops, a, b)
+        assert apply_opcodes(ops, a, b) == b
     _announce("levenshtein exhaustive (14641 pairs) and align reconstruction (1000 pairs)")
 
 

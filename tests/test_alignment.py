@@ -7,12 +7,15 @@ from hypothesis import strategies as st
 
 from gec_forge import (
     ErrorCategory,
+    InputError,
     align,
+    apply_opcodes,
     classify_pair,
     levenshtein,
     profile_for,
     suffix_tail_change,
     touches_syntax,
+    validate_opcodes,
 )
 
 from _oracles import levenshtein_matrix, levenshtein_recursive
@@ -74,19 +77,18 @@ def test_levenshtein_is_a_metric(a, b, c):
 
 
 def test_align_identical():
-    script = align(["x", "y", "z"], ["x", "y", "z"])
-    assert [op.astuple() for op in script.ops] == [("equal", 0, 3, 0, 3)]
+    assert align(["x", "y", "z"], ["x", "y", "z"]) == [("equal", 0, 3, 0, 3)]
 
 
 def test_align_insert():
-    script = align(["x", "y"], ["x", "q", "y"])
-    assert [op.tag for op in script.ops] == ["equal", "insert", "equal"]
+    ops = align(["x", "y"], ["x", "q", "y"])
+    assert [op[0] for op in ops] == ["equal", "insert", "equal"]
 
 
 def test_align_empty():
-    assert align([], []).ops == ()
-    assert [op.tag for op in align([], ["a"]).ops] == ["insert"]
-    assert [op.tag for op in align(["a"], []).ops] == ["delete"]
+    assert align([], []) == []
+    assert align([], ["a"]) == [("insert", 0, 0, 0, 1)]
+    assert align(["a"], []) == [("delete", 0, 1, 0, 0)]
 
 
 def test_align_deterministic():
@@ -102,18 +104,34 @@ def test_align_reconstruction_and_validity():
     rng = random.Random(1234)
     for _ in range(1000):
         a, b = _random_tokens(rng), _random_tokens(rng)
-        script = align(a, b)
-        script.validate(a, b)
-        assert script.apply(a, b) == b
+        ops = align(a, b)
+        validate_opcodes(ops, a, b)
+        assert apply_opcodes(ops, a, b) == b
+
+
+@pytest.mark.parametrize(
+    "ops",
+    [
+        [("equal", 0, 3, 0, 3)],  # equal over unequal content
+        [("equal", 0, 1, 0, 1)],  # does not cover both sequences
+        [("equal", 0, 1, 0, 1), ("replace", 2, 3, 1, 3)],  # gap in the a-side spans
+        [("equal", 0, 1, 0, 1), ("replace", 1, 2, 1, 2), ("replace", 2, 3, 2, 3)],  # not merged
+        [("equal", 0, 1, 0, 1), ("replace", 1, 3, 1, 1), ("insert", 3, 3, 1, 3)],  # empty b side
+        [("equal", 0, 1, 0, 1), ("insert", 1, 3, 1, 3)],  # insert consumes a
+        [("equal", 0, 1, 0, 1), ("delete", 1, 3, 1, 3)],  # delete consumes b
+        [("equal", 0, 1, 0, 1), ("swap", 1, 3, 1, 3)],  # unknown tag
+    ],
+)
+def test_validate_opcodes_rejects_malformed_scripts(ops):
+    with pytest.raises(InputError):
+        validate_opcodes(ops, ["x", "y", "z"], ["x", "q", "r"])
 
 
 def test_align_matches_sequence_matcher_semantics():
     rng = random.Random(99)
     for _ in range(2000):
         a, b = _random_tokens(rng, 9), _random_tokens(rng, 9)
-        mine = [op.astuple() for op in align(a, b).ops]
-        theirs = SequenceMatcher(None, a, b, autojunk=False).get_opcodes()
-        assert mine == [tuple(op) for op in theirs]
+        assert align(a, b) == SequenceMatcher(None, a, b, autojunk=False).get_opcodes()
 
 
 def test_align_long_alternating_input(hi):
@@ -125,8 +143,7 @@ def test_align_long_alternating_input(hi):
 
     a = [word(i) for i in range(2200)]
     b = [w + "z" if i % 2 else w for i, w in enumerate(a)]
-    mine = [op.astuple() for op in align(a, b).ops]
-    assert mine == SequenceMatcher(None, a, b, autojunk=False).get_opcodes()
+    assert align(a, b) == SequenceMatcher(None, a, b, autojunk=False).get_opcodes()
     assert classify_pair(" ".join(a), " ".join(b), hi).category is ErrorCategory.SPELLING
 
 

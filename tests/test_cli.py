@@ -1,10 +1,18 @@
+import contextlib
 import csv
+import io
 import json
+import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gec_forge.cli import run
+from gec_forge.classifier import CATEGORY_ORDER
+from gec_forge.cli import RunConfig, run
+from gec_forge.textnorm import POLICY_KEYS
 
 FIXTURES = Path(__file__).parent / "fixtures"
 FIXTURE_CSV = FIXTURES / "hi_fixture.csv"
@@ -311,14 +319,195 @@ def _list_lang_dist(tmp_path):
     return ["synth-prompt", "--dist", path, "--out", str(tmp_path / "p.txt")], path
 
 
+def _score_with_config(tmp_path, body):
+    path = _write(tmp_path / "config.json", body)
+    src = _write(tmp_path / "s.txt", "क\n")
+    return ["score", "--config", path, "--src", src, "--hyp", src, "--ref", src], path
+
+
+def _infinite_max_n_config(tmp_path):
+    return (*_score_with_config(tmp_path, '{"max_n": 1e400}'), "'max_n'")
+
+
+def _boolean_max_n_config(tmp_path):
+    return (*_score_with_config(tmp_path, '{"max_n": true}'), "'max_n'")
+
+
+def _infinite_cap_config(tmp_path):
+    return (*_analyze_with_config(tmp_path, '{"lang": "hi", "cap": 1e400}'), "'cap'")
+
+
+def _fractional_seed_config(tmp_path):
+    return (*_score_with_config(tmp_path, '{"seed": 1.5}'), "'seed'")
+
+
+def _over_long_integer_config(tmp_path):
+    # json.loads raises a plain ValueError past sys.get_int_max_str_digits().
+    return _score_with_config(tmp_path, '{"max_n": ' + "1" * 5000 + "}")
+
+
+def _nul_lexicon_path_config(tmp_path):
+    body = '{"lang": "hi", "lexicon_path": "a\\u0000b"}'
+    return (*_analyze_with_config(tmp_path, body), "'lexicon_path'")
+
+
+def _synth_prompt_with_dist(tmp_path, body):
+    path = _write(tmp_path / "dist.json", body)
+    return ["synth-prompt", "--dist", path, "--out", str(tmp_path / "p.txt")], path
+
+
+def _infinite_total_dist(tmp_path):
+    body = '{"lang": "hi", "split": "train", "total": 1e400, "counts": {}}'
+    return (*_synth_prompt_with_dist(tmp_path, body), "total")
+
+
+def _infinite_count_dist(tmp_path):
+    body = '{"lang": "hi", "split": "train", "total": 1, "counts": {"spelling": 1e400}}'
+    return (*_synth_prompt_with_dist(tmp_path, body), "counts['spelling']")
+
+
+def _boolean_count_dist(tmp_path):
+    body = '{"lang": "hi", "split": "train", "total": 1, "counts": {"spelling": true}}'
+    return (*_synth_prompt_with_dist(tmp_path, body), "counts['spelling']")
+
+
+def _non_utf8(tmp_path, name="bad.bin"):
+    path = tmp_path / name
+    path.write_bytes(b"\xff\xfe{}\n")
+    return str(path)
+
+
+def _non_utf8_config(tmp_path):
+    path = _non_utf8(tmp_path)
+    src = _write(tmp_path / "s.txt", "क\n")
+    return ["score", "--config", path, "--src", src, "--hyp", src, "--ref", src], path
+
+
+def _non_utf8_dist(tmp_path):
+    path = _non_utf8(tmp_path)
+    return ["synth-prompt", "--dist", path, "--out", str(tmp_path / "p.txt")], path
+
+
+def _non_utf8_lexicon(tmp_path):
+    path = _non_utf8(tmp_path)
+    return ["analyze", "--lang", "hi", "--lexicon", path, "--split", "train",
+            "--in", str(FIXTURE_CSV), "--report", str(tmp_path / "r.json")], path
+
+
+def _score_with_non_utf8(tmp_path, flag):
+    path = _non_utf8(tmp_path)
+    files = {f: _write(tmp_path / f"{f[2:]}.txt", "क\n") for f in ("--src", "--hyp", "--ref")}
+    files[flag] = path
+    return ["score", *(x for item in files.items() for x in item)], path
+
+
+def _non_utf8_score_src(tmp_path):
+    return _score_with_non_utf8(tmp_path, "--src")
+
+
+def _non_utf8_score_hyp(tmp_path):
+    return _score_with_non_utf8(tmp_path, "--hyp")
+
+
+def _non_utf8_score_ref(tmp_path):
+    return _score_with_non_utf8(tmp_path, "--ref")
+
+
+def _non_utf8_normalize_in(tmp_path):
+    path = _non_utf8(tmp_path)
+    return ["normalize", "--in", path, "--out", str(tmp_path / "o.txt")], path
+
+
 @pytest.mark.parametrize("case", [_oversize_cell_csv, _non_integer_config,
                                   _non_json_dist, _list_counts_dist,
                                   _bad_enum_config, _non_object_normalization_config,
                                   _list_lang_config, _integer_lexicon_path_config,
-                                  _negative_cap_config, _list_lang_dist])
+                                  _negative_cap_config, _list_lang_dist,
+                                  _infinite_max_n_config, _boolean_max_n_config,
+                                  _infinite_cap_config, _fractional_seed_config,
+                                  _over_long_integer_config, _nul_lexicon_path_config,
+                                  _infinite_total_dist, _infinite_count_dist,
+                                  _boolean_count_dist, _non_utf8_config, _non_utf8_dist,
+                                  _non_utf8_lexicon, _non_utf8_score_src,
+                                  _non_utf8_score_hyp, _non_utf8_score_ref,
+                                  _non_utf8_normalize_in])
 def test_malformed_input_exits_1_naming_the_file(tmp_path, capsys, case):
-    argv, path = case(tmp_path)
+    argv, path, *fields = case(tmp_path)
     assert run(argv) == 1
     err = capsys.readouterr().err
     assert "internal error" not in err
     assert path in err
+    for field in fields:
+        assert field in err
+
+
+# Arbitrary JSON: huge and non-finite floats, negative and huge integers,
+# bools, strings, and nested lists and objects; the edge values are drawn
+# often on their own as well.
+_EDGES = st.sampled_from([1e400, -1e400, 1e308, 2.5, -1, 2**70, True, "", "4", "\0", [], {}])
+_JSON = _EDGES | st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8) | _EDGES,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                  max_size=3),
+    max_leaves=6,
+)
+_CONFIG_VALUES = {
+    "lang": st.sampled_from(["hi", "ml"]),
+    "lexicon_path": st.none(),
+    "max_n": st.integers(1, 4),
+    "cap": st.integers(0, 5),
+    "seed": st.none() | st.integers(),
+    "normalization": st.just({}),
+    "strip_invisibles": st.booleans(),
+    "collapse_whitespace": st.booleans(),
+    "unify_terminal_punct": st.booleans(),
+    "keep_joiners": st.booleans(),
+    "danda_policy": st.sampled_from(["keep_danda", "map_danda_to_period"]),
+    "digit_policy": st.sampled_from(["to_ascii", "keep_native"]),
+}
+assert set(_CONFIG_VALUES) == {f.name for f in fields(RunConfig)} | set(POLICY_KEYS)
+
+
+def _run_quietly(argv, out_dir):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = run(argv)
+    assert code in (0, 1)
+    assert "internal error" not in err.getvalue()
+    assert not list(Path(out_dir).glob(".tmp-*.part"))
+
+
+@settings(max_examples=200)
+@given(config=st.fixed_dictionaries({}, optional=_CONFIG_VALUES),
+       key=st.sampled_from(sorted(_CONFIG_VALUES)), value=_JSON)
+def test_fuzzed_config_exits_0_or_1(config, key, value):
+    # One key takes an arbitrary value and the others valid ones, so the
+    # arbitrary value is the one that gets checked.
+    config[key] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        preds = _write(Path(tmp) / "preds.csv", "input,output\nराम खाता,राम खाता है\n")
+        _run_quietly(["audit", "--config", str(path), "--in", preds,
+                      "--report", str(Path(tmp) / "r.json")], tmp)
+
+
+@settings(max_examples=200)
+@given(
+    lang=st.sampled_from(["hi", "ml"]),
+    total=st.integers(1, 5),
+    counts=st.dictionaries(st.sampled_from([c.value for c in CATEGORY_ORDER]),
+                           st.integers(0, 5), max_size=4),
+    field=st.sampled_from(["lang", "total", "counts", "counts.spelling"]),
+    value=_JSON,
+)
+def test_fuzzed_dist_exits_0_or_1(lang, total, counts, field, value):
+    body = {"lang": lang, "split": "train", "total": total, "counts": counts}
+    if field == "counts.spelling":
+        counts["spelling"] = value
+    else:
+        body[field] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _write(Path(tmp) / "dist.json", json.dumps(body))
+        _run_quietly(["synth-prompt", "--dist", path,
+                      "--out", str(Path(tmp) / "p.txt")], tmp)

@@ -6,76 +6,67 @@ from hypothesis import strategies as st
 
 from gec_forge import (
     SchemaError,
-    Token,
-    TokenKind,
     is_punct,
     load_lexicon,
     profile_for,
     same_script,
     tokenize,
 )
+from gec_forge.tokenizer import token_script
 
 from _gen import make_sentence, random_pairs
 from _oracles import tokens_by_class
 
-KIND_NAMES = {
-    TokenKind.SCRIPT_WORD: "script",
-    TokenKind.DIGIT_RUN: "digit",
-    TokenKind.PUNCT_SYMBOL: "punct",
-}
+
+def kind_of(tok):
+    """A token's class, read back from the package's class predicates."""
+    if is_punct(tok):
+        return "punct"
+    return "script" if token_script(tok) else "digit"
 
 
-def test_hand_segmented_hindi(hi):
-    toks = tokenize("राम ने खाया।", hi)
-    assert [(t.text, t.kind) for t in toks] == [
-        ("राम", TokenKind.SCRIPT_WORD),
-        ("ने", TokenKind.SCRIPT_WORD),
-        ("खाया", TokenKind.SCRIPT_WORD),
-        ("।", TokenKind.PUNCT_SYMBOL),
-    ]
-    # spans index the source exactly
-    source = "राम ने खाया।"
-    for t in toks:
-        assert source[t.span[0]:t.span[1]] == t.text
-
-
-def test_empty_string(hi):
-    assert tokenize("", hi) == []
-
-
-def test_mixed_classes(hi):
-    toks = tokenize("12 abc !", hi)
-    assert [(t.text, t.kind) for t in toks] == [
-        ("12", TokenKind.DIGIT_RUN),
-        ("abc", TokenKind.SCRIPT_WORD),
-        ("!", TokenKind.PUNCT_SYMBOL),
+def test_hand_segmented_hindi():
+    toks = tokenize("राम ने खाया।")
+    assert [(t, kind_of(t)) for t in toks] == [
+        ("राम", "script"),
+        ("ने", "script"),
+        ("खाया", "script"),
+        ("।", "punct"),
     ]
 
 
-def test_adjacent_class_switches(hi):
-    toks = tokenize("राम123क।?", hi)
-    assert [t.text for t in toks] == ["राम", "123", "क", "।?"]
+def test_empty_string():
+    assert tokenize("") == []
 
 
-def test_native_digits_are_digit_runs(hi, ml):
-    assert tokenize("१२३", hi)[0].kind == TokenKind.DIGIT_RUN
-    assert tokenize("൧൨", ml)[0].kind == TokenKind.DIGIT_RUN
+def test_mixed_classes():
+    toks = tokenize("12 abc !")
+    assert [(t, kind_of(t)) for t in toks] == [
+        ("12", "digit"),
+        ("abc", "script"),
+        ("!", "punct"),
+    ]
+
+
+def test_adjacent_class_switches():
+    assert tokenize("राम123क।?") == ["राम", "123", "क", "।?"]
+
+
+def test_native_digits_are_digit_runs():
+    assert [kind_of(t) for t in tokenize("१२३")] == ["digit"]
+    assert [kind_of(t) for t in tokenize("൧൨")] == ["digit"]
 
 
 @given(st.integers(0, 10_000))
 def test_tokenize_matches_class_oracle(seed):
-    hi = profile_for("hi")
     rng_sentence = make_sentence(_rng(seed), "hi" if seed % 2 else "ml")
-    toks = [(t.text, KIND_NAMES[t.kind]) for t in tokenize(rng_sentence, hi)]
+    toks = [(t, kind_of(t)) for t in tokenize(rng_sentence)]
     assert toks == tokens_by_class(rng_sentence)
 
 
-def test_tokenize_matches_class_oracle_on_every_code_point(hi):
+def test_tokenize_matches_class_oracle_on_every_code_point():
     text = "".join(map(chr, range(0x110000)))
-    toks = tokenize(text, hi)
-    assert [(t.text, KIND_NAMES[t.kind]) for t in toks] == tokens_by_class(text)
-    for tok in toks:
-        assert is_punct(tok, hi) == (tok.kind == TokenKind.PUNCT_SYMBOL)
+    assert [(t, kind_of(t)) for t in tokenize(text)] == tokens_by_class(text)
 
 
 def _rng(seed):
@@ -86,43 +77,39 @@ def _rng(seed):
 
 @given(st.text())
 def test_character_multiset_preserved(s):
-    hi = profile_for("hi")
-    toks = tokenize(s, hi)
     expected = Counter(ch for ch in s if not ch.isspace())
-    assert Counter("".join(t.text for t in toks)) == expected
+    assert Counter("".join(tokenize(s))) == expected
 
 
 @given(st.text())
 def test_tokenize_deterministic(s):
-    hi = profile_for("hi")
-    assert tokenize(s, hi) == tokenize(s, hi)
+    assert tokenize(s) == tokenize(s)
 
 
 @given(st.text())
 def test_spans_tile_source_with_whitespace_gaps(s):
-    hi = profile_for("hi")
+    # Each token occurs at the cursor after a whitespace-only gap, so the
+    # tokens and the gaps between them rebuild s in order.
     cursor = 0
-    for tok in tokenize(s, hi):
-        start, end = tok.span
-        assert s[start:end] == tok.text
-        assert start >= cursor
+    for tok in tokenize(s):
+        start = s.index(tok, cursor)
         assert s[cursor:start].isspace() or s[cursor:start] == ""
-        cursor = end
+        cursor = start + len(tok)
     assert s[cursor:].isspace() or s[cursor:] == ""
 
 
-def test_every_token_matches_exactly_one_kind(hi):
+def test_every_token_matches_exactly_one_kind():
     for sentence, _ in random_pairs(7, 100, "hi"):
-        for tok in tokenize(sentence, hi):
-            assert is_punct(tok, hi) == (tok.kind == TokenKind.PUNCT_SYMBOL)
+        for tok in tokenize(sentence):
+            assert [(tok, kind_of(tok))] == tokens_by_class(tok)
 
 
 @pytest.mark.parametrize(
     "text,expected",
     [("।", True), ("राम", False), ("?!", True), ("12", False), ("abc", False)],
 )
-def test_is_punct(hi, text, expected):
-    assert is_punct(text, hi) is expected
+def test_is_punct(text, expected):
+    assert is_punct(text) is expected
 
 
 @pytest.mark.parametrize(
@@ -135,13 +122,8 @@ def test_is_punct(hi, text, expected):
         ("abc", "Delhi", True),
     ],
 )
-def test_same_script(hi, a, b, expected):
-    assert same_script(a, b, hi) is expected
-
-
-def test_same_script_accepts_tokens(hi):
-    ta, tb = tokenize("राम श्याम", hi)
-    assert same_script(ta, tb, hi)
+def test_same_script(a, b, expected):
+    assert same_script(a, b) is expected
 
 
 def test_profiles(hi, ml):
