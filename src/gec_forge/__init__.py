@@ -2,9 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .alignment import (
-    align, apply_opcodes, levenshtein, suffix_tail_change, touches_syntax, validate_opcodes,
-)
+from .alignment import align, levenshtein, suffix_tail_change, touches_syntax
 from .audit import DualReport, EditAudit, Stratum, audit_pair, dual_report, reconcile
 from .classifier import (
     CATEGORY_ORDER,
@@ -17,7 +15,6 @@ from .classifier import (
 )
 from .corpus import (
     DistributionReport,
-    PromptSpec,
     SentencePair,
     analyze,
     load_pairs,
@@ -45,12 +42,11 @@ from .tokenizer import (
 
 __all__ = [
     "__version__",
-    "align", "apply_opcodes", "levenshtein", "suffix_tail_change", "touches_syntax",
-    "validate_opcodes",
+    "align", "levenshtein", "suffix_tail_change", "touches_syntax",
     "DualReport", "EditAudit", "Stratum", "audit_pair", "dual_report", "reconcile",
     "CATEGORY_ORDER", "Classification", "ErrorCategory", "Evidence",
     "classify_pair", "constants", "nullish",
-    "DistributionReport", "PromptSpec", "SentencePair",
+    "DistributionReport", "SentencePair",
     "analyze", "load_pairs", "synthesize_prompt",
     "GecForgeError", "InputError", "ParseError", "SchemaError", "UsageError",
     "GleuReport", "gleu_corpus",

@@ -17,10 +17,8 @@ from __future__ import annotations
 from difflib import SequenceMatcher
 from typing import Sequence
 
-from .errors import InputError
 from .tokenizer import LanguageProfile
 
-OPCODE_TAGS = ("equal", "insert", "delete", "replace")
 Opcode = tuple[str, int, int, int, int]  # (tag, i1, i2, j1, j2), as difflib
 
 
@@ -31,49 +29,6 @@ def align(a: Sequence, b: Sequence) -> list[Opcode]:
     # items that occur in over 1% of it as junk, which would change the
     # opcodes of long pairs.
     return SequenceMatcher(None, a, b, autojunk=False).get_opcodes()
-
-
-def validate_opcodes(ops: Sequence[Opcode], a: Sequence, b: Sequence) -> None:
-    """Raise InputError unless ops is a well-formed edit script of a→b."""
-    ai = bi = 0
-    prev_tag = None
-    for tag, i1, i2, j1, j2 in ops:
-        if tag not in OPCODE_TAGS:
-            raise InputError(f"unknown opcode tag {tag!r}")
-        if (i1, j1) != (ai, bi):
-            raise InputError("opcode spans do not tile the sequences")
-        if tag == prev_tag:
-            raise InputError(f"adjacent {tag!r} opcodes are not merged")
-        a_len, b_len = i2 - i1, j2 - j1
-        if tag == "equal":
-            if a_len != b_len or a_len == 0:
-                raise InputError("equal opcode with mismatched or empty spans")
-            if list(a[i1:i2]) != list(b[j1:j2]):
-                raise InputError("equal opcode over unequal content")
-        elif tag == "insert":
-            if a_len != 0 or b_len == 0:
-                raise InputError("bad insert spans")
-        elif tag == "delete":
-            if a_len == 0 or b_len != 0:
-                raise InputError("bad delete spans")
-        elif tag == "replace":
-            if a_len == 0 or b_len == 0:
-                raise InputError("bad replace spans")
-        ai, bi = i2, j2
-        prev_tag = tag
-    if ai != len(a) or bi != len(b):
-        raise InputError("opcodes do not cover both sequences")
-
-
-def apply_opcodes(ops: Sequence[Opcode], a: Sequence, b: Sequence) -> list:
-    """Reconstruct b from a plus the b-side material of the opcodes."""
-    out: list = []
-    for tag, i1, i2, j1, j2 in ops:
-        if tag == "equal":
-            out.extend(a[i1:i2])
-        elif tag in ("insert", "replace"):
-            out.extend(b[j1:j2])
-    return out
 
 
 def levenshtein(a: Sequence, b: Sequence) -> int:

@@ -18,7 +18,7 @@ from enum import Enum
 
 from .alignment import Opcode, align, levenshtein, suffix_tail_change, touches_syntax
 from .textnorm import alnum_projection
-from .tokenizer import SYNTAX_LABELS, LanguageProfile, is_punct, same_script, tokenize
+from .tokenizer import LanguageProfile, is_punct, same_script, tokenize
 
 SPELL_THRESHOLD = 2  # max Levenshtein distance still counted as a spelling slip
 
@@ -40,15 +40,6 @@ class ErrorCategory(Enum):
         if self is ErrorCategory.SYNTAX_AGREEMENT and profile is not None:
             return profile.syntax_label
         return _DISPLAY_LABELS[self]
-
-    @classmethod
-    def from_string(cls, s: str) -> "ErrorCategory":
-        for cat in cls:
-            if s == cat.value or s == _DISPLAY_LABELS[cat]:
-                return cat
-        if s in SYNTAX_LABELS.values():
-            return cls.SYNTAX_AGREEMENT
-        raise ValueError(f"unknown error category: {s!r}")
 
 
 _DISPLAY_LABELS = {

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import io
 import json
 import logging
@@ -20,7 +21,7 @@ from .audit import DEFAULT_DISTANCE_CAP, Stratum, audit_pair, dual_report
 from .classifier import CATEGORY_ORDER, classify_pair, constants
 from .corpus import DistributionReport, analyze, load_pairs, synthesize_prompt
 from .errors import GecForgeError, InputError, ParseError, SchemaError, UsageError
-from .gleu import gleu_corpus, note_ignored_sampling_args
+from .gleu import MAX_N_LIMIT, gleu_corpus, note_ignored_sampling_args
 from .reports import read_text, write_report, write_text_atomic
 from .textnorm import POLICY_KEYS, NormalizationPolicy, normalize_text, postprocess_hypothesis
 from .tokenizer import profile_for
@@ -93,6 +94,10 @@ def _resolve_config(args) -> RunConfig:
         config.lexicon_path = os.environ[LEXICON_ENV_VAR]
     if getattr(args, "max_n", None) is not None:
         config.max_n = args.max_n
+    if not 1 <= config.max_n <= MAX_N_LIMIT:
+        source = ("--max-n" if getattr(args, "max_n", None) is not None
+                  else f"{args.config}: config key 'max_n'")
+        raise InputError(f"{source} must be in 1..{MAX_N_LIMIT}, got {config.max_n}")
     if getattr(args, "cap", None) is not None:
         config.cap = args.cap
     if config.cap < 0:  # checked here, before any input file is read
@@ -302,9 +307,9 @@ def cmd_synth_prompt(args) -> int:
     except SchemaError as exc:
         raise SchemaError(f"{args.dist}: {exc}") from exc
     profile = profile_for(config.lang or report.lang, config.lexicon_path)
-    spec = synthesize_prompt(report, profile)
-    write_text_atomic(args.outfile, spec.rendered)
-    digest = spec.sha256()
+    prompt = synthesize_prompt(report, profile)
+    write_text_atomic(args.outfile, prompt)
+    digest = hashlib.sha256(prompt.encode("utf-8")).hexdigest()
     write_text_atomic(args.outfile + ".sha256",
                       f"{digest}  {os.path.basename(args.outfile)}\n")
     print(f"prompt ({digest[:12]}) -> {args.outfile}")

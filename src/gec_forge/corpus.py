@@ -4,7 +4,6 @@ analysis, and classifier-informed prompt synthesis.
 from __future__ import annotations
 
 import csv
-import hashlib
 import logging
 from dataclasses import dataclass
 
@@ -37,7 +36,6 @@ class DistributionReport:
     split: str
     total: int
     counts: dict  # ErrorCategory -> int, every category present
-    precedence_order: tuple = CATEGORY_ORDER
 
     def to_dict(self, profile: LanguageProfile | None = None) -> dict:
         return {
@@ -48,16 +46,26 @@ class DistributionReport:
             "display_labels": {
                 cat.value: cat.display_label(profile) for cat in CATEGORY_ORDER
             },
-            "precedence_order": [cat.value for cat in self.precedence_order],
+            "precedence_order": [cat.value for cat in CATEGORY_ORDER],
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "DistributionReport":
+        """Read a report as to_dict writes it, rejecting any report that
+        analyze could not have written."""
         if not isinstance(data, dict) or not isinstance(data.get("counts"), dict):
             raise SchemaError("bad distribution report: 'counts' must be a JSON object")
-        if not isinstance(data.get("lang"), str):
-            raise SchemaError("bad distribution report: 'lang' must be a string")
-        numbers = {"total": data.get("total")} | {
+        lang, split, total = data.get("lang"), data.get("split"), data.get("total")
+        if not isinstance(lang, str) or lang not in SYNTAX_LABELS:
+            raise SchemaError(
+                f"bad distribution report: 'lang' must be one of {sorted(SYNTAX_LABELS)}, "
+                f"got {lang!r}"
+            )
+        if split not in SPLITS:
+            raise SchemaError(
+                f"bad distribution report: 'split' must be one of {list(SPLITS)}, got {split!r}"
+            )
+        numbers = {"total": total} | {
             f"counts[{name!r}]": count for name, count in data["counts"].items()
         }
         for key, value in numbers.items():
@@ -65,31 +73,19 @@ class DistributionReport:
                 raise SchemaError(
                     f"bad distribution report: {key} must be an integer, got {value!r}"
                 )
+            if value < 0:
+                raise SchemaError(f"bad distribution report: {key} must be >= 0, got {value}")
         try:
             counts = {ErrorCategory(name): count for name, count in data["counts"].items()}
-            report = cls(
-                lang=data["lang"],
-                split=data["split"],
-                total=data["total"],
-                counts={cat: counts.get(cat, 0) for cat in CATEGORY_ORDER},
-            )
-        except (KeyError, ValueError) as exc:
+        except ValueError as exc:
             raise SchemaError(f"bad distribution report: {exc}") from exc
-        return report
-
-
-@dataclass(frozen=True)
-class PromptSpec:
-    """A frozen prompt: category emphasis plus fixed minimal-edit rules."""
-
-    lang: str
-    prioritized: tuple  # ErrorCategory, most frequent first (with promotion)
-    deprioritized: tuple
-    constraints: tuple  # text clauses
-    rendered: str
-
-    def sha256(self) -> str:
-        return hashlib.sha256(self.rendered.encode("utf-8")).hexdigest()
+        counted = sum(counts.values())
+        if counted != total:
+            raise SchemaError(
+                f"bad distribution report: 'counts' sum to {counted}, but 'total' is {total}"
+            )
+        return cls(lang=lang, split=split, total=total,
+                   counts={cat: counts.get(cat, 0) for cat in CATEGORY_ORDER})
 
 
 def _resolve_columns(header: list[str], path) -> tuple[int, int]:
@@ -221,37 +217,13 @@ Return only the corrected sentence, nothing else.
 """
 
 
-def render_prompt(
-    lang: str, prioritized: tuple, deprioritized: tuple, constraints: tuple
-) -> str:
-    """Deterministic template instantiation; a pure function of its inputs."""
-    labels = {cat: cat.display_label() for cat in CATEGORY_ORDER}
-    syntax = ErrorCategory.SYNTAX_AGREEMENT
-    labels[syntax] = SYNTAX_LABELS.get(lang, labels[syntax])
-    priorities = "\n".join(
-        f"  {i}. {labels[cat]}" for i, cat in enumerate(prioritized, start=1)
-    ) or "  (no category emphasis)"
-    cautions = "\n".join(
-        f"  - {labels[cat]}: {_DEPRIORITIZED_NOTES[cat]}" for cat in deprioritized
-    )
-    rules = "\n".join(f"  - {clause}" for clause in constraints)
-    return _PROMPT_TEMPLATE.format(
-        language=_LANGUAGE_NAMES.get(lang, lang),
-        priorities=priorities,
-        cautions=cautions,
-        rules=rules,
-    )
-
-
-def synthesize_prompt(
-    report: DistributionReport, profile: LanguageProfile
-) -> PromptSpec:
-    """Turn a distribution report into a frozen correction prompt.
+def synthesize_prompt(report: DistributionReport, profile: LanguageProfile) -> str:
+    """Render a distribution report as the fixed correction prompt text.
 
     Categories are ordered by descending count (ties broken by precedence
     order), with Punctuation/Whitespace and Morphology promoted to the front
     when present; pure reorderings and word additions/deletions are always
-    listed as deprioritized.
+    listed as deprioritized. The text is a pure function of the report.
     """
     if report.total <= 0:
         raise InputError("cannot synthesize a prompt from an empty report")
@@ -260,12 +232,20 @@ def synthesize_prompt(
         key=lambda cat: (-report.counts[cat], CATEGORY_ORDER.index(cat)),
     )
     promoted = [cat for cat in _PROMOTED if report.counts[cat] > 0]
-    prioritized = tuple(promoted + [cat for cat in by_count if cat not in promoted])
-    rendered = render_prompt(report.lang, prioritized, DEPRIORITIZED, CONSTRAINT_CLAUSES)
-    return PromptSpec(
-        lang=report.lang,
-        prioritized=prioritized,
-        deprioritized=DEPRIORITIZED,
-        constraints=CONSTRAINT_CLAUSES,
-        rendered=rendered,
+    prioritized = promoted + [cat for cat in by_count if cat not in promoted]
+    labels = {cat: cat.display_label() for cat in CATEGORY_ORDER}
+    syntax = ErrorCategory.SYNTAX_AGREEMENT
+    labels[syntax] = SYNTAX_LABELS.get(report.lang, labels[syntax])
+    priorities = "\n".join(
+        f"  {i}. {labels[cat]}" for i, cat in enumerate(prioritized, start=1)
+    ) or "  (no category emphasis)"
+    cautions = "\n".join(
+        f"  - {labels[cat]}: {_DEPRIORITIZED_NOTES[cat]}" for cat in DEPRIORITIZED
+    )
+    rules = "\n".join(f"  - {clause}" for clause in CONSTRAINT_CLAUSES)
+    return _PROMPT_TEMPLATE.format(
+        language=_LANGUAGE_NAMES.get(report.lang, report.lang),
+        priorities=priorities,
+        cautions=cautions,
+        rules=rules,
     )

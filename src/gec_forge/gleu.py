@@ -21,6 +21,11 @@ from .errors import InputError
 
 log = logging.getLogger(__name__)
 
+# Highest accepted n-gram order. Each order costs time, memory and a report
+# entry per corpus, and an order longer than every hypothesis pools a zero
+# tally, which makes the corpus score 0.
+MAX_N_LIMIT = 16
+
 
 @dataclass(frozen=True)
 class GleuReport:
@@ -99,8 +104,8 @@ def gleu_corpus(
         )
     if not sources:
         raise InputError("empty corpus")
-    if max_n < 1:
-        raise InputError(f"max_n must be >= 1, got {max_n}")
+    if not 1 <= max_n <= MAX_N_LIMIT:
+        raise InputError(f"max_n must be in 1..{MAX_N_LIMIT}, got {max_n}")
 
     pooled = [[0, 0] for _ in range(max_n)]
     hyp_tokens = ref_tokens = 0

@@ -110,16 +110,13 @@ def _unify_terminal_run(s: str) -> str:
     return s[: m.start()] + marks[-1]
 
 
-def normalize_text(s: str | bytes, policy: NormalizationPolicy = DEFAULT_POLICY) -> str:
+def normalize_text(s: str, policy: NormalizationPolicy = DEFAULT_POLICY) -> str:
     """Normalize one text unit: NFKC plus the policy-selected steps.
 
-    Bytes input is decoded as strict UTF-8 first, so an invalid byte sequence
-    raises UnicodeDecodeError with the offending offset. Invisibles are
-    removed before NFKC so joiner removal cannot expose new compositions on a
-    second pass; the whole function is idempotent for any policy.
+    Invisibles are removed before NFKC so joiner removal cannot expose new
+    compositions on a second pass; the whole function is idempotent for any
+    policy.
     """
-    if isinstance(s, bytes):
-        s = s.decode("utf-8")  # UnicodeDecodeError carries the byte offset
     if policy.strip_invisibles:
         s = _strip_invisibles(s, policy.keep_joiners)
     s = unicodedata.normalize("NFKC", s)

@@ -38,15 +38,14 @@ class LanguageProfile:
     auxiliaries: frozenset[str]
     postpositions: frozenset[str]
     suffixes: tuple[str, ...]  # deduplicated, longest-first
-    syntax_label: str
+
+    @property
+    def syntax_label(self) -> str:
+        return SYNTAX_LABELS[self.name]
 
     def __post_init__(self):
         if self.name not in SYNTAX_LABELS:
             raise SchemaError(f"unknown language: {self.name!r} (expected hi or ml)")
-        if self.syntax_label != SYNTAX_LABELS[self.name]:
-            raise SchemaError(
-                f"syntax label for {self.name} must be {SYNTAX_LABELS[self.name]!r}"
-            )
         if self.name == "ml" and self.postpositions:
             raise SchemaError("Malayalam profiles use suffixes, not postpositions")
 
@@ -134,7 +133,6 @@ def _profile_from_sections(name: str, sections: dict[str, list[str]]) -> Languag
         auxiliaries=frozenset(sections["auxiliaries"]),
         postpositions=frozenset(sections["postpositions"]),
         suffixes=_order_suffixes(sections["suffixes"]),
-        syntax_label=SYNTAX_LABELS[name],
     )
 
 

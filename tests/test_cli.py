@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from gec_forge.classifier import CATEGORY_ORDER
 from gec_forge.cli import RunConfig, run
+from gec_forge.gleu import MAX_N_LIMIT
 from gec_forge.textnorm import POLICY_KEYS
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -248,6 +249,18 @@ def test_audit_negative_cap_rejected_before_reading_rows(tmp_path, capsys):
     assert not report_path.exists()
 
 
+@pytest.mark.parametrize("max_n", [0, MAX_N_LIMIT + 1])
+def test_score_max_n_outside_limit_rejected_before_reading_files(tmp_path, capsys, max_n):
+    # The line files do not exist: the flag is checked before any is read.
+    missing = str(tmp_path / "missing.txt")
+    report_path = tmp_path / "gleu.json"
+    assert run(["score", "--src", missing, "--hyp", missing, "--ref", missing,
+                "--max-n", str(max_n), "--report", str(report_path)]) == 1
+    err = capsys.readouterr().err
+    assert "--max-n" in err and str(max_n) in err
+    assert not report_path.exists()
+
+
 def test_audit_requires_exactly_one_mode(tmp_path, capsys):
     assert run(["audit", "--lang", "hi", "--report", str(tmp_path / "r.json")]) == 1
 
@@ -371,6 +384,42 @@ def _boolean_count_dist(tmp_path):
     return (*_synth_prompt_with_dist(tmp_path, body), "counts['spelling']")
 
 
+def _zero_max_n_config(tmp_path):
+    return (*_score_with_config(tmp_path, '{"max_n": 0}'), "'max_n'")
+
+
+def _over_limit_max_n_config(tmp_path):
+    body = '{"max_n": ' + str(MAX_N_LIMIT + 1) + "}"
+    return (*_score_with_config(tmp_path, body), "'max_n'")
+
+
+def _negative_count_dist(tmp_path):
+    # The counts sum to total, so only the sign of a count is wrong.
+    body = ('{"lang": "hi", "split": "train", "total": 7, '
+            '"counts": {"spelling": 10, "morphology": -3}}')
+    return (*_synth_prompt_with_dist(tmp_path, body), "counts['morphology']")
+
+
+def _counts_not_summing_to_total_dist(tmp_path):
+    body = '{"lang": "hi", "split": "train", "total": 1, "counts": {"spelling": 10}}'
+    return (*_synth_prompt_with_dist(tmp_path, body), "'counts'", "'total'")
+
+
+def _unknown_lang_dist(tmp_path):
+    body = '{"lang": "xx", "split": "train", "total": 1, "counts": {"spelling": 1}}'
+    return (*_synth_prompt_with_dist(tmp_path, body), "'lang'")
+
+
+def _unknown_lang_dist_with_lang_flag(tmp_path):
+    argv, path, field = _unknown_lang_dist(tmp_path)
+    return [*argv, "--lang", "hi"], path, field
+
+
+def _unknown_split_dist(tmp_path):
+    body = '{"lang": "hi", "split": "nope", "total": 1, "counts": {"spelling": 1}}'
+    return (*_synth_prompt_with_dist(tmp_path, body), "'split'")
+
+
 def _non_utf8(tmp_path, name="bad.bin"):
     path = tmp_path / name
     path.write_bytes(b"\xff\xfe{}\n")
@@ -430,7 +479,10 @@ def _non_utf8_normalize_in(tmp_path):
                                   _boolean_count_dist, _non_utf8_config, _non_utf8_dist,
                                   _non_utf8_lexicon, _non_utf8_score_src,
                                   _non_utf8_score_hyp, _non_utf8_score_ref,
-                                  _non_utf8_normalize_in])
+                                  _non_utf8_normalize_in, _zero_max_n_config,
+                                  _over_limit_max_n_config, _negative_count_dist,
+                                  _counts_not_summing_to_total_dist, _unknown_lang_dist,
+                                  _unknown_lang_dist_with_lang_flag, _unknown_split_dist])
 def test_malformed_input_exits_1_naming_the_file(tmp_path, capsys, case):
     argv, path, *fields = case(tmp_path)
     assert run(argv) == 1
@@ -454,7 +506,7 @@ _JSON = _EDGES | st.recursive(
 _CONFIG_VALUES = {
     "lang": st.sampled_from(["hi", "ml"]),
     "lexicon_path": st.none(),
-    "max_n": st.integers(1, 4),
+    "max_n": st.integers(),
     "cap": st.integers(0, 5),
     "seed": st.none() | st.integers(),
     "normalization": st.just({}),
@@ -490,19 +542,23 @@ def test_fuzzed_config_exits_0_or_1(config, key, value):
         preds = _write(Path(tmp) / "preds.csv", "input,output\nराम खाता,राम खाता है\n")
         _run_quietly(["audit", "--config", str(path), "--in", preds,
                       "--report", str(Path(tmp) / "r.json")], tmp)
+        line = _write(Path(tmp) / "line.txt", "राम खाता है\n")
+        _run_quietly(["score", "--config", str(path), "--src", line, "--hyp", line,
+                      "--ref", line, "--report", str(Path(tmp) / "gleu.json")], tmp)
 
 
 @settings(max_examples=200)
 @given(
     lang=st.sampled_from(["hi", "ml"]),
-    total=st.integers(1, 5),
     counts=st.dictionaries(st.sampled_from([c.value for c in CATEGORY_ORDER]),
                            st.integers(0, 5), max_size=4),
     field=st.sampled_from(["lang", "total", "counts", "counts.spelling"]),
     value=_JSON,
 )
-def test_fuzzed_dist_exits_0_or_1(lang, total, counts, field, value):
-    body = {"lang": lang, "split": "train", "total": total, "counts": counts}
+def test_fuzzed_dist_exits_0_or_1(lang, counts, field, value):
+    # total starts consistent with counts, so the arbitrary value is the
+    # one that gets checked.
+    body = {"lang": lang, "split": "train", "total": sum(counts.values()), "counts": counts}
     if field == "counts.spelling":
         counts["spelling"] = value
     else:

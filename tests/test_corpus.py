@@ -1,4 +1,5 @@
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,7 @@ from gec_forge import (
     load_pairs,
     synthesize_prompt,
 )
-from gec_forge.corpus import DistributionReport, render_prompt
+from gec_forge.corpus import CONSTRAINT_CLAUSES, DEPRIORITIZED, DistributionReport
 
 C = ErrorCategory
 FIXTURE = Path(__file__).parent / "fixtures" / "hi_fixture.csv"
@@ -144,6 +145,18 @@ def _report(counts, lang="hi", split="train"):
     return DistributionReport(lang=lang, split=split, total=sum(full.values()), counts=full)
 
 
+def _priorities(prompt):
+    """Labels of the prompt's numbered priority lines, checked to be
+    numbered 1, 2, ... in order."""
+    lines = re.findall(r"^  (\d+)\. (.+)$", prompt, flags=re.MULTILINE)
+    assert [int(number) for number, _ in lines] == list(range(1, len(lines) + 1))
+    return [label for _, label in lines]
+
+
+def _labels(categories, profile):
+    return [cat.display_label(profile) for cat in categories]
+
+
 def test_prompt_priorities_sorted_with_promotion(hi):
     # Distribution shaped like a real Hindi training split: punctuation and
     # morphology promoted, everything else by descending count.
@@ -152,28 +165,32 @@ def test_prompt_priorities_sorted_with_promotion(hi):
         C.MISSING_EXTRA_WORD: 129, C.SYNTAX_AGREEMENT: 130, C.MORPHOLOGY: 43,
         C.SPELLING: 22, C.GRAMMAR_SYNTAX: 8, C.NO_ERROR: 53,
     })
-    spec = synthesize_prompt(report, hi)
-    assert spec.prioritized == (
+    prompt = synthesize_prompt(report, hi)
+    assert _priorities(prompt) == _labels((
         C.PUNCT_WHITESPACE, C.MORPHOLOGY, C.SYNTAX_AGREEMENT,
         C.MISSING_EXTRA_WORD, C.SPELLING, C.WORD_ORDER, C.GRAMMAR_SYNTAX,
+    ), hi)
+    assert DEPRIORITIZED == (C.WORD_ORDER, C.MISSING_EXTRA_WORD)
+    cautions = prompt.split("Handle with caution:\n", 1)[1].split("\n\n", 1)[0]
+    assert re.findall(r"^  - ([^:]+):", cautions, flags=re.MULTILINE) == _labels(
+        DEPRIORITIZED, hi
     )
-    assert spec.deprioritized == (C.WORD_ORDER, C.MISSING_EXTRA_WORD)
-    assert len(spec.constraints) == 4
-    assert "Syntax/Case/Agreement" in spec.rendered
+    assert len(CONSTRAINT_CLAUSES) == 4
+    assert "Syntax/Case/Agreement" in prompt
 
 
 def test_prompt_ties_break_by_precedence_order(hi):
     report = _report({C.SPELLING: 5, C.WORD_ORDER: 5, C.GRAMMAR_SYNTAX: 5})
-    spec = synthesize_prompt(report, hi)
-    assert spec.prioritized == (C.WORD_ORDER, C.SPELLING, C.GRAMMAR_SYNTAX)
+    prompt = synthesize_prompt(report, hi)
+    assert _priorities(prompt) == _labels((C.WORD_ORDER, C.SPELLING, C.GRAMMAR_SYNTAX), hi)
 
 
 def test_prompt_degenerate_distribution(hi):
     report = _report({C.NO_ERROR: 7})
-    spec = synthesize_prompt(report, hi)
-    assert spec.prioritized == ()
-    assert "(no category emphasis)" in spec.rendered
-    assert all(clause in spec.rendered for clause in spec.constraints)
+    prompt = synthesize_prompt(report, hi)
+    assert _priorities(prompt) == []
+    assert "(no category emphasis)" in prompt
+    assert all(f"  - {clause}\n" in prompt for clause in CONSTRAINT_CLAUSES)
 
 
 def test_prompt_rendering_deterministic(ml):
@@ -181,13 +198,12 @@ def test_prompt_rendering_deterministic(ml):
                       C.SPELLING: 4, C.GRAMMAR_SYNTAX: 3, C.MISSING_EXTRA_WORD: 2},
                      lang="ml", split="dev")
     first = synthesize_prompt(report, ml)
-    second = synthesize_prompt(report, ml)
-    assert first.rendered == second.rendered
-    assert first.sha256() == second.sha256()
-    assert first.rendered == render_prompt(
-        first.lang, first.prioritized, first.deprioritized, first.constraints
-    )
-    assert "Malayalam" in first.rendered
+    assert first == synthesize_prompt(report, ml)
+    assert _priorities(first) == _labels((
+        C.PUNCT_WHITESPACE, C.MORPHOLOGY, C.WORD_ORDER, C.SPELLING,
+        C.GRAMMAR_SYNTAX, C.MISSING_EXTRA_WORD,
+    ), ml)
+    assert "Malayalam" in first
 
 
 def test_prompt_empty_report_rejected(hi):

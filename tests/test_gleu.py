@@ -3,6 +3,7 @@ import random
 import pytest
 
 from gec_forge import InputError, gleu_corpus
+from gec_forge.gleu import MAX_N_LIMIT
 
 from _oracles import gleu_brute
 
@@ -118,6 +119,17 @@ def test_length_mismatch_rejected():
 def test_empty_corpus_rejected():
     with pytest.raises(InputError):
         gleu_corpus([], [], [])
+
+
+@pytest.mark.parametrize("max_n", [0, -1, MAX_N_LIMIT + 1, 10**6])
+def test_max_n_outside_limit_rejected(max_n):
+    with pytest.raises(InputError, match="max_n"):
+        gleu_corpus(["a"], ["a"], ["a"], max_n=max_n)
+
+
+def test_max_n_limit_accepted():
+    report = gleu_corpus(["a b"], ["a b"], ["a b"], max_n=MAX_N_LIMIT)
+    assert len(report.ngram_stats) == MAX_N_LIMIT
 
 
 def test_short_sentences_zero_not_crash():

@@ -1,0 +1,23 @@
+"""The oracles are the independent side of the behaviour lock: a check
+against them means nothing if they share code with the package."""
+import ast
+from pathlib import Path
+
+import pytest
+
+TESTS = Path(__file__).parent
+
+
+def _imported_modules(path):
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield node.module or ""
+
+
+@pytest.mark.parametrize("name", ["_oracles.py", "_pseudocode.py"])
+def test_oracle_module_imports_no_package_code(name):
+    modules = list(_imported_modules(TESTS / name))
+    assert modules, "no imports found: the walk is not reading the module"
+    assert [m for m in modules if m.split(".")[0] == "gec_forge"] == []

@@ -89,12 +89,6 @@ def test_unify_terminal_punct_policy():
     assert normalize_text("वाक्य", policy) == "वाक्य"
 
 
-def test_bytes_input_decoding_error_has_offset():
-    with pytest.raises(UnicodeDecodeError) as exc:
-        normalize_text(b"ok\xffbad")
-    assert exc.value.start == 2
-
-
 def test_policy_dict_round_trip():
     policy = NormalizationPolicy(
         strip_invisibles=False,
