@@ -18,7 +18,7 @@ from enum import Enum
 
 from .alignment import Opcode, align, levenshtein, suffix_tail_change, touches_syntax
 from .textnorm import alnum_projection
-from .tokenizer import LanguageProfile, is_punct, same_script, tokenize
+from .tokenizer import SYNTAX_LABELS, LanguageProfile, is_punct, same_script, tokenize
 
 SPELL_THRESHOLD = 2  # max Levenshtein distance still counted as a spelling slip
 
@@ -36,9 +36,9 @@ class ErrorCategory(Enum):
     SPELLING = "spelling"
     GRAMMAR_SYNTAX = "grammar_syntax"
 
-    def display_label(self, profile: LanguageProfile | None = None) -> str:
-        if self is ErrorCategory.SYNTAX_AGREEMENT and profile is not None:
-            return profile.syntax_label
+    def display_label(self, lang: str | None = None) -> str:
+        if self is ErrorCategory.SYNTAX_AGREEMENT and lang is not None:
+            return SYNTAX_LABELS[lang]
         return _DISPLAY_LABELS[self]
 
 

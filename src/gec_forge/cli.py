@@ -85,7 +85,7 @@ def load_config(path) -> RunConfig:
 
 
 def _resolve_config(args) -> RunConfig:
-    config = load_config(args.config) if getattr(args, "config", None) else RunConfig()
+    config = load_config(args.config) if args.config else RunConfig()
     if getattr(args, "lang", None):
         config.lang = args.lang
     if getattr(args, "lexicon", None):
@@ -135,13 +135,8 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_common(sub):
+def _add_normalization(sub):
     sub.add_argument("--config", help="JSON config file with shared defaults")
-    sub.add_argument("--lang", choices=["hi", "ml"], help="language profile")
-    sub.add_argument(
-        "--lexicon",
-        help=f"lexicon file overriding the bundled one (or ${LEXICON_ENV_VAR})",
-    )
     group = sub.add_argument_group("normalization")
     group.add_argument("--strip-invisibles", dest="strip_invisibles",
                        action="store_true", default=None)
@@ -161,6 +156,14 @@ def _add_common(sub):
                        choices=["to_ascii", "keep_native"])
 
 
+def _add_language(sub):
+    sub.add_argument("--lang", choices=["hi", "ml"], help="language profile")
+    sub.add_argument(
+        "--lexicon",
+        help=f"lexicon file overriding the bundled one (or ${LEXICON_ENV_VAR})",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="gec-forge",
                      description="Deterministic GEC analysis toolkit for Hindi and Malayalam")
@@ -169,16 +172,17 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", metavar="COMMAND")
 
     p = subs.add_parser("classify", help="label each (input, output) CSV row")
-    _add_common(p)
+    _add_normalization(p)
+    _add_language(p)
     p.add_argument("--in", dest="infile", required=True, metavar="PAIRS_CSV")
     p.add_argument("--out", dest="outfile", required=True, metavar="LABELS_CSV")
-    p.add_argument("--split", choices=["train", "dev", "test"], default="train")
     p.add_argument("--evidence", action="store_true",
                    help="append an evidence JSON column")
     p.set_defaults(func=cmd_classify)
 
     p = subs.add_parser("analyze", help="error-type distribution for one split")
-    _add_common(p)
+    _add_normalization(p)
+    _add_language(p)
     p.add_argument("--in", dest="infile", required=True, metavar="PAIRS_CSV")
     p.add_argument("--split", choices=["train", "dev", "test"], required=True)
     p.add_argument("--report", required=True, metavar="DIST_JSON")
@@ -187,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze)
 
     p = subs.add_parser("score", help="corpus GLEU over src/hyp/ref line files")
-    _add_common(p)
+    _add_normalization(p)
     p.add_argument("--src", required=True)
     p.add_argument("--hyp", required=True)
     p.add_argument("--ref", required=True)
@@ -202,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_score)
 
     p = subs.add_parser("normalize", help="normalize text lines per policy")
-    _add_common(p)
+    _add_normalization(p)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", dest="outfile", required=True)
     p.add_argument("--post", action="store_true",
@@ -212,20 +216,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_normalize)
 
     p = subs.add_parser("synth-prompt", help="render a prompt from a distribution report")
-    _add_common(p)
     p.add_argument("--dist", required=True, metavar="DIST_JSON")
     p.add_argument("--out", dest="outfile", required=True, metavar="PROMPT_TXT")
     p.set_defaults(func=cmd_synth_prompt)
 
     p = subs.add_parser("audit", help="stratify model edits against guardrails")
-    _add_common(p)
+    _add_normalization(p)
+    _add_language(p)
     p.add_argument("--in", dest="infile", metavar="PREDS_CSV",
                    help="single-candidate predictions CSV (input/output columns)")
     p.add_argument("--dual", nargs=2, metavar=("A_CSV", "B_CSV"),
                    help="two candidate CSVs sharing inputs row-by-row")
     p.add_argument("--cap", type=int, default=None,
                    help=f"token edit-distance cap (default {DEFAULT_DISTANCE_CAP})")
-    p.add_argument("--split", choices=["train", "dev", "test"], default="test")
     p.add_argument("--report", required=True, metavar="AUDIT_JSON")
     p.set_defaults(func=cmd_audit)
     return parser
@@ -234,14 +237,14 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_classify(args) -> int:
     config = _resolve_config(args)
     profile = _profile(config)
-    pairs = load_pairs(args.infile, config.lang, args.split, config.normalization)
+    pairs = load_pairs(args.infile, config.normalization)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     header = ["row", "category", "label"] + (["evidence"] if args.evidence else [])
     writer.writerow(header)
     for pair in pairs:
         result = classify_pair(pair.input, pair.output, profile)
-        record = [pair.row, result.category.value, result.category.display_label(profile)]
+        record = [pair.row, result.category.value, result.category.display_label(config.lang)]
         if args.evidence:
             record.append(json.dumps(
                 {"stage": result.evidence.stage, "rule": result.evidence.rule,
@@ -256,10 +259,9 @@ def cmd_classify(args) -> int:
 def cmd_analyze(args) -> int:
     config = _resolve_config(args)
     profile = _profile(config)
-    pairs = load_pairs(args.infile, config.lang, args.split, config.normalization,
-                       drop_duplicates=args.dedup)
-    report = analyze(pairs, profile)
-    body = report.to_dict(profile)
+    pairs = load_pairs(args.infile, config.normalization, drop_duplicates=args.dedup)
+    report = analyze(pairs, profile, args.split)
+    body = report.to_dict()
     body["normalization"] = config.normalization.to_dict()
     body["classifier_constants"] = constants()
     write_report(args.report, "distribution", body)
@@ -297,7 +299,6 @@ def cmd_normalize(args) -> int:
 
 
 def cmd_synth_prompt(args) -> int:
-    config = _resolve_config(args)
     try:
         data = json.loads(read_text(args.dist))
     except ValueError as exc:  # bad JSON, or an integer past int_max_str_digits
@@ -306,8 +307,7 @@ def cmd_synth_prompt(args) -> int:
         report = DistributionReport.from_dict(data)
     except SchemaError as exc:
         raise SchemaError(f"{args.dist}: {exc}") from exc
-    profile = profile_for(config.lang or report.lang, config.lexicon_path)
-    prompt = synthesize_prompt(report, profile)
+    prompt = synthesize_prompt(report)
     write_text_atomic(args.outfile, prompt)
     digest = hashlib.sha256(prompt.encode("utf-8")).hexdigest()
     write_text_atomic(args.outfile + ".sha256",
@@ -322,8 +322,8 @@ def cmd_audit(args) -> int:
     if bool(args.infile) == bool(args.dual):
         raise UsageError("audit needs exactly one of --in or --dual")
     if args.dual:
-        pairs_a = load_pairs(args.dual[0], config.lang, args.split, config.normalization)
-        pairs_b = load_pairs(args.dual[1], config.lang, args.split, config.normalization)
+        pairs_a = load_pairs(args.dual[0], config.normalization)
+        pairs_b = load_pairs(args.dual[1], config.normalization)
         if len(pairs_a) != len(pairs_b):
             raise InputError(
                 f"candidate files differ in length: {len(pairs_a)} vs {len(pairs_b)}"
@@ -341,7 +341,7 @@ def cmd_audit(args) -> int:
         write_report(args.report, "dual_audit", body)
         print(f"dual-audited {len(triples)} triples -> {args.report}")
         return 0
-    pairs = load_pairs(args.infile, config.lang, args.split, config.normalization)
+    pairs = load_pairs(args.infile, config.normalization)
     audits = [audit_pair(p.input, p.output, profile, config.cap) for p in pairs]
     strata_counts = {s.value: 0 for s in Stratum}
     for a in audits:

@@ -26,8 +26,6 @@ class SentencePair:
     input: str
     output: str
     row: int  # 0-based data-row index in the source CSV
-    split: str
-    lang: str
 
 
 @dataclass(frozen=True)
@@ -37,14 +35,14 @@ class DistributionReport:
     total: int
     counts: dict  # ErrorCategory -> int, every category present
 
-    def to_dict(self, profile: LanguageProfile | None = None) -> dict:
+    def to_dict(self) -> dict:
         return {
             "lang": self.lang,
             "split": self.split,
             "total": self.total,
             "counts": {cat.value: self.counts[cat] for cat in CATEGORY_ORDER},
             "display_labels": {
-                cat.value: cat.display_label(profile) for cat in CATEGORY_ORDER
+                cat.value: cat.display_label(self.lang) for cat in CATEGORY_ORDER
             },
             "precedence_order": [cat.value for cat in CATEGORY_ORDER],
         }
@@ -75,10 +73,15 @@ class DistributionReport:
                 )
             if value < 0:
                 raise SchemaError(f"bad distribution report: {key} must be >= 0, got {value}")
+        if total == 0:  # analyze raises on an empty corpus instead
+            raise SchemaError("bad distribution report: 'total' must be >= 1, got 0")
         try:
             counts = {ErrorCategory(name): count for name, count in data["counts"].items()}
         except ValueError as exc:
-            raise SchemaError(f"bad distribution report: {exc}") from exc
+            raise SchemaError(
+                f"bad distribution report: 'counts': {exc} "
+                f"(expected keys among {[cat.value for cat in CATEGORY_ORDER]})"
+            ) from exc
         counted = sum(counts.values())
         if counted != total:
             raise SchemaError(
@@ -106,8 +109,6 @@ def _resolve_columns(header: list[str], path) -> tuple[int, int]:
 
 def load_pairs(
     path,
-    lang: str,
-    split: str,
     policy: NormalizationPolicy = DEFAULT_POLICY,
     drop_duplicates: bool = False,
 ) -> list[SentencePair]:
@@ -117,8 +118,6 @@ def load_pairs(
     Null/Empty); drop_duplicates removes exact (input, output) repeats after
     normalization, keeping first occurrences and their row indices.
     """
-    if split not in SPLITS:
-        raise InputError(f"unknown split: {split!r} (expected one of {SPLITS})")
     pairs: list[SentencePair] = []
     try:
         with open(path, encoding="utf-8", newline="") as fh:
@@ -137,8 +136,6 @@ def load_pairs(
                         input=normalize_text(row[in_idx], policy),
                         output=normalize_text(row[out_idx], policy),
                         row=row_idx,
-                        split=split,
-                        lang=lang,
                     )
                 )
     except UnicodeDecodeError as exc:
@@ -161,24 +158,19 @@ def load_pairs(
     return pairs
 
 
-def analyze(pairs: list[SentencePair], profile: LanguageProfile) -> DistributionReport:
-    """Classify every pair and tally categories; totals include Null/Empty
-    so they equal the ingested pair count."""
+def analyze(
+    pairs: list[SentencePair], profile: LanguageProfile, split: str
+) -> DistributionReport:
+    """Classify every pair of one split and tally categories; totals include
+    Null/Empty so they equal the ingested pair count."""
+    if split not in SPLITS:
+        raise InputError(f"unknown split: {split!r} (expected one of {SPLITS})")
     if not pairs:
         raise InputError("no pairs to analyze")
-    langs = {p.lang for p in pairs}
-    splits = {p.split for p in pairs}
-    if len(langs) > 1 or len(splits) > 1:
-        raise InputError(
-            f"pairs must share one lang and split, got langs={sorted(langs)} "
-            f"splits={sorted(splits)}"
-        )
     counts = {cat: 0 for cat in CATEGORY_ORDER}
     for pair in pairs:
         counts[classify_pair(pair.input, pair.output, profile).category] += 1
-    return DistributionReport(
-        lang=pairs[0].lang, split=pairs[0].split, total=len(pairs), counts=counts
-    )
+    return DistributionReport(lang=profile.name, split=split, total=len(pairs), counts=counts)
 
 
 # Error categories a correction prompt can meaningfully emphasize.
@@ -217,7 +209,7 @@ Return only the corrected sentence, nothing else.
 """
 
 
-def synthesize_prompt(report: DistributionReport, profile: LanguageProfile) -> str:
+def synthesize_prompt(report: DistributionReport) -> str:
     """Render a distribution report as the fixed correction prompt text.
 
     Categories are ordered by descending count (ties broken by precedence
@@ -233,9 +225,7 @@ def synthesize_prompt(report: DistributionReport, profile: LanguageProfile) -> s
     )
     promoted = [cat for cat in _PROMOTED if report.counts[cat] > 0]
     prioritized = promoted + [cat for cat in by_count if cat not in promoted]
-    labels = {cat: cat.display_label() for cat in CATEGORY_ORDER}
-    syntax = ErrorCategory.SYNTAX_AGREEMENT
-    labels[syntax] = SYNTAX_LABELS.get(report.lang, labels[syntax])
+    labels = {cat: cat.display_label(report.lang) for cat in CATEGORY_ORDER}
     priorities = "\n".join(
         f"  {i}. {labels[cat]}" for i, cat in enumerate(prioritized, start=1)
     ) or "  (no category emphasis)"

@@ -32,22 +32,18 @@ SYNTAX_LABELS = {"hi": "Syntax/Case/Agreement", "ml": "Syntax/Agreement"}
 
 @dataclass(frozen=True)
 class LanguageProfile:
-    """Per-language lexica and syntax label, immutable after load."""
+    """Per-language lexica, immutable after load."""
 
     name: str  # "hi" | "ml"
     auxiliaries: frozenset[str]
     postpositions: frozenset[str]
     suffixes: tuple[str, ...]  # deduplicated, longest-first
 
-    @property
-    def syntax_label(self) -> str:
-        return SYNTAX_LABELS[self.name]
-
     def __post_init__(self):
         if self.name not in SYNTAX_LABELS:
             raise SchemaError(f"unknown language: {self.name!r} (expected hi or ml)")
         if self.name == "ml" and self.postpositions:
-            raise SchemaError("Malayalam profiles use suffixes, not postpositions")
+            raise SchemaError("Malayalam profiles use [suffixes], not [postpositions]")
 
 
 def _letters_and_marks(lo: int, hi: int) -> str:
@@ -140,10 +136,12 @@ def profile_for(lang: str, lexicon_path=None) -> LanguageProfile:
     """Build the profile for hi/ml from the bundled lexicon or a user file."""
     if lang not in SYNTAX_LABELS:
         raise SchemaError(f"unknown language: {lang!r} (expected hi or ml)")
-    if lexicon_path is not None:
-        sections = load_lexicon(lexicon_path)
-    else:
+    if lexicon_path is None:
         ref = resources.files("gec_forge").joinpath(f"data/{lang}.lexicon")
         with resources.as_file(ref) as path:
-            sections = load_lexicon(path)
-    return _profile_from_sections(lang, sections)
+            return _profile_from_sections(lang, load_lexicon(path))
+    sections = load_lexicon(lexicon_path)
+    try:
+        return _profile_from_sections(lang, sections)
+    except SchemaError as exc:  # e.g. [postpositions] entries under ml
+        raise SchemaError(f"{lexicon_path}: {exc}") from exc

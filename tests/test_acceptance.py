@@ -339,8 +339,8 @@ def test_criterion_distribution_reproduction(hi, ml):
         key: _official_csv(*key) for key in OFFICIAL_SPLITS if _official_csv(*key)
     }
     if not available:
-        pairs = load_pairs(FIXTURES / "hi_fixture.csv", "hi", "train")
-        report = analyze(pairs, hi)
+        pairs = load_pairs(FIXTURES / "hi_fixture.csv")
+        report = analyze(pairs, hi, "train")
         assert report.total == 10
         assert report.counts == EXPECTED_FIXTURE_TALLY
         _announce("distribution reproduction (synthetic 10-pair fixture, exact tally; "
@@ -348,7 +348,7 @@ def test_criterion_distribution_reproduction(hi, ml):
         return
     for (lang, split), path in sorted(available.items()):
         expected_total, reference_counts = OFFICIAL_SPLITS[(lang, split)]
-        report = analyze(load_pairs(path, lang, split), profiles[lang])
+        report = analyze(load_pairs(path), profiles[lang], split)
         assert report.total == expected_total, (
             f"{lang}/{split}: ingested {report.total} pairs, expected {expected_total}"
         )

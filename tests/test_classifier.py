@@ -92,9 +92,9 @@ def test_evidence_stage_matches_category(hi):
         assert result.evidence.stage == stage
 
 
-def test_display_labels(hi, ml):
-    assert C.SYNTAX_AGREEMENT.display_label(hi) == "Syntax/Case/Agreement"
-    assert C.SYNTAX_AGREEMENT.display_label(ml) == "Syntax/Agreement"
+def test_display_labels():
+    assert C.SYNTAX_AGREEMENT.display_label("hi") == "Syntax/Case/Agreement"
+    assert C.SYNTAX_AGREEMENT.display_label("ml") == "Syntax/Agreement"
     assert C.MORPHOLOGY.display_label() == "Morphology (Inflection/Affix)"
 
 

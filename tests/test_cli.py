@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import io
@@ -11,12 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gec_forge.classifier import CATEGORY_ORDER
-from gec_forge.cli import RunConfig, run
+from gec_forge.cli import RunConfig, build_parser, run
 from gec_forge.gleu import MAX_N_LIMIT
 from gec_forge.textnorm import POLICY_KEYS
 
 FIXTURES = Path(__file__).parent / "fixtures"
 FIXTURE_CSV = FIXTURES / "hi_fixture.csv"
+GOLDEN_DIST = Path(__file__).parent / "golden" / "dist_hi_fixture.json"
+HI_LEXICON = Path(__file__).parents[1] / "src" / "gec_forge" / "data" / "hi.lexicon"
 
 
 def _write(path, text):
@@ -261,6 +264,76 @@ def test_score_max_n_outside_limit_rejected_before_reading_files(tmp_path, capsy
     assert not report_path.exists()
 
 
+def test_postpositions_lexicon_from_env_under_ml_names_the_file(tmp_path, capsys,
+                                                                 monkeypatch):
+    monkeypatch.setenv("GEC_FORGE_LEXICON", str(HI_LEXICON))
+    assert run(["classify", "--lang", "ml", "--in", str(FIXTURE_CSV),
+                "--out", str(tmp_path / "l.csv")]) == 1
+    err = capsys.readouterr().err
+    assert str(HI_LEXICON) in err and "[postpositions]" in err
+
+
+# Each subcommand takes exactly the values it reads: --config and the
+# normalization flags where text is normalized, --lang/--lexicon where a
+# profile is built.
+_NORMALIZATION_DESTS = {"config", *POLICY_KEYS}
+_LANGUAGE_DESTS = {"lang", "lexicon"}
+_SUBCOMMAND_DESTS = {
+    "classify": _NORMALIZATION_DESTS | _LANGUAGE_DESTS | {"infile", "outfile", "evidence"},
+    "analyze": _NORMALIZATION_DESTS | _LANGUAGE_DESTS | {"infile", "split", "report",
+                                                         "dedup"},
+    "score": _NORMALIZATION_DESTS | {"src", "hyp", "ref", "max_n", "report", "iterations",
+                                     "seed", "raw"},
+    "normalize": _NORMALIZATION_DESTS | {"infile", "outfile", "post", "prompt_prefix"},
+    "synth-prompt": {"dist", "outfile"},
+    "audit": _NORMALIZATION_DESTS | _LANGUAGE_DESTS | {"infile", "dual", "cap", "report"},
+}
+
+
+def test_each_subcommand_takes_exactly_the_values_it_reads():
+    subs = next(action for action in build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction))
+    dests = {
+        name: {action.dest for action in sub._actions if action.dest != "help"}
+        for name, sub in subs.choices.items()
+    }
+    assert dests == _SUBCOMMAND_DESTS
+    assert sum(map(len, dests.values())) == 66
+
+
+def _base_commands(tmp):
+    line = _write(tmp / "line.txt", "राम खाता है\n")
+    return {
+        "classify": ["classify", "--lang", "hi", "--in", str(FIXTURE_CSV),
+                     "--out", str(tmp / "l.csv")],
+        "audit": ["audit", "--lang", "hi", "--in", str(FIXTURE_CSV),
+                  "--report", str(tmp / "a.json")],
+        "synth-prompt": ["synth-prompt", "--dist", str(GOLDEN_DIST),
+                         "--out", str(tmp / "p.txt")],
+        "score": ["score", "--src", line, "--hyp", line, "--ref", line],
+        "normalize": ["normalize", "--in", line, "--out", str(tmp / "n.txt")],
+    }
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("classify", "--split", "dev"),
+    ("audit", "--split", "test"),
+    ("synth-prompt", "--lang", "hi"),
+    ("synth-prompt", "--lexicon", "{lexicon}"),
+    ("synth-prompt", "--config", "{config}"),
+    ("score", "--lang", "hi"),
+    ("normalize", "--lexicon", "{lexicon}"),
+])
+def test_removed_flag_exits_1_with_usage(tmp_path, capsys, command, flag, value):
+    base = _base_commands(tmp_path)[command]
+    assert run(base) == 0  # the command itself is valid
+    capsys.readouterr()
+    config = _write(tmp_path / "config.json", "{}")
+    assert run([*base, flag, value.format(lexicon=HI_LEXICON, config=config)]) == 1
+    err = capsys.readouterr().err
+    assert "usage:" in err and f"unrecognized arguments: {flag}" in err
+
+
 def test_audit_requires_exactly_one_mode(tmp_path, capsys):
     assert run(["audit", "--lang", "hi", "--report", str(tmp_path / "r.json")]) == 1
 
@@ -410,14 +483,32 @@ def _unknown_lang_dist(tmp_path):
     return (*_synth_prompt_with_dist(tmp_path, body), "'lang'")
 
 
-def _unknown_lang_dist_with_lang_flag(tmp_path):
-    argv, path, field = _unknown_lang_dist(tmp_path)
-    return [*argv, "--lang", "hi"], path, field
-
-
 def _unknown_split_dist(tmp_path):
     body = '{"lang": "hi", "split": "nope", "total": 1, "counts": {"spelling": 1}}'
     return (*_synth_prompt_with_dist(tmp_path, body), "'split'")
+
+
+def _empty_dist(tmp_path):
+    body = '{"lang": "hi", "split": "train", "total": 0, "counts": {}}'
+    return (*_synth_prompt_with_dist(tmp_path, body), "'total'")
+
+
+def _unknown_category_dist(tmp_path):
+    body = '{"lang": "hi", "split": "train", "total": 1, "counts": {"bogus": 1}}'
+    return (*_synth_prompt_with_dist(tmp_path, body), "'counts'", "'bogus'", "'spelling'")
+
+
+def _postpositions_lexicon_under_ml(tmp_path):
+    path = str(HI_LEXICON)
+    return ["classify", "--lang", "ml", "--lexicon", path, "--in", str(FIXTURE_CSV),
+            "--out", str(tmp_path / "l.csv")], path, "[postpositions]"
+
+
+def _postpositions_lexicon_path_config_under_ml(tmp_path):
+    body = json.dumps({"lang": "ml", "lexicon_path": str(HI_LEXICON)})
+    config = _write(tmp_path / "config.json", body)
+    return ["classify", "--config", config, "--in", str(FIXTURE_CSV),
+            "--out", str(tmp_path / "l.csv")], str(HI_LEXICON), "[postpositions]"
 
 
 def _non_utf8(tmp_path, name="bad.bin"):
@@ -482,7 +573,9 @@ def _non_utf8_normalize_in(tmp_path):
                                   _non_utf8_normalize_in, _zero_max_n_config,
                                   _over_limit_max_n_config, _negative_count_dist,
                                   _counts_not_summing_to_total_dist, _unknown_lang_dist,
-                                  _unknown_lang_dist_with_lang_flag, _unknown_split_dist])
+                                  _unknown_split_dist, _empty_dist, _unknown_category_dist,
+                                  _postpositions_lexicon_under_ml,
+                                  _postpositions_lexicon_path_config_under_ml])
 def test_malformed_input_exits_1_naming_the_file(tmp_path, capsys, case):
     argv, path, *fields = case(tmp_path)
     assert run(argv) == 1
@@ -567,3 +660,65 @@ def test_fuzzed_dist_exits_0_or_1(lang, counts, field, value):
         path = _write(Path(tmp) / "dist.json", json.dumps(body))
         _run_quietly(["synth-prompt", "--dist", path,
                       "--out", str(Path(tmp) / "p.txt")], tmp)
+
+
+# Pair CSVs: known, missing, duplicate and BOM-prefixed headers; rows that
+# are ragged, quoted, carry stray quotes, NULs or a cell past the csv
+# module's field size limit. Half the headers and rows are well formed, so
+# many files get as far as classification.
+_CSV_HEADERS = st.sampled_from([
+    "input,output", "Input sentence,Output sentence", "output,input",
+    "input,output,input",
+]) | st.sampled_from([
+    "input", "input,input", "source,target", "", '"input,output', "\0input,output",
+])
+_CSV_CELLS = st.text(alphabet=st.sampled_from('कखग है ,."\'\0\r\n।१a'), max_size=8) | \
+    st.text(max_size=6) | st.sampled_from(["nan", '""', '"', "क" * 131073])
+
+
+@settings(max_examples=200)
+@given(bom=st.sampled_from([False, False, True]), header=_CSV_HEADERS,
+       rows=st.lists(st.lists(_CSV_CELLS, min_size=2, max_size=2)
+                     | st.lists(_CSV_CELLS, max_size=4), max_size=4),
+       quoted=st.booleans())
+def test_fuzzed_pairs_csv_exits_0_or_1(bom, header, rows, quoted):
+    if quoted:  # cells quoted as csv writes them, ragged rows kept ragged
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(rows)
+        body = buf.getvalue()
+    else:
+        body = "".join(",".join(row) + "\n" for row in rows)
+    with tempfile.TemporaryDirectory() as tmp:
+        pairs = Path(tmp) / "pairs.csv"
+        pairs.write_bytes((("\ufeff" if bom else "") + header + "\n" + body).encode("utf-8"))
+        _run_quietly(["classify", "--lang", "hi", "--evidence", "--in", str(pairs),
+                      "--out", str(Path(tmp) / "labels.csv")], tmp)
+
+
+# Lexicon files: known and unknown sections, entries before any section,
+# comments, and lines that break UTF-8; [postpositions] entries are valid
+# under hi and rejected under ml.
+_LEXICON_LINES = st.lists(
+    st.sampled_from(["[auxiliaries]", "[postpositions]", "[suffixes]", "[ Suffixes ]",
+                     "[bogus]", "[]", "[", "# comment", "", "है", "ने", "ा", "ाण്",
+                     "ആണ്", "x # trailing comment", "\0", "\r"]) | st.text(max_size=6),
+    max_size=8,
+)
+_FUZZ_PAIRS = ("input,output\nराम खाता,राम खाता है\nराम ने खाया,राम को खाया\n"
+               "लड़का,लड़के\nഅവൻ വന്നു,അവൻ വന്നു ആണ്\n")
+
+
+@settings(max_examples=200)
+@given(lang=st.sampled_from(["hi", "ml"]),
+       first=st.sampled_from(["[auxiliaries]", "[postpositions]", "[suffixes]", ""]),
+       lines=_LEXICON_LINES, bad_byte_at=st.none() | st.integers(0, 8))
+def test_fuzzed_lexicon_exits_0_or_1(lang, first, lines, bad_byte_at):
+    encoded = [line.encode("utf-8") for line in [first, *lines]]
+    if bad_byte_at is not None:
+        encoded.insert(min(bad_byte_at, len(encoded)), b"\xff\xfe")
+    with tempfile.TemporaryDirectory() as tmp:
+        lexicon = Path(tmp) / "fuzz.lexicon"
+        lexicon.write_bytes(b"\n".join(encoded))
+        pairs = _write(Path(tmp) / "pairs.csv", _FUZZ_PAIRS)
+        _run_quietly(["classify", "--lang", lang, "--lexicon", str(lexicon), "--in", pairs,
+                      "--out", str(Path(tmp) / "labels.csv")], tmp)

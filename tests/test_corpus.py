@@ -9,7 +9,6 @@ from gec_forge import (
     InputError,
     ParseError,
     SchemaError,
-    SentencePair,
     analyze,
     load_pairs,
     synthesize_prompt,
@@ -38,16 +37,15 @@ def _write_csv(path, rows, header="Input sentence,Output sentence"):
 
 
 def test_load_fixture_rows():
-    pairs = load_pairs(FIXTURE, "hi", "train")
+    pairs = load_pairs(FIXTURE)
     assert len(pairs) == 10
     assert [p.row for p in pairs] == list(range(10))
     assert pairs[0].input == ""  # null entry retained as empty string
-    assert all(p.lang == "hi" and p.split == "train" for p in pairs)
 
 
 def test_three_row_file(tmp_path):
     path = _write_csv(tmp_path / "t.csv", ["क,ख", "ग,घ", "ङ,च"])
-    pairs = load_pairs(path, "hi", "dev")
+    pairs = load_pairs(path)
     assert [(p.input, p.output, p.row) for p in pairs] == [
         ("क", "ख", 0), ("ग", "घ", 1), ("ङ", "च", 2)
     ]
@@ -56,21 +54,21 @@ def test_three_row_file(tmp_path):
 def test_headers_matched_by_name_any_order(tmp_path):
     path = _write_csv(tmp_path / "t.csv", ["सही,गलत"],
                       header="Output sentence,Input sentence")
-    pairs = load_pairs(path, "hi", "train")
+    pairs = load_pairs(path)
     assert pairs[0].input == "गलत" and pairs[0].output == "सही"
 
 
 def test_wrong_header_names_rejected(tmp_path):
     path = _write_csv(tmp_path / "t.csv", ["क,ख"], header="source,target")
     with pytest.raises(SchemaError) as exc:
-        load_pairs(path, "hi", "train")
+        load_pairs(path)
     assert "Input sentence".lower() in str(exc.value).lower()
 
 
 def test_ragged_row_rejected_with_row_number(tmp_path):
     path = _write_csv(tmp_path / "t.csv", ["क,ख", "ग"])
     with pytest.raises(ParseError) as exc:
-        load_pairs(path, "hi", "train")
+        load_pairs(path)
     assert "row 1" in str(exc.value)
 
 
@@ -78,62 +76,53 @@ def test_invalid_utf8_reports_offset(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_bytes("Input sentence,Output sentence\nक,".encode("utf-8") + b"\xff\n")
     with pytest.raises(ParseError) as exc:
-        load_pairs(path, "hi", "train")
+        load_pairs(path)
     assert "offset" in str(exc.value)
 
 
 def test_normalization_applied(tmp_path):
     path = _write_csv(tmp_path / "t.csv", ["क‍ख  ग,१२"])
-    pairs = load_pairs(path, "hi", "train")
+    pairs = load_pairs(path)
     assert pairs[0].input == "कख ग"
     assert pairs[0].output == "12"
 
 
 def test_duplicate_removal_flag(tmp_path):
     path = _write_csv(tmp_path / "t.csv", ["क,ख", "क,ख", "ग,घ"])
-    assert len(load_pairs(path, "hi", "train")) == 3
-    deduped = load_pairs(path, "hi", "train", drop_duplicates=True)
+    assert len(load_pairs(path)) == 3
+    deduped = load_pairs(path, drop_duplicates=True)
     assert [(p.input, p.row) for p in deduped] == [("क", 0), ("ग", 2)]
 
 
-def test_unknown_split_rejected(tmp_path):
+def test_unknown_split_rejected(tmp_path, hi):
     path = _write_csv(tmp_path / "t.csv", ["क,ख"])
     with pytest.raises(InputError):
-        load_pairs(path, "hi", "eval")
+        analyze(load_pairs(path), hi, "eval")
 
 
 def test_analyze_fixture_tally(hi):
-    pairs = load_pairs(FIXTURE, "hi", "train")
-    report = analyze(pairs, hi)
+    pairs = load_pairs(FIXTURE)
+    report = analyze(pairs, hi, "train")
     assert report.total == 10
     assert report.counts == FIXTURE_TALLY
     assert sum(report.counts.values()) == report.total
 
 
 def test_analyze_order_invariant(hi):
-    pairs = load_pairs(FIXTURE, "hi", "train")
+    pairs = load_pairs(FIXTURE)
     shuffled = pairs[:]
     random.Random(5).shuffle(shuffled)
-    assert analyze(shuffled, hi).counts == analyze(pairs, hi).counts
-
-
-def test_analyze_rejects_mixed_splits(hi):
-    pairs = [
-        SentencePair("क", "ख", 0, "train", "hi"),
-        SentencePair("ग", "घ", 0, "dev", "hi"),
-    ]
-    with pytest.raises(InputError):
-        analyze(pairs, hi)
+    assert analyze(shuffled, hi, "train").counts == analyze(pairs, hi, "train").counts
 
 
 def test_analyze_rejects_empty(hi):
     with pytest.raises(InputError):
-        analyze([], hi)
+        analyze([], hi, "train")
 
 
 def test_report_dict_round_trip(hi):
-    report = analyze(load_pairs(FIXTURE, "hi", "train"), hi)
-    again = DistributionReport.from_dict(report.to_dict(hi))
+    report = analyze(load_pairs(FIXTURE), hi, "train")
+    again = DistributionReport.from_dict(report.to_dict())
     assert again.counts == report.counts
     assert again.total == report.total
     assert again.lang == "hi" and again.split == "train"
@@ -153,11 +142,11 @@ def _priorities(prompt):
     return [label for _, label in lines]
 
 
-def _labels(categories, profile):
-    return [cat.display_label(profile) for cat in categories]
+def _labels(categories, lang):
+    return [cat.display_label(lang) for cat in categories]
 
 
-def test_prompt_priorities_sorted_with_promotion(hi):
+def test_prompt_priorities_sorted_with_promotion():
     # Distribution shaped like a real Hindi training split: punctuation and
     # morphology promoted, everything else by descending count.
     report = _report({
@@ -165,47 +154,47 @@ def test_prompt_priorities_sorted_with_promotion(hi):
         C.MISSING_EXTRA_WORD: 129, C.SYNTAX_AGREEMENT: 130, C.MORPHOLOGY: 43,
         C.SPELLING: 22, C.GRAMMAR_SYNTAX: 8, C.NO_ERROR: 53,
     })
-    prompt = synthesize_prompt(report, hi)
+    prompt = synthesize_prompt(report)
     assert _priorities(prompt) == _labels((
         C.PUNCT_WHITESPACE, C.MORPHOLOGY, C.SYNTAX_AGREEMENT,
         C.MISSING_EXTRA_WORD, C.SPELLING, C.WORD_ORDER, C.GRAMMAR_SYNTAX,
-    ), hi)
+    ), "hi")
     assert DEPRIORITIZED == (C.WORD_ORDER, C.MISSING_EXTRA_WORD)
     cautions = prompt.split("Handle with caution:\n", 1)[1].split("\n\n", 1)[0]
     assert re.findall(r"^  - ([^:]+):", cautions, flags=re.MULTILINE) == _labels(
-        DEPRIORITIZED, hi
+        DEPRIORITIZED, "hi"
     )
     assert len(CONSTRAINT_CLAUSES) == 4
     assert "Syntax/Case/Agreement" in prompt
 
 
-def test_prompt_ties_break_by_precedence_order(hi):
+def test_prompt_ties_break_by_precedence_order():
     report = _report({C.SPELLING: 5, C.WORD_ORDER: 5, C.GRAMMAR_SYNTAX: 5})
-    prompt = synthesize_prompt(report, hi)
-    assert _priorities(prompt) == _labels((C.WORD_ORDER, C.SPELLING, C.GRAMMAR_SYNTAX), hi)
+    prompt = synthesize_prompt(report)
+    assert _priorities(prompt) == _labels((C.WORD_ORDER, C.SPELLING, C.GRAMMAR_SYNTAX), "hi")
 
 
-def test_prompt_degenerate_distribution(hi):
+def test_prompt_degenerate_distribution():
     report = _report({C.NO_ERROR: 7})
-    prompt = synthesize_prompt(report, hi)
+    prompt = synthesize_prompt(report)
     assert _priorities(prompt) == []
     assert "(no category emphasis)" in prompt
     assert all(f"  - {clause}\n" in prompt for clause in CONSTRAINT_CLAUSES)
 
 
-def test_prompt_rendering_deterministic(ml):
+def test_prompt_rendering_deterministic():
     report = _report({C.PUNCT_WHITESPACE: 18, C.WORD_ORDER: 15, C.MORPHOLOGY: 8,
                       C.SPELLING: 4, C.GRAMMAR_SYNTAX: 3, C.MISSING_EXTRA_WORD: 2},
                      lang="ml", split="dev")
-    first = synthesize_prompt(report, ml)
-    assert first == synthesize_prompt(report, ml)
+    first = synthesize_prompt(report)
+    assert first == synthesize_prompt(report)
     assert _priorities(first) == _labels((
         C.PUNCT_WHITESPACE, C.MORPHOLOGY, C.WORD_ORDER, C.SPELLING,
         C.GRAMMAR_SYNTAX, C.MISSING_EXTRA_WORD,
-    ), ml)
+    ), "ml")
     assert "Malayalam" in first
 
 
-def test_prompt_empty_report_rejected(hi):
+def test_prompt_empty_report_rejected():
     with pytest.raises(InputError):
-        synthesize_prompt(_report({}), hi)
+        synthesize_prompt(_report({}))

@@ -127,8 +127,6 @@ def test_same_script(a, b, expected):
 
 
 def test_profiles(hi, ml):
-    assert hi.syntax_label == "Syntax/Case/Agreement"
-    assert ml.syntax_label == "Syntax/Agreement"
     assert not ml.postpositions
     assert "है" in hi.auxiliaries
     assert "ने" in hi.postpositions
