@@ -5,10 +5,12 @@ from __future__ import annotations
 
 import csv
 import logging
+import re
 from dataclasses import dataclass
 
 from .classifier import CATEGORY_ORDER, ErrorCategory, classify_pair
 from .errors import InputError, ParseError, SchemaError
+from .reports import read_text
 from .textnorm import DEFAULT_POLICY, NormalizationPolicy, normalize_text
 from .tokenizer import SYNTAX_LABELS, LanguageProfile
 
@@ -19,6 +21,11 @@ SPLITS = ("train", "dev", "test")
 # Accepted header spellings (case-insensitive, trimmed).
 INPUT_HEADERS = {"input sentence", "input"}
 OUTPUT_HEADERS = {"output sentence", "output"}
+
+# The lines a file opened with newline="" yields, line ends kept, which is
+# what csv.reader expects. A StringIO over the whole text would cost four
+# bytes per character.
+_FILE_LINE = re.compile(r"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+")
 
 
 @dataclass(frozen=True)
@@ -118,30 +125,27 @@ def load_pairs(
     Null/Empty); drop_duplicates removes exact (input, output) repeats after
     normalization, keeping first occurrences and their row indices.
     """
+    # One leading byte-order mark is not part of the header.
+    text = read_text(path, newline="").removeprefix("\ufeff")
+    reader = csv.reader(m.group() for m in _FILE_LINE.finditer(text))
     pairs: list[SentencePair] = []
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                raise SchemaError(f"{path}: empty file, expected a CSV header row")
-            in_idx, out_idx = _resolve_columns(header, path)
-            for row_idx, row in enumerate(reader):
-                if len(row) != len(header):
-                    raise ParseError(
-                        f"{path}: row {row_idx}: expected {len(header)} fields, got {len(row)}"
-                    )
-                pairs.append(
-                    SentencePair(
-                        input=normalize_text(row[in_idx], policy),
-                        output=normalize_text(row[out_idx], policy),
-                        row=row_idx,
-                    )
+        header = next(reader, None)
+        if header is None:
+            raise SchemaError(f"{path}: empty file, expected a CSV header row")
+        in_idx, out_idx = _resolve_columns(header, path)
+        for row_idx, row in enumerate(reader):
+            if len(row) != len(header):
+                raise ParseError(
+                    f"{path}: row {row_idx}: expected {len(header)} fields, got {len(row)}"
                 )
-    except UnicodeDecodeError as exc:
-        raise ParseError(
-            f"{path}: invalid UTF-8 byte sequence at offset {exc.start}"
-        ) from exc
+            pairs.append(
+                SentencePair(
+                    input=normalize_text(row[in_idx], policy),
+                    output=normalize_text(row[out_idx], policy),
+                    row=row_idx,
+                )
+            )
     except csv.Error as exc:  # e.g. a cell over csv.field_size_limit()
         raise ParseError(f"{path}: line {reader.line_num}: {exc}") from exc
     if drop_duplicates:

@@ -15,6 +15,7 @@ import logging
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 from .errors import InputError
@@ -48,25 +49,36 @@ class GleuReport:
         }
 
 
-def _ngram_counts(tokens: Sequence[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+def _ngram_counts(tokens: Sequence[str], max_n: int) -> Counter:
+    """Counts of the n-grams of every order 1..max_n in one Counter.
+
+    Keys are n-gram tuples, so len(key) is the order; an order longer than
+    tokens contributes no keys.
+    """
+    return Counter(chain.from_iterable(
+        zip(*[tokens[k:] for k in range(n)]) for n in range(1, max_n + 1)
+    ))
 
 
 def _sentence_tallies(src, hyp, ref, max_n):
-    """Per-order (match, total) pairs for one sentence."""
-    tallies = []
-    for n in range(1, max_n + 1):
-        h = _ngram_counts(hyp, n)
-        r = _ngram_counts(ref, n)
-        s = _ngram_counts(src, n)
-        overlap = sum((h & r).values())
+    """Per-order (match, total) pairs for one sentence.
+
+    One pass over the hypothesis n-grams of all orders adds
+    min(h, r) - min(h, max(0, s - r)) to its order's net; each order's net
+    is then clipped at zero separately.
+    """
+    r_counts = _ngram_counts(ref, max_n)
+    s_counts = _ngram_counts(src, max_n)
+    net = [0] * (max_n + 1)
+    for gram, h in _ngram_counts(hyp, max_n).items():
+        r = r_counts.get(gram, 0)
+        overlap = h if h < r else r
         # Penalize hypothesis n-grams that echo source material the
-        # reference removed; Counter subtraction clips at zero.
-        penalty = sum((h & (s - r)).values())
-        matches = max(overlap - penalty, 0)
-        total = max(len(hyp) - n + 1, 0)
-        tallies.append((matches, total))
-    return tallies
+        # reference removed.
+        extra = s_counts.get(gram, 0) - r
+        penalty = (h if h < extra else extra) if extra > 0 else 0
+        net[len(gram)] += overlap - penalty
+    return [(max(net[n], 0), max(len(hyp) - n + 1, 0)) for n in range(1, max_n + 1)]
 
 
 def _score(tallies, hyp_len: int, ref_len: int, smooth: bool) -> float:

@@ -12,10 +12,11 @@ from .errors import ParseError
 SCHEMA_VERSION = "1"
 
 
-def read_text(path) -> str:
-    """The whole file as strict UTF-8; a decode error names the file."""
+def read_text(path, newline: str | None = None) -> str:
+    """The whole file as strict UTF-8; a decode error names the file and
+    the byte offset in it. newline is passed to open()."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8", newline=newline) as fh:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: invalid UTF-8 byte sequence at offset {exc.start}") from exc

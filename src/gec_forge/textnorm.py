@@ -25,6 +25,15 @@ _INVISIBLE_TABLE = json.loads(
 INVISIBLE_CHARS = frozenset(chr(int(cp[2:], 16)) for cp in _INVISIBLE_TABLE["codepoints"])
 JOINER_CHARS = frozenset(chr(int(cp[2:], 16)) for cp in _INVISIBLE_TABLE["joiners"])
 
+
+def _char_class(chars) -> re.Pattern:
+    return re.compile("[" + "".join(re.escape(ch) for ch in sorted(chars)) + "]")
+
+
+# What _strip_invisibles removes, without and with keep_joiners.
+_INVISIBLES = _char_class(INVISIBLE_CHARS)
+_NON_JOINER_INVISIBLES = _char_class(INVISIBLE_CHARS - JOINER_CHARS)
+
 DANDA = "।"  # Devanagari sentence terminator (।)
 TERMINAL_MARKS = ".।?!"
 
@@ -98,8 +107,7 @@ DEFAULT_POLICY = NormalizationPolicy()
 
 
 def _strip_invisibles(s: str, keep_joiners: bool) -> str:
-    drop = INVISIBLE_CHARS - JOINER_CHARS if keep_joiners else INVISIBLE_CHARS
-    return "".join(ch for ch in s if ch not in drop)
+    return (_NON_JOINER_INVISIBLES if keep_joiners else _INVISIBLES).sub("", s)
 
 
 def _unify_terminal_run(s: str) -> str:

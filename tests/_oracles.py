@@ -4,9 +4,11 @@ Everything here is written against the contracts directly, in the most
 obvious way possible (explicit loops, dict counting, recursion), and stays
 independent of the package implementation it checks.
 """
+import json
 import math
 import unicodedata
 from functools import lru_cache
+from pathlib import Path
 
 
 def levenshtein_recursive(a, b):
@@ -148,17 +150,23 @@ def _count(grams):
     return counts
 
 
-def gleu_brute(sources, hypotheses, references, max_n=4):
-    """Literal pooled-count GLEU: per order, reward hypothesis n-grams the
+def gleu_tallies(sources, hypotheses, references, max_n=4):
+    """Literal GLEU tallies: per order, reward hypothesis n-grams the
     reference keeps and penalize ones matching only leftover source
-    material (source count minus reference count, clipped at zero)."""
+    material (source count minus reference count, clipped at zero), each
+    order's net clipped at zero. Returns the pooled per-order "matches" and
+    "hyp_ngrams", the token totals, and "per_sentence" scores smoothed by
+    replacing every zero tally and length with one."""
     nums = [0] * max_n
     dens = [0] * max_n
     hyp_total = ref_total = 0
+    per_sentence = []
     for src_line, hyp_line, ref_line in zip(sources, hypotheses, references):
         s, h, r = src_line.split(), hyp_line.split(), ref_line.split()
         hyp_total += len(h)
         ref_total += len(r)
+        sentence_nums = []
+        sentence_dens = []
         for n in range(1, max_n + 1):
             hc = _count(_ngram_list(h, n))
             rc = _count(_ngram_list(r, n))
@@ -171,13 +179,44 @@ def gleu_brute(sources, hypotheses, references, max_n=4):
                 extra = c - rc.get(g, 0)
                 if extra > 0:
                     penalty += min(hc.get(g, 0), extra)
-            nums[n - 1] += max(overlap - penalty, 0)
-            dens[n - 1] += max(len(h) - n + 1, 0)
-    if hyp_total == 0:
+            sentence_nums.append(max(overlap - penalty, 0))
+            sentence_dens.append(max(len(h) - n + 1, 0))
+        for n in range(max_n):
+            nums[n] += sentence_nums[n]
+            dens[n] += sentence_dens[n]
+        per_sentence.append(_geometric_score(
+            [m or 1 for m in sentence_nums], [t or 1 for t in sentence_dens],
+            len(h) or 1, len(r) or 1,
+        ))
+    return {"matches": nums, "hyp_ngrams": dens, "hyp_tokens": hyp_total,
+            "ref_tokens": ref_total, "per_sentence": per_sentence}
+
+
+def _geometric_score(nums, dens, hyp_len, ref_len):
+    if hyp_len == 0:
         return 0.0
-    for n in range(max_n):
-        if nums[n] == 0 or dens[n] == 0:
+    for m, t in zip(nums, dens):
+        if m == 0 or t == 0:
             return 0.0
-    log_mean = sum(math.log(nums[n] / dens[n]) for n in range(max_n)) / max_n
-    brevity = min(1.0, math.exp(1.0 - ref_total / hyp_total))
+    log_mean = sum(math.log(m / t) for m, t in zip(nums, dens)) / len(nums)
+    brevity = min(1.0, math.exp(1.0 - ref_len / hyp_len))
     return brevity * math.exp(log_mean)
+
+
+def gleu_brute(sources, hypotheses, references, max_n=4):
+    """Corpus GLEU from the pooled gleu_tallies, with no smoothing."""
+    t = gleu_tallies(sources, hypotheses, references, max_n)
+    return _geometric_score(t["matches"], t["hyp_ngrams"], t["hyp_tokens"], t["ref_tokens"])
+
+
+_INVISIBLE_TABLE = Path(__file__).parents[1] / "src" / "gec_forge" / "data" / "invisible_chars.json"
+
+
+def invisible_filter(s, keep_joiners):
+    """Drop every code point listed in the invisible-character table,
+    except the listed joiners when keep_joiners is set."""
+    table = json.loads(_INVISIBLE_TABLE.read_text(encoding="utf-8"))
+    drop = {int(cp[2:], 16) for cp in table["codepoints"]}
+    if keep_joiners:
+        drop -= {int(cp[2:], 16) for cp in table["joiners"]}
+    return "".join(ch for ch in s if ord(ch) not in drop)

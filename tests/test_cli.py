@@ -113,6 +113,20 @@ def test_classify_then_analyze_consistency(tmp_path, hi):
     assert tally == {k: v for k, v in counts.items() if v}
 
 
+def test_bom_prefixed_csv_gives_identical_classify_and_analyze(tmp_path):
+    bom_csv = tmp_path / "bom.csv"
+    bom_csv.write_bytes(b"\xef\xbb\xbf" + FIXTURE_CSV.read_bytes())
+    outputs = {}
+    for name, path in (("plain", FIXTURE_CSV), ("bom", bom_csv)):
+        labels, dist = tmp_path / f"{name}_labels.csv", tmp_path / f"{name}_dist.json"
+        assert run(["classify", "--lang", "hi", "--evidence", "--in", str(path),
+                    "--out", str(labels)]) == 0
+        assert run(["analyze", "--lang", "hi", "--split", "train", "--in", str(path),
+                    "--report", str(dist)]) == 0
+        outputs[name] = labels.read_bytes(), dist.read_bytes()
+    assert outputs["bom"] == outputs["plain"]
+
+
 def test_classify_evidence_column(tmp_path):
     labels_path = tmp_path / "labels.csv"
     assert run(["classify", "--lang", "hi", "--in", str(FIXTURE_CSV),

@@ -1,12 +1,18 @@
+import csv
 import random
 import re
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gec_forge import (
+    DigitPolicy,
     ErrorCategory,
     InputError,
+    NormalizationPolicy,
     ParseError,
     SchemaError,
     analyze,
@@ -78,6 +84,43 @@ def test_invalid_utf8_reports_offset(tmp_path):
     with pytest.raises(ParseError) as exc:
         load_pairs(path)
     assert "offset" in str(exc.value)
+
+
+def test_invalid_utf8_offset_counts_from_start_of_file(tmp_path):
+    # The bad byte lies past the decoder's first 8 KiB chunk.
+    good = ("Input sentence,Output sentence\n" + "क,ख\n" * 3000).encode("utf-8")
+    path = tmp_path / "bad.csv"
+    path.write_bytes(good + b"\xff\n")
+    with pytest.raises(ParseError) as exc:
+        load_pairs(path)
+    assert str(exc.value).endswith(f"at offset {len(good)}")
+
+
+# Leaves the cells below as they are: NFKC does not change these characters.
+_RAW = NormalizationPolicy(strip_invisibles=False, collapse_whitespace=False,
+                           digit_policy=DigitPolicy.KEEP_NATIVE)
+
+
+@settings(max_examples=300)
+@given(body=st.text(alphabet='ab,"\r\n\x0b\x1c\u2028\u0085 ', max_size=40))
+def test_rows_and_cells_match_csv_reading_the_file(body):
+    # Only \r, \n and \r\n end a line; \x0b, \x1c, \u2028 and \u0085
+    # stay inside cells.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        path.write_bytes(("input,output\n" + body).encode("utf-8"))
+        with open(path, encoding="utf-8", newline="") as fh:
+            try:
+                want = list(csv.reader(fh))[1:]
+            except csv.Error:
+                want = None
+        if want is not None and any(len(row) != 2 for row in want):
+            want = None
+        try:
+            got = [[pair.input, pair.output] for pair in load_pairs(path, _RAW)]
+        except ParseError:  # a csv error or a ragged row
+            got = None
+    assert got == want
 
 
 def test_normalization_applied(tmp_path):

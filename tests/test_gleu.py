@@ -1,11 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gec_forge import InputError, gleu_corpus
 from gec_forge.gleu import MAX_N_LIMIT
 
-from _oracles import gleu_brute
+from _oracles import gleu_brute, gleu_tallies
 
 TOY_SRC = ["राम ने कल सेब खाया ।", "वह घर जाता हो ।", "बच्चा पानी पिता है ।"]
 TOY_HYP = ["राम ने कल आम खाया ।", "वह घर जाता हो ।", "बच्चा पानी पिया है ।"]
@@ -103,6 +105,29 @@ def test_random_corpora_match_brute_oracle():
         got = gleu_corpus(src, hyp, ref).corpus_score
         want = gleu_brute(src, hyp, ref)
         assert got == pytest.approx(want, abs=1e-12)
+
+
+@st.composite
+def _small_alphabet_corpora(draw):
+    alphabet = "abc"[: draw(st.integers(1, 3))]
+    line = st.lists(st.sampled_from(alphabet), max_size=30).map(" ".join)
+    triples = draw(st.lists(st.tuples(line, line, line), min_size=1, max_size=4))
+    return [list(side) for side in zip(*triples)]
+
+
+@settings(max_examples=300)
+@given(corpus=_small_alphabet_corpora(), max_n=st.integers(1, MAX_N_LIMIT))
+def test_tallies_match_oracle_on_every_order(corpus, max_n):
+    # Few symbols make n-grams repeat within and across sides, so overlap,
+    # penalty and the per-order clip all get exercised, on every order.
+    report = gleu_corpus(*corpus, max_n)
+    want = gleu_tallies(*corpus, max_n)
+    assert report.ngram_stats == tuple(
+        {"n": n + 1, "matches": want["matches"][n], "hyp_ngrams": want["hyp_ngrams"][n]}
+        for n in range(max_n)
+    )
+    assert (report.hyp_tokens, report.ref_tokens) == (want["hyp_tokens"], want["ref_tokens"])
+    assert report.per_sentence == pytest.approx(want["per_sentence"], rel=0, abs=1e-12)
 
 
 def test_determinism():

@@ -1,3 +1,4 @@
+import os
 import unicodedata
 
 import pytest
@@ -13,9 +14,10 @@ from gec_forge import (
     normalize_text,
     postprocess_hypothesis,
 )
+from gec_forge import textnorm
 from gec_forge.textnorm import DEFAULT_POLICY, INVISIBLE_CHARS, JOINER_CHARS
 
-from _oracles import projection_filter
+from _oracles import invisible_filter, projection_filter
 
 PUNCT_POOL = " \t।॥.,;:!?()[]\"'-_/"
 
@@ -39,6 +41,15 @@ def test_invisible_removal():
     assert normalize_text("क‍ख") == "कख"
     for ch in INVISIBLE_CHARS:
         assert ch not in normalize_text(f"x{ch}y")
+
+
+@pytest.mark.parametrize("keep_joiners", [False, True])
+def test_strip_invisibles_matches_oracle_on_every_code_point(keep_joiners):
+    every = "".join(map(chr, range(0x110000)))
+    got = textnorm._strip_invisibles(every, keep_joiners)
+    want = invisible_filter(every, keep_joiners)
+    same = got == want  # a bare bool spares pytest a diff of 1.1M characters
+    assert same, f"first difference at index {len(os.path.commonprefix([got, want]))}"
 
 
 def test_keep_joiners_retains_zwj_zwnj():
