@@ -14,7 +14,6 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass, field
 
 from . import __version__
 from .audit import DEFAULT_DISTANCE_CAP, Stratum, audit_pair, dual_report
@@ -23,109 +22,43 @@ from .corpus import DistributionReport, analyze, load_pairs, synthesize_prompt
 from .errors import GecForgeError, InputError, ParseError, SchemaError, UsageError
 from .gleu import MAX_N_LIMIT, gleu_corpus, note_ignored_sampling_args
 from .reports import read_text, write_report, write_text_atomic
-from .textnorm import POLICY_KEYS, NormalizationPolicy, normalize_text, postprocess_hypothesis
+from .textnorm import (DEFAULT_POLICY, POLICY_KEYS, DandaPolicy, DigitPolicy,
+                       NormalizationPolicy, normalize_text, postprocess_hypothesis)
 from .tokenizer import profile_for
 
 log = logging.getLogger(__name__)
 
-LEXICON_ENV_VAR = "GEC_FORGE_LEXICON"
-
-
-@dataclass
-class RunConfig:
-    """Shared knobs; the defaults reproduce the evaluation pipeline."""
-
-    lang: str | None = None
-    normalization: NormalizationPolicy = field(default_factory=NormalizationPolicy)
-    lexicon_path: str | None = None
-    max_n: int = 4
-    cap: int = DEFAULT_DISTANCE_CAP
-    seed: int | None = None
-
-
-def load_config(path) -> RunConfig:
-    """Read a flat key/value JSON config file into a RunConfig."""
-    try:
-        data = json.loads(read_text(path))
-    except ValueError as exc:  # bad JSON, or an integer past int_max_str_digits
-        raise InputError(f"{path}: invalid JSON config: {exc}") from exc
-    if not isinstance(data, dict):
-        raise InputError(f"{path}: config must be a JSON object")
-    config = RunConfig()
-    norm = data.pop("normalization", {})
-    if not isinstance(norm, dict):
-        raise SchemaError(f"{path}: config key 'normalization' must be a JSON object")
-    for key in list(data):
-        if key in POLICY_KEYS:  # flat normalization keys are also accepted
-            norm[key] = data.pop(key)
-    try:
-        config.normalization = NormalizationPolicy.from_dict(norm)
-    except InputError as exc:
-        raise InputError(f"{path}: {exc}") from exc
-    for key, value in data.items():
-        if key in ("lang", "lexicon_path"):
-            if value is not None and not isinstance(value, str):
-                raise SchemaError(
-                    f"{path}: config key {key!r} expects a string, got {value!r}"
-                )
-            if key == "lexicon_path" and value and "\0" in value:  # open() would raise
-                raise SchemaError(f"{path}: config key 'lexicon_path' contains a NUL character")
-            setattr(config, key, value)
-        elif key == "seed" and value is None:
-            config.seed = None
-        elif key in ("max_n", "cap", "seed"):
-            if type(value) is not int:  # not a float, bool or numeric string
-                raise SchemaError(
-                    f"{path}: config key {key!r} expects an integer, got {value!r}"
-                )
-            setattr(config, key, value)
-        else:
-            raise InputError(f"{path}: unknown config key: {key!r}")
-    return config
-
-
-def _resolve_config(args) -> RunConfig:
-    config = load_config(args.config) if args.config else RunConfig()
-    if getattr(args, "lang", None):
-        config.lang = args.lang
-    if getattr(args, "lexicon", None):
-        config.lexicon_path = args.lexicon
-    elif config.lexicon_path is None and os.environ.get(LEXICON_ENV_VAR):
-        config.lexicon_path = os.environ[LEXICON_ENV_VAR]
-    if getattr(args, "max_n", None) is not None:
-        config.max_n = args.max_n
-    if not 1 <= config.max_n <= MAX_N_LIMIT:
-        source = ("--max-n" if getattr(args, "max_n", None) is not None
-                  else f"{args.config}: config key 'max_n'")
-        raise InputError(f"{source} must be in 1..{MAX_N_LIMIT}, got {config.max_n}")
-    if getattr(args, "cap", None) is not None:
-        config.cap = args.cap
-    if config.cap < 0:  # checked here, before any input file is read
-        source = ("--cap" if getattr(args, "cap", None) is not None
-                  else f"{args.config}: config key 'cap'")
-        raise InputError(f"{source} must be >= 0, got {config.cap}")
-    if getattr(args, "seed", None) is not None:
-        config.seed = args.seed
-    policy_overrides = {}
-    for key in POLICY_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            policy_overrides[key] = value
-    if policy_overrides:
-        merged = config.normalization.to_dict()
-        merged.update(policy_overrides)
-        config.normalization = NormalizationPolicy.from_dict(merged)
-    return config
-
-
-def _profile(config: RunConfig):
-    if not config.lang:
-        raise UsageError("--lang is required (hi or ml)")
-    return profile_for(config.lang, config.lexicon_path)
-
 
 def _read_lines(path) -> list[str]:
-    return read_text(path).splitlines()
+    # Universal newlines turn \r\n and \r into \n, and only \n ends a line:
+    # str.splitlines would also break at \x0b, \x0c, \x1c-\x1e, \x85, U+2028
+    # and U+2029 inside a line.
+    lines = read_text(path).split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines
+
+
+# argparse types: a bad value exits 1 naming the flag, before any file is read.
+def _int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:  # not an integer, or past int_max_str_digits
+        raise argparse.ArgumentTypeError(f"expects an integer, got {text!r}") from None
+
+
+def _max_n(text: str) -> int:
+    value = _int(text)
+    if not 1 <= value <= MAX_N_LIMIT:
+        raise argparse.ArgumentTypeError(f"must be in 1..{MAX_N_LIMIT}, got {value}")
+    return value
+
+
+def _cap(text: str) -> int:
+    value = _int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 class _Parser(argparse.ArgumentParser):
@@ -136,32 +69,28 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_normalization(sub):
-    sub.add_argument("--config", help="JSON config file with shared defaults")
     group = sub.add_argument_group("normalization")
-    group.add_argument("--strip-invisibles", dest="strip_invisibles",
-                       action="store_true", default=None)
+    group.add_argument("--strip-invisibles", action="store_true")
     group.add_argument("--no-strip-invisibles", dest="strip_invisibles",
                        action="store_false")
-    group.add_argument("--collapse-whitespace", dest="collapse_whitespace",
-                       action="store_true", default=None)
+    group.add_argument("--collapse-whitespace", action="store_true")
     group.add_argument("--no-collapse-whitespace", dest="collapse_whitespace",
                        action="store_false")
-    group.add_argument("--unify-terminal-punct", dest="unify_terminal_punct",
-                       action="store_true", default=None)
-    group.add_argument("--keep-joiners", dest="keep_joiners",
-                       action="store_true", default=None)
-    group.add_argument("--danda-policy", dest="danda_policy",
-                       choices=["keep_danda", "map_danda_to_period", "map_period_to_danda"])
-    group.add_argument("--digit-policy", dest="digit_policy",
-                       choices=["to_ascii", "keep_native"])
+    group.add_argument("--unify-terminal-punct", action="store_true")
+    group.add_argument("--keep-joiners", action="store_true")
+    for flag, enum in (("--danda-policy", DandaPolicy), ("--digit-policy", DigitPolicy)):
+        group.add_argument(flag, type=enum,
+                           metavar="{" + ",".join(member.value for member in enum) + "}")
+    sub.set_defaults(**{key: getattr(DEFAULT_POLICY, key) for key in POLICY_KEYS})
+
+
+def _policy(args) -> NormalizationPolicy:
+    return NormalizationPolicy(**{key: getattr(args, key) for key in POLICY_KEYS})
 
 
 def _add_language(sub):
-    sub.add_argument("--lang", choices=["hi", "ml"], help="language profile")
-    sub.add_argument(
-        "--lexicon",
-        help=f"lexicon file overriding the bundled one (or ${LEXICON_ENV_VAR})",
-    )
+    sub.add_argument("--lang", choices=["hi", "ml"], required=True, help="language profile")
+    sub.add_argument("--lexicon", help="lexicon file used instead of the bundled one")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -195,7 +124,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--src", required=True)
     p.add_argument("--hyp", required=True)
     p.add_argument("--ref", required=True)
-    p.add_argument("--max-n", dest="max_n", type=int, default=None)
+    p.add_argument("--max-n", type=_max_n, default=4,
+                   help=f"highest n-gram order, 1..{MAX_N_LIMIT} (default 4)")
     p.add_argument("--report", metavar="REPORT_JSON")
     p.add_argument("--iterations", type=int, default=None,
                    help="accepted for harness compatibility; ignored")
@@ -227,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="single-candidate predictions CSV (input/output columns)")
     p.add_argument("--dual", nargs=2, metavar=("A_CSV", "B_CSV"),
                    help="two candidate CSVs sharing inputs row-by-row")
-    p.add_argument("--cap", type=int, default=None,
+    p.add_argument("--cap", type=_cap, default=DEFAULT_DISTANCE_CAP,
                    help=f"token edit-distance cap (default {DEFAULT_DISTANCE_CAP})")
     p.add_argument("--report", required=True, metavar="AUDIT_JSON")
     p.set_defaults(func=cmd_audit)
@@ -235,16 +165,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_classify(args) -> int:
-    config = _resolve_config(args)
-    profile = _profile(config)
-    pairs = load_pairs(args.infile, config.normalization)
+    profile = profile_for(args.lang, args.lexicon)
+    pairs = load_pairs(args.infile, _policy(args))
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     header = ["row", "category", "label"] + (["evidence"] if args.evidence else [])
     writer.writerow(header)
     for pair in pairs:
         result = classify_pair(pair.input, pair.output, profile)
-        record = [pair.row, result.category.value, result.category.display_label(config.lang)]
+        record = [pair.row, result.category.value, result.category.display_label(args.lang)]
         if args.evidence:
             record.append(json.dumps(
                 {"stage": result.evidence.stage, "rule": result.evidence.rule,
@@ -257,12 +186,12 @@ def cmd_classify(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    config = _resolve_config(args)
-    profile = _profile(config)
-    pairs = load_pairs(args.infile, config.normalization, drop_duplicates=args.dedup)
+    policy = _policy(args)
+    profile = profile_for(args.lang, args.lexicon)
+    pairs = load_pairs(args.infile, policy, drop_duplicates=args.dedup)
     report = analyze(pairs, profile, args.split)
     body = report.to_dict()
-    body["normalization"] = config.normalization.to_dict()
+    body["normalization"] = policy.to_dict()
     body["classifier_constants"] = constants()
     write_report(args.report, "distribution", body)
     print(f"analyzed {report.total} pairs -> {args.report}")
@@ -270,29 +199,29 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_score(args) -> int:
-    config = _resolve_config(args)
-    note_ignored_sampling_args(args.iterations, config.seed)
+    policy = _policy(args)
+    note_ignored_sampling_args(args.iterations, args.seed)
     src, hyp, ref = _read_lines(args.src), _read_lines(args.hyp), _read_lines(args.ref)
     if not args.raw:
-        src = [normalize_text(line, config.normalization) for line in src]
-        hyp = [normalize_text(line, config.normalization) for line in hyp]
-        ref = [normalize_text(line, config.normalization) for line in ref]
-    report = gleu_corpus(src, hyp, ref, config.max_n)
+        src = [normalize_text(line, policy) for line in src]
+        hyp = [normalize_text(line, policy) for line in hyp]
+        ref = [normalize_text(line, policy) for line in ref]
+    report = gleu_corpus(src, hyp, ref, args.max_n)
     if args.report:
         body = report.to_dict()
-        body["normalization"] = None if args.raw else config.normalization.to_dict()
+        body["normalization"] = None if args.raw else policy.to_dict()
         write_report(args.report, "gleu", body)
     print(f"GLEU: {report.corpus_score:.6f} ({report.corpus_score * 100:.2f})")
     return 0
 
 
 def cmd_normalize(args) -> int:
-    config = _resolve_config(args)
+    policy = _policy(args)
     lines = _read_lines(args.infile)
     if args.post:
         out = [postprocess_hypothesis(line, args.prompt_prefix) for line in lines]
     else:
-        out = [normalize_text(line, config.normalization) for line in lines]
+        out = [normalize_text(line, policy) for line in lines]
     write_text_atomic(args.outfile, "\n".join(out) + ("\n" if out else ""))
     print(f"normalized {len(lines)} lines -> {args.outfile}")
     return 0
@@ -317,13 +246,13 @@ def cmd_synth_prompt(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    config = _resolve_config(args)
-    profile = _profile(config)
+    policy = _policy(args)
+    profile = profile_for(args.lang, args.lexicon)
     if bool(args.infile) == bool(args.dual):
         raise UsageError("audit needs exactly one of --in or --dual")
     if args.dual:
-        pairs_a = load_pairs(args.dual[0], config.normalization)
-        pairs_b = load_pairs(args.dual[1], config.normalization)
+        pairs_a = load_pairs(args.dual[0], policy)
+        pairs_b = load_pairs(args.dual[1], policy)
         if len(pairs_a) != len(pairs_b):
             raise InputError(
                 f"candidate files differ in length: {len(pairs_a)} vs {len(pairs_b)}"
@@ -335,14 +264,14 @@ def cmd_audit(args) -> int:
                     f"row {pa.row}: candidate files disagree on the input sentence"
                 )
             triples.append((pa.input, pa.output, pb.output))
-        report = dual_report(triples, profile, config.cap)
+        report = dual_report(triples, profile, args.cap)
         body = report.to_dict()
-        body.update({"lang": config.lang, "cap": config.cap, "total": len(triples)})
+        body.update({"lang": args.lang, "cap": args.cap, "total": len(triples)})
         write_report(args.report, "dual_audit", body)
         print(f"dual-audited {len(triples)} triples -> {args.report}")
         return 0
-    pairs = load_pairs(args.infile, config.normalization)
-    audits = [audit_pair(p.input, p.output, profile, config.cap) for p in pairs]
+    pairs = load_pairs(args.infile, policy)
+    audits = [audit_pair(p.input, p.output, profile, args.cap) for p in pairs]
     strata_counts = {s.value: 0 for s in Stratum}
     for a in audits:
         strata_counts[a.stratum.value] += 1
@@ -350,8 +279,8 @@ def cmd_audit(args) -> int:
     for a in audits:
         category_counts[a.category.value] += 1
     body = {
-        "lang": config.lang,
-        "cap": config.cap,
+        "lang": args.lang,
+        "cap": args.cap,
         "total": len(audits),
         "strata_counts": strata_counts,
         "category_counts": category_counts,

@@ -10,11 +10,10 @@ from __future__ import annotations
 import json
 import re
 import unicodedata
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from enum import Enum
 from importlib import resources
 
-from .errors import InputError
 from .tokenizer import DEVANAGARI_DIGITS, MALAYALAM_DIGITS
 
 # Fixed invisible-character inventory; the authoritative copy ships as a
@@ -49,6 +48,8 @@ _WHITESPACE_RUN = re.compile(r"\s+")
 _TERMINAL_RUN = re.compile(r"\s*([.।?!](?:\s*[.।?!])*)\s*$")
 _SPACE_BEFORE_PUNCT = re.compile(r"\s+([,;:.।?!])")
 _MID_PUNCT_GAP = re.compile(r"([,;:])(?=\S)")
+# A period that is not between two decimal digits, so 3.5 stays a number.
+_PERIOD_OUTSIDE_NUMBER = re.compile(r"(?<!\d)\.|\.(?!\d)")
 
 
 class DandaPolicy(Enum):
@@ -81,28 +82,9 @@ class NormalizationPolicy:
         values = {key: getattr(self, key) for key in POLICY_KEYS}
         return {key: v.value if isinstance(v, Enum) else v for key, v in values.items()}
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "NormalizationPolicy":
-        policy = cls()
-        for key, value in data.items():
-            if key not in POLICY_KEYS:
-                raise InputError(f"unknown normalization key: {key!r}")
-            if key in _ENUM_KEYS:
-                allowed = [member.value for member in _ENUM_KEYS[key]]
-                if value not in allowed:
-                    raise InputError(
-                        f"normalization key {key!r} expects one of {allowed}, got {value!r}"
-                    )
-                value = _ENUM_KEYS[key](value)
-            elif not isinstance(value, bool):
-                raise InputError(f"normalization key {key!r} expects a boolean")
-            policy = replace(policy, **{key: value})
-        return policy
 
-
-# The normalization keys, in report order, shared by config files and flags.
+# The normalization keys, in report order; each is also a flag dest.
 POLICY_KEYS = tuple(f.name for f in fields(NormalizationPolicy))
-_ENUM_KEYS = {"danda_policy": DandaPolicy, "digit_policy": DigitPolicy}
 DEFAULT_POLICY = NormalizationPolicy()
 
 
@@ -131,7 +113,7 @@ def normalize_text(s: str, policy: NormalizationPolicy = DEFAULT_POLICY) -> str:
     if policy.danda_policy is DandaPolicy.MAP_DANDA_TO_PERIOD:
         s = s.replace(DANDA, ".")
     elif policy.danda_policy is DandaPolicy.MAP_PERIOD_TO_DANDA:
-        s = s.replace(".", DANDA)
+        s = _PERIOD_OUTSIDE_NUMBER.sub(DANDA, s)
     if policy.digit_policy is DigitPolicy.TO_ASCII:
         s = s.translate(_DIGIT_TRANSLATION)
     if policy.collapse_whitespace:

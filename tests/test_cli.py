@@ -4,7 +4,6 @@ import csv
 import io
 import json
 import tempfile
-from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -12,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gec_forge.classifier import CATEGORY_ORDER
-from gec_forge.cli import RunConfig, build_parser, run
+from gec_forge.cli import build_parser, run
 from gec_forge.gleu import MAX_N_LIMIT
-from gec_forge.textnorm import POLICY_KEYS
+from gec_forge.textnorm import DEFAULT_POLICY, POLICY_KEYS
 
 FIXTURES = Path(__file__).parent / "fixtures"
 FIXTURE_CSV = FIXTURES / "hi_fixture.csv"
@@ -161,31 +160,52 @@ def test_normalize_policy_flags(tmp_path):
     assert out_path.read_text(encoding="utf-8") == "क. १२\n"
 
 
-def test_config_file_with_flag_override(tmp_path):
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({
-        "lang": "hi",
-        "normalization": {"digit_policy": "keep_native"},
-    }), encoding="utf-8")
-    src = _write(tmp_path / "in.txt", "१२\n")
+@pytest.mark.parametrize("flags, key, value", [
+    ([], None, None),
+    (["--strip-invisibles"], "strip_invisibles", True),
+    (["--no-strip-invisibles"], "strip_invisibles", False),
+    (["--collapse-whitespace"], "collapse_whitespace", True),
+    (["--no-collapse-whitespace"], "collapse_whitespace", False),
+    (["--unify-terminal-punct"], "unify_terminal_punct", True),
+    (["--keep-joiners"], "keep_joiners", True),
+    (["--danda-policy", "map_period_to_danda"], "danda_policy", "map_period_to_danda"),
+    (["--digit-policy", "keep_native"], "digit_policy", "keep_native"),
+])
+def test_each_policy_flag_sets_exactly_its_key(tmp_path, flags, key, value):
+    report_path = tmp_path / "dist.json"
+    assert run(["analyze", "--lang", "hi", "--split", "train", "--in", str(FIXTURE_CSV),
+                "--report", str(report_path), *flags]) == 0
+    expected = DEFAULT_POLICY.to_dict()
+    if key is not None:
+        expected[key] = value
+    assert json.loads(report_path.read_text(encoding="utf-8"))["normalization"] == expected
+
+
+# str.splitlines would also end a line at each of these.
+@pytest.mark.parametrize("char", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                                  "\u2028", "\u2029"])
+def test_only_newlines_end_a_line(tmp_path, char):
+    src = _write(tmp_path / "src.txt", f"राम{char}खाता\nहै\n")
+    plain = _write(tmp_path / "plain.txt", "राम खाता\nहै\n")
     out_path = tmp_path / "out.txt"
-    assert run(["normalize", "--config", str(config), "--in", src,
-                "--out", str(out_path)]) == 0
-    assert out_path.read_text(encoding="utf-8") == "१२\n"
-    # flag overrides config
-    assert run(["normalize", "--config", str(config), "--in", src,
-                "--out", str(out_path), "--digit-policy", "to_ascii"]) == 0
-    assert out_path.read_text(encoding="utf-8") == "12\n"
+    assert run(["normalize", "--in", src, "--out", str(out_path)]) == 0
+    with open(out_path, encoding="utf-8", newline="") as fh:
+        assert len(fh.read().split("\n")) == 3  # two lines, each ending in \n
+    report_path = tmp_path / "gleu.json"
+    assert run(["score", "--src", src, "--hyp", plain, "--ref", plain,
+                "--report", str(report_path)]) == 0
+    assert len(json.loads(report_path.read_text(encoding="utf-8"))["per_sentence"]) == 2
 
 
-def test_bad_config_rejected(tmp_path, capsys):
-    config = _write(tmp_path / "config.json", '{"bogus": 1}')
-    src = _write(tmp_path / "in.txt", "क\n")
-    assert run(["normalize", "--config", config, "--in", src,
-                "--out", str(tmp_path / "o.txt")]) == 1
+def test_crlf_and_cr_still_end_lines(tmp_path):
+    src = tmp_path / "in.txt"
+    src.write_bytes("क\r\nख\rग\n\n".encode("utf-8"))
+    out_path = tmp_path / "out.txt"
+    assert run(["normalize", "--in", str(src), "--out", str(out_path)]) == 0
+    assert out_path.read_bytes() == "क\nख\nग\n\n".encode("utf-8")
 
 
-def test_lexicon_env_fallback(tmp_path, monkeypatch):
+def test_user_lexicon_changes_label(tmp_path):
     # A lexicon without है turns an inserted-auxiliary pair into Missing/Extra.
     lexicon = tmp_path / "tiny.lexicon"
     lexicon.write_text("[auxiliaries]\nथा\n[postpositions]\n[suffixes]\nा\n",
@@ -194,14 +214,13 @@ def test_lexicon_env_fallback(tmp_path, monkeypatch):
     pairs.write_text("Input sentence,Output sentence\nराम खाता,राम खाता है\n",
                      encoding="utf-8")
     out_default = tmp_path / "default.csv"
-    out_env = tmp_path / "env.csv"
+    out_user = tmp_path / "user.csv"
     assert run(["classify", "--lang", "hi", "--in", str(pairs),
                 "--out", str(out_default)]) == 0
-    monkeypatch.setenv("GEC_FORGE_LEXICON", str(lexicon))
-    assert run(["classify", "--lang", "hi", "--in", str(pairs),
-                "--out", str(out_env)]) == 0
+    assert run(["classify", "--lang", "hi", "--lexicon", str(lexicon), "--in", str(pairs),
+                "--out", str(out_user)]) == 0
     assert "syntax_agreement" in out_default.read_text(encoding="utf-8")
-    assert "missing_extra_word" in out_env.read_text(encoding="utf-8")
+    assert "missing_extra_word" in out_user.read_text(encoding="utf-8")
 
 
 def test_synth_prompt_writes_prompt_and_hash(tmp_path):
@@ -262,8 +281,30 @@ def test_audit_negative_cap_rejected_before_reading_rows(tmp_path, capsys):
     report_path = tmp_path / "audit.json"
     assert run(["audit", "--lang", "hi", "--in", preds, "--cap", "-1",
                 "--report", str(report_path)]) == 1
-    assert "--cap" in capsys.readouterr().err
+    assert "--cap: must be >= 0, got -1" in capsys.readouterr().err
     assert not report_path.exists()
+
+
+@pytest.mark.parametrize("command, argv, flag", [
+    ("classify", ["--out", "{tmp}/l.csv"], "--lang"),
+    ("analyze", ["--split", "train", "--report", "{tmp}/d.json"], "--lang"),
+    ("audit", ["--report", "{tmp}/a.json"], "--lang"),
+    ("audit", ["--lang", "hi", "--cap", "-1", "--report", "{tmp}/a.json"], "--cap"),
+    ("audit", ["--lang", "hi", "--cap", "x", "--report", "{tmp}/a.json"], "--cap"),
+    ("classify", ["--lang", "xx", "--out", "{tmp}/l.csv"], "--lang"),
+    ("normalize", ["--danda-policy", "bogus", "--out", "{tmp}/n.txt"], "--danda-policy"),
+    ("analyze", ["--lang", "hi", "--split", "train", "--digit-policy", "roman",
+                 "--report", "{tmp}/d.json"], "--digit-policy"),
+])
+def test_bad_flag_exits_1_naming_it_before_reading_files(tmp_path, capsys, command, argv,
+                                                         flag):
+    missing = str(tmp_path / "missing.txt")
+    assert run([command, "--in", missing, *(a.format(tmp=tmp_path) for a in argv)]) == 1
+    err = capsys.readouterr().err
+    error = err.strip().splitlines()[-1]  # the usage text above lists every flag
+    assert "usage:" in err and error.startswith("error:") and flag in error
+    assert missing not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("max_n", [0, MAX_N_LIMIT + 1])
@@ -274,23 +315,26 @@ def test_score_max_n_outside_limit_rejected_before_reading_files(tmp_path, capsy
     assert run(["score", "--src", missing, "--hyp", missing, "--ref", missing,
                 "--max-n", str(max_n), "--report", str(report_path)]) == 1
     err = capsys.readouterr().err
-    assert "--max-n" in err and str(max_n) in err
+    assert f"--max-n: must be in 1..{MAX_N_LIMIT}, got {max_n}" in err
     assert not report_path.exists()
 
 
-def test_postpositions_lexicon_from_env_under_ml_names_the_file(tmp_path, capsys,
-                                                                 monkeypatch):
-    monkeypatch.setenv("GEC_FORGE_LEXICON", str(HI_LEXICON))
-    assert run(["classify", "--lang", "ml", "--in", str(FIXTURE_CSV),
-                "--out", str(tmp_path / "l.csv")]) == 1
-    err = capsys.readouterr().err
-    assert str(HI_LEXICON) in err and "[postpositions]" in err
+def test_postpositions_lexicon_under_ml_names_the_file(tmp_path, capsys):
+    # Every subcommand that builds a profile rejects it before reading a row.
+    missing = str(tmp_path / "missing.csv")
+    for argv in (["classify", "--in", missing, "--out", str(tmp_path / "l.csv")],
+                 ["analyze", "--split", "train", "--in", missing,
+                  "--report", str(tmp_path / "d.json")],
+                 ["audit", "--in", missing, "--report", str(tmp_path / "a.json")]):
+        assert run([*argv, "--lang", "ml", "--lexicon", str(HI_LEXICON)]) == 1
+        err = capsys.readouterr().err
+        assert str(HI_LEXICON) in err and "[postpositions]" in err
+        assert missing not in err
 
 
-# Each subcommand takes exactly the values it reads: --config and the
-# normalization flags where text is normalized, --lang/--lexicon where a
-# profile is built.
-_NORMALIZATION_DESTS = {"config", *POLICY_KEYS}
+# Each subcommand takes exactly the values it reads: the normalization flags
+# where text is normalized, --lang/--lexicon where a profile is built.
+_NORMALIZATION_DESTS = set(POLICY_KEYS)
 _LANGUAGE_DESTS = {"lang", "lexicon"}
 _SUBCOMMAND_DESTS = {
     "classify": _NORMALIZATION_DESTS | _LANGUAGE_DESTS | {"infile", "outfile", "evidence"},
@@ -312,7 +356,7 @@ def test_each_subcommand_takes_exactly_the_values_it_reads():
         for name, sub in subs.choices.items()
     }
     assert dests == _SUBCOMMAND_DESTS
-    assert sum(map(len, dests.values())) == 66
+    assert sum(map(len, dests.values())) == 61
 
 
 def _base_commands(tmp):
@@ -320,6 +364,8 @@ def _base_commands(tmp):
     return {
         "classify": ["classify", "--lang", "hi", "--in", str(FIXTURE_CSV),
                      "--out", str(tmp / "l.csv")],
+        "analyze": ["analyze", "--lang", "hi", "--split", "train", "--in", str(FIXTURE_CSV),
+                    "--report", str(tmp / "d.json")],
         "audit": ["audit", "--lang", "hi", "--in", str(FIXTURE_CSV),
                   "--report", str(tmp / "a.json")],
         "synth-prompt": ["synth-prompt", "--dist", str(GOLDEN_DIST),
@@ -337,6 +383,11 @@ def _base_commands(tmp):
     ("synth-prompt", "--config", "{config}"),
     ("score", "--lang", "hi"),
     ("normalize", "--lexicon", "{lexicon}"),
+    ("classify", "--config", "{config}"),
+    ("analyze", "--config", "{config}"),
+    ("score", "--config", "{config}"),
+    ("normalize", "--config", "{config}"),
+    ("audit", "--config", "{config}"),
 ])
 def test_removed_flag_exits_1_with_usage(tmp_path, capsys, command, flag, value):
     base = _base_commands(tmp_path)[command]
@@ -367,12 +418,6 @@ def _oversize_cell_csv(tmp_path):
             "--report", str(tmp_path / "r.json")], path
 
 
-def _non_integer_config(tmp_path):
-    path = _write(tmp_path / "config.json", '{"max_n": "abc"}')
-    src = _write(tmp_path / "s.txt", "क\n")
-    return ["score", "--config", path, "--src", src, "--hyp", src, "--ref", src], path
-
-
 def _non_json_dist(tmp_path):
     path = _write(tmp_path / "dist.json", "not json")
     return ["synth-prompt", "--dist", path, "--out", str(tmp_path / "p.txt")], path
@@ -384,71 +429,10 @@ def _list_counts_dist(tmp_path):
     return ["synth-prompt", "--dist", path, "--out", str(tmp_path / "p.txt")], path
 
 
-def _analyze_with_config(tmp_path, body):
-    path = _write(tmp_path / "config.json", body)
-    return ["analyze", "--config", path, "--split", "train", "--in", str(FIXTURE_CSV),
-            "--report", str(tmp_path / "r.json")], path
-
-
-def _bad_enum_config(tmp_path):
-    return _analyze_with_config(tmp_path, '{"lang": "hi", "danda_policy": "bogus"}')
-
-
-def _non_object_normalization_config(tmp_path):
-    return _analyze_with_config(tmp_path, '{"lang": "hi", "normalization": "x"}')
-
-
-def _list_lang_config(tmp_path):
-    return _analyze_with_config(tmp_path, '{"lang": ["hi"]}')
-
-
-def _integer_lexicon_path_config(tmp_path):
-    return _analyze_with_config(tmp_path, '{"lang": "hi", "lexicon_path": 5}')
-
-
-def _negative_cap_config(tmp_path):
-    path = _write(tmp_path / "config.json", '{"lang": "hi", "cap": -1}')
-    preds = _write(tmp_path / "preds.csv", "Input sentence,Output sentence\n")
-    return ["audit", "--config", path, "--in", preds,
-            "--report", str(tmp_path / "r.json")], path
-
-
 def _list_lang_dist(tmp_path):
     body = {"lang": ["hi"], "split": "train", "total": 1, "counts": {}}
     path = _write(tmp_path / "dist.json", json.dumps(body))
     return ["synth-prompt", "--dist", path, "--out", str(tmp_path / "p.txt")], path
-
-
-def _score_with_config(tmp_path, body):
-    path = _write(tmp_path / "config.json", body)
-    src = _write(tmp_path / "s.txt", "क\n")
-    return ["score", "--config", path, "--src", src, "--hyp", src, "--ref", src], path
-
-
-def _infinite_max_n_config(tmp_path):
-    return (*_score_with_config(tmp_path, '{"max_n": 1e400}'), "'max_n'")
-
-
-def _boolean_max_n_config(tmp_path):
-    return (*_score_with_config(tmp_path, '{"max_n": true}'), "'max_n'")
-
-
-def _infinite_cap_config(tmp_path):
-    return (*_analyze_with_config(tmp_path, '{"lang": "hi", "cap": 1e400}'), "'cap'")
-
-
-def _fractional_seed_config(tmp_path):
-    return (*_score_with_config(tmp_path, '{"seed": 1.5}'), "'seed'")
-
-
-def _over_long_integer_config(tmp_path):
-    # json.loads raises a plain ValueError past sys.get_int_max_str_digits().
-    return _score_with_config(tmp_path, '{"max_n": ' + "1" * 5000 + "}")
-
-
-def _nul_lexicon_path_config(tmp_path):
-    body = '{"lang": "hi", "lexicon_path": "a\\u0000b"}'
-    return (*_analyze_with_config(tmp_path, body), "'lexicon_path'")
 
 
 def _synth_prompt_with_dist(tmp_path, body):
@@ -469,15 +453,6 @@ def _infinite_count_dist(tmp_path):
 def _boolean_count_dist(tmp_path):
     body = '{"lang": "hi", "split": "train", "total": 1, "counts": {"spelling": true}}'
     return (*_synth_prompt_with_dist(tmp_path, body), "counts['spelling']")
-
-
-def _zero_max_n_config(tmp_path):
-    return (*_score_with_config(tmp_path, '{"max_n": 0}'), "'max_n'")
-
-
-def _over_limit_max_n_config(tmp_path):
-    body = '{"max_n": ' + str(MAX_N_LIMIT + 1) + "}"
-    return (*_score_with_config(tmp_path, body), "'max_n'")
 
 
 def _negative_count_dist(tmp_path):
@@ -518,23 +493,10 @@ def _postpositions_lexicon_under_ml(tmp_path):
             "--out", str(tmp_path / "l.csv")], path, "[postpositions]"
 
 
-def _postpositions_lexicon_path_config_under_ml(tmp_path):
-    body = json.dumps({"lang": "ml", "lexicon_path": str(HI_LEXICON)})
-    config = _write(tmp_path / "config.json", body)
-    return ["classify", "--config", config, "--in", str(FIXTURE_CSV),
-            "--out", str(tmp_path / "l.csv")], str(HI_LEXICON), "[postpositions]"
-
-
 def _non_utf8(tmp_path, name="bad.bin"):
     path = tmp_path / name
     path.write_bytes(b"\xff\xfe{}\n")
     return str(path)
-
-
-def _non_utf8_config(tmp_path):
-    path = _non_utf8(tmp_path)
-    src = _write(tmp_path / "s.txt", "क\n")
-    return ["score", "--config", path, "--src", src, "--hyp", src, "--ref", src], path
 
 
 def _non_utf8_dist(tmp_path):
@@ -572,24 +534,14 @@ def _non_utf8_normalize_in(tmp_path):
     return ["normalize", "--in", path, "--out", str(tmp_path / "o.txt")], path
 
 
-@pytest.mark.parametrize("case", [_oversize_cell_csv, _non_integer_config,
-                                  _non_json_dist, _list_counts_dist,
-                                  _bad_enum_config, _non_object_normalization_config,
-                                  _list_lang_config, _integer_lexicon_path_config,
-                                  _negative_cap_config, _list_lang_dist,
-                                  _infinite_max_n_config, _boolean_max_n_config,
-                                  _infinite_cap_config, _fractional_seed_config,
-                                  _over_long_integer_config, _nul_lexicon_path_config,
-                                  _infinite_total_dist, _infinite_count_dist,
-                                  _boolean_count_dist, _non_utf8_config, _non_utf8_dist,
-                                  _non_utf8_lexicon, _non_utf8_score_src,
-                                  _non_utf8_score_hyp, _non_utf8_score_ref,
-                                  _non_utf8_normalize_in, _zero_max_n_config,
-                                  _over_limit_max_n_config, _negative_count_dist,
-                                  _counts_not_summing_to_total_dist, _unknown_lang_dist,
-                                  _unknown_split_dist, _empty_dist, _unknown_category_dist,
-                                  _postpositions_lexicon_under_ml,
-                                  _postpositions_lexicon_path_config_under_ml])
+@pytest.mark.parametrize("case", [_oversize_cell_csv, _non_json_dist, _list_counts_dist,
+                                  _list_lang_dist, _infinite_total_dist, _infinite_count_dist,
+                                  _boolean_count_dist, _non_utf8_dist, _non_utf8_lexicon,
+                                  _non_utf8_score_src, _non_utf8_score_hyp,
+                                  _non_utf8_score_ref, _non_utf8_normalize_in,
+                                  _negative_count_dist, _counts_not_summing_to_total_dist,
+                                  _unknown_lang_dist, _unknown_split_dist, _empty_dist,
+                                  _unknown_category_dist, _postpositions_lexicon_under_ml])
 def test_malformed_input_exits_1_naming_the_file(tmp_path, capsys, case):
     argv, path, *fields = case(tmp_path)
     assert run(argv) == 1
@@ -610,23 +562,6 @@ _JSON = _EDGES | st.recursive(
                                                                   max_size=3),
     max_leaves=6,
 )
-_CONFIG_VALUES = {
-    "lang": st.sampled_from(["hi", "ml"]),
-    "lexicon_path": st.none(),
-    "max_n": st.integers(),
-    "cap": st.integers(0, 5),
-    "seed": st.none() | st.integers(),
-    "normalization": st.just({}),
-    "strip_invisibles": st.booleans(),
-    "collapse_whitespace": st.booleans(),
-    "unify_terminal_punct": st.booleans(),
-    "keep_joiners": st.booleans(),
-    "danda_policy": st.sampled_from(["keep_danda", "map_danda_to_period"]),
-    "digit_policy": st.sampled_from(["to_ascii", "keep_native"]),
-}
-assert set(_CONFIG_VALUES) == {f.name for f in fields(RunConfig)} | set(POLICY_KEYS)
-
-
 def _run_quietly(argv, out_dir):
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
@@ -636,22 +571,38 @@ def _run_quietly(argv, out_dir):
     assert not list(Path(out_dir).glob(".tmp-*.part"))
 
 
+# Arbitrary text for each range-checked or enumerated flag, plus valid
+# values, near misses and an integer past int_max_str_digits. The value is
+# passed as --flag=TEXT so that text starting with "-" is still the value.
+_FLAG_COMMANDS = {
+    "--max-n": "score", "--cap": "audit", "--lang": "audit",
+    "--danda-policy": "score", "--digit-policy": "audit",
+}
+_FLAG_TEXT = st.text(max_size=12) | st.sampled_from([
+    "0", "1", "4", "16", "17", "-1", " 5 ", "+2", "1.0", "1e3", "", "hi", "ml", "xx", "HI",
+    "keep_danda", "map_period_to_danda", "to_ascii", "keep_native", "1" * 5000,
+])
+
+
 @settings(max_examples=200)
-@given(config=st.fixed_dictionaries({}, optional=_CONFIG_VALUES),
-       key=st.sampled_from(sorted(_CONFIG_VALUES)), value=_JSON)
-def test_fuzzed_config_exits_0_or_1(config, key, value):
-    # One key takes an arbitrary value and the others valid ones, so the
-    # arbitrary value is the one that gets checked.
-    config[key] = value
+@given(flag=st.sampled_from(sorted(_FLAG_COMMANDS)), text=_FLAG_TEXT)
+def test_fuzzed_flag_value_exits_0_or_1(flag, text):
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "config.json"
-        path.write_text(json.dumps(config), encoding="utf-8")
+        line = _write(Path(tmp) / "line.txt", "राम खाता है.\n")
         preds = _write(Path(tmp) / "preds.csv", "input,output\nराम खाता,राम खाता है\n")
-        _run_quietly(["audit", "--config", str(path), "--in", preds,
-                      "--report", str(Path(tmp) / "r.json")], tmp)
-        line = _write(Path(tmp) / "line.txt", "राम खाता है\n")
-        _run_quietly(["score", "--config", str(path), "--src", line, "--hyp", line,
-                      "--ref", line, "--report", str(Path(tmp) / "gleu.json")], tmp)
+        argv = {
+            "score": ["score", "--src", line, "--hyp", line, "--ref", line,
+                      "--report", str(Path(tmp) / "gleu.json")],
+            "audit": ["audit", "--in", preds, "--report", str(Path(tmp) / "r.json")]
+                     + ([] if flag == "--lang" else ["--lang", "hi"]),
+        }[_FLAG_COMMANDS[flag]]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = run([*argv, f"{flag}={text}"])
+        assert code in (0, 1)
+        if code == 1:
+            assert f"argument {flag}:" in err.getvalue()
+        assert not list(Path(tmp).glob(".tmp-*.part"))
 
 
 @settings(max_examples=200)

@@ -1,5 +1,6 @@
 import os
 import unicodedata
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 from gec_forge import (
     DandaPolicy,
     DigitPolicy,
-    InputError,
     NormalizationPolicy,
     alnum_projection,
     normalize_text,
@@ -86,6 +86,13 @@ def test_danda_policies():
     assert normalize_text("क।", keep) == "क।"
     assert normalize_text("क।", to_period) == "क."
     assert normalize_text("क.", to_danda) == "क।"
+    # A period between two decimal digits is part of a number and stays.
+    assert normalize_text("मूल्य 3.5 किलो है.", to_danda) == "मूल्य 3.5 किलो है।"
+    assert normalize_text("३.५", to_danda) == "3.5"
+    assert normalize_text("३.५", replace(to_danda, digit_policy=DigitPolicy.KEEP_NATIVE)) == "३.५"
+    assert normalize_text("1.2.3", to_danda) == "1.2.3"
+    assert normalize_text(".5 3. v1.x", to_danda) == "।5 3। v1।x"
+    assert normalize_text("3.5", to_period) == "3.5"
 
 
 def test_nfkc_applied():
@@ -98,17 +105,6 @@ def test_unify_terminal_punct_policy():
     assert normalize_text("वाक्य ।।", policy) == "वाक्य।"
     assert normalize_text("वाक्य . !", policy) == "वाक्य!"
     assert normalize_text("वाक्य", policy) == "वाक्य"
-
-
-def test_policy_dict_round_trip():
-    policy = NormalizationPolicy(
-        strip_invisibles=False,
-        danda_policy=DandaPolicy.MAP_DANDA_TO_PERIOD,
-        digit_policy=DigitPolicy.KEEP_NATIVE,
-    )
-    assert NormalizationPolicy.from_dict(policy.to_dict()) == policy
-    with pytest.raises(InputError):
-        NormalizationPolicy.from_dict({"bogus": True})
 
 
 @given(st.text(), policies)
