@@ -131,64 +131,74 @@ def profile_dict(profile):
 
 def classify_pair(inp, out, prof):
     """Returns the category as a machine name string."""
+    return classify_evidence(inp, out, prof)[0]
+
+
+def classify_evidence(inp, out, prof):
+    """Returns (category, stage, rule, detail): the category as a machine
+    name string and the evidence `classify --evidence` writes for it."""
     # (1) Null/Empty
     if nullish(inp) or nullish(out):
-        return "null_empty"
+        return "null_empty", 1, "nullish", {}
     inp, out = str(inp), str(out)
 
     # (2) No Error
     if inp == out:
-        return "no_error"
+        return "no_error", 2, "identical", {}
 
     # (3) Punctuation/Whitespace
     if alnum_projection(inp) == alnum_projection(out):
-        return "punct_whitespace"
+        return "punct_whitespace", 3, "equal_projection", {}
 
     # (4) Word Order
     A, B = tokenize(inp), tokenize(out)
     if multiset_nonpunct(A) == multiset_nonpunct(B) and A != B:
-        return "word_order"
+        return "word_order", 4, "permuted_multiset", {}
 
     # (5) Alignment-driven typing
     ops = SequenceMatcher(a=A, b=B).get_opcodes()
     touched_syn = False
     saw_insdel = False
     saw_repl = False
-    saw_morph = False
     saw_spell = False
+    hits = []
+    morph_pairs = []
 
     for tag, i1, i2, j1, j2 in ops:
         segA, segB = A[i1:i2], B[j1:j2]
         if tag in ("insert", "delete"):
             if touches_syntax(segA, prof) or touches_syntax(segB, prof):
                 touched_syn = True
+                hits += segA + segB
             saw_insdel = True
         elif tag == "replace":
             saw_repl = True
             if touches_syntax(segA, prof) or touches_syntax(segB, prof):
                 touched_syn = True
+                hits += segA + segB
             else:
                 for ta, tb in zip(segA, segB):
                     if same_script(ta, tb) and suffix_tail_cha(ta, tb, prof["suffixes"]):
-                        saw_morph = True
+                        morph_pairs.append([ta, tb])
                     elif levenshtein(ta, tb) <= SPELL_THR:
                         saw_spell = True
 
     if saw_insdel:
         if touched_syn:
-            return "syntax_agreement"
-        return "missing_extra_word"
+            return "syntax_agreement", 5, "insert_delete_syntax", {"hits": hits}
+        return "missing_extra_word", 5, "insert_delete", {}
 
     if saw_repl:
         if touched_syn:
-            return "syntax_agreement"
-        if saw_morph:
-            return "morphology"
+            return "syntax_agreement", 5, "replace_syntax", {"hits": hits}
+        if morph_pairs:
+            return "morphology", 5, "replace_suffix_tail", {"pairs": morph_pairs}
         if saw_spell:
-            return "spelling"
-        return "grammar_syntax"
+            return "spelling", 5, "replace_small_distance", {"threshold": SPELL_THR}
+        return "grammar_syntax", 5, "replace_other", {}
 
-    return "grammar_syntax"
+    # (6) Grammar/Syntax fallback
+    return "grammar_syntax", 6, "fallback", {}
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ from _oracles import (
     projection_filter,
     validate_opcodes,
 )
-from _pseudocode import classify_pair as straightline_classify
+from _pseudocode import classify_evidence as straightline_evidence
 from _pseudocode import profile_dict
 
 C = ErrorCategory
@@ -145,13 +145,14 @@ def test_criterion_classifier_oracle_equivalence(hi, ml):
         prof = profile_dict(profile)
         for inp, out in random_pairs(seed, 500, lang):
             total += 1
-            main = classify_pair(inp, out, profile).category.value
-            ref = straightline_classify(inp, out, prof)
-            if main != ref:
+            result = classify_pair(inp, out, profile)
+            main = (result.category.value, result.evidence.stage, result.evidence.rule,
+                    result.evidence.detail)
+            if main != straightline_evidence(inp, out, prof):
                 disagreements += 1
     assert total == 1000
     assert disagreements == 0
-    _announce("classifier oracle equivalence (1000/1000 random pairs agree)")
+    _announce("classifier oracle equivalence (1000/1000 random pairs agree on category and evidence)")
 
 
 # --- Criterion 3: GLEU identity and toy-corpus oracle ------------------------
@@ -373,6 +374,10 @@ def test_criterion_end_to_end_determinism(tmp_path):
         dist = tmp_path / f"dist-{name}.json"
         gleu_report = tmp_path / f"gleu-{name}.json"
         prompt = tmp_path / f"prompt-{name}.txt"
+        labels = tmp_path / f"labels-{name}.csv"
+        assert run(["classify", "--lang", "hi", "--evidence",
+                    "--in", str(FIXTURES / "hi_fixture.csv"),
+                    "--out", str(labels)]) == 0
         assert run(["analyze", "--lang", "hi", "--split", "train",
                     "--in", str(FIXTURES / "hi_fixture.csv"),
                     "--report", str(dist)]) == 0
@@ -384,13 +389,15 @@ def test_criterion_end_to_end_determinism(tmp_path):
         assert run(["synth-prompt", "--dist", str(dist),
                     "--out", str(prompt)]) == 0
         outputs.append(
-            (dist.read_bytes(), gleu_report.read_bytes(), prompt.read_bytes())
+            (dist.read_bytes(), gleu_report.read_bytes(), prompt.read_bytes(),
+             labels.read_bytes())
         )
     assert outputs[0] == outputs[1]
     golden_pairs = [
         (outputs[0][0], GOLDEN / "dist_hi_fixture.json"),
         (outputs[0][1], GOLDEN / "gleu_toy.json"),
         (outputs[0][2], GOLDEN / "prompt_hi_fixture.txt"),
+        (outputs[0][3], GOLDEN / "labels_hi_fixture.csv"),
     ]
     for produced, golden_path in golden_pairs:
         assert produced == golden_path.read_bytes(), f"drift vs {golden_path.name}"

@@ -1,8 +1,11 @@
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gec_forge import ErrorCategory, classify_pair, constants, nullish, profile_for
+from gec_forge import (ErrorCategory, alnum_projection, classify_pair, constants, nullish,
+                       profile_for, tokenize)
 
 from _gen import PUNCT_TOKENS, make_sentence, random_pairs
 from _pseudocode import classify_pair as straightline_classify
@@ -141,3 +144,25 @@ def test_matches_straightline_oracle_sample(hi, ml):
         prof = profile_dict(profile)
         for inp, out in random_pairs(seed, 300, lang):
             assert cat(inp, out, profile).value == straightline_classify(inp, out, prof)
+
+
+# Every character matched by \s, over all code points. Together with the
+# tokenizer covering every other character (test_tokenizer), this is why
+# equal token lists imply equal projections, so a pair that reaches the
+# word-order stage always has different token lists.
+WHITESPACE = "".join(re.findall(r"\s", "".join(map(chr, range(0x110000)))))
+
+
+def test_no_whitespace_character_survives_the_projection():
+    assert " " in WHITESPACE and "\u3000" in WHITESPACE
+    assert alnum_projection(WHITESPACE) == ""
+
+
+@given(st.text(max_size=40), st.lists(st.text(st.sampled_from(WHITESPACE), min_size=1,
+                                              max_size=3)))
+def test_equal_tokens_imply_equal_projections(text, separators):
+    tokens = tokenize(text)
+    # The same tokens, separated by other whitespace runs.
+    respaced = "".join(sep + tok for sep, tok in zip(separators + [" "] * len(tokens), tokens))
+    assert tokenize(respaced) == tokens
+    assert alnum_projection(respaced) == alnum_projection(text)
