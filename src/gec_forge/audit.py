@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .alignment import levenshtein
-from .classifier import CATEGORY_ORDER, ErrorCategory, _classify, _Pair
+from .classifier import CATEGORY_ORDER, NON_EDITS, ErrorCategory, _classify, _Pair
 from .errors import InputError
 from .tokenizer import LanguageProfile
 
@@ -33,16 +33,6 @@ _PREFERENCE = {
     Stratum.RISKY: 2,
     Stratum.NONE: 3,
 }
-
-_RECTIFYING_CATEGORIES = {
-    ErrorCategory.SYNTAX_AGREEMENT,
-    ErrorCategory.MORPHOLOGY,
-    ErrorCategory.SPELLING,
-    ErrorCategory.MISSING_EXTRA_WORD,
-    ErrorCategory.GRAMMAR_SYNTAX,
-}
-
-_NON_EDITS = {ErrorCategory.NO_ERROR, ErrorCategory.NULL_EMPTY}
 
 
 @dataclass(frozen=True)
@@ -101,7 +91,7 @@ def _check_cap(cap: int) -> None:
 def _audit(pair: _Pair, cap: int) -> EditAudit:
     category = _classify(pair).category
     distance = levenshtein(*pair.texts())
-    if category in _NON_EDITS:
+    if category in NON_EDITS:
         stratum = Stratum.NONE
     elif category is ErrorCategory.PUNCT_WHITESPACE:
         stratum = Stratum.REDUNDANT
@@ -199,8 +189,8 @@ def dual_report(
         agreement[cat_index[audit_a.category]][cat_index[audit_b.category]] += 1
         if audit_a.stratum in stratum_index and audit_b.stratum in stratum_index:
             strata_cross[stratum_index[audit_a.stratum]][stratum_index[audit_b.stratum]] += 1
-        edits_a = audit_a.category not in _NON_EDITS
-        edits_b = audit_b.category not in _NON_EDITS
+        edits_a = audit_a.category not in NON_EDITS
+        edits_b = audit_b.category not in NON_EDITS
         if edits_a or edits_b:
             union += 1
         if edits_a and edits_b:

@@ -6,9 +6,13 @@ Precedence (earlier stages short-circuit later ones):
   2. No Error: strings bit-identical
   3. Punct/WS: alphanumeric projections equal
   4. Word Order: same non-punct token multiset, different sequence
-  5. Alignment typing: insert/delete before replace; within replace,
-     syntax > morphology > spelling > grammar
-  6. Grammar/Syntax: fallback
+  5. Alignment typing over the non-equal opcodes: syntax > missing/extra
+     word > morphology > spelling > grammar, the last resort
+
+Tokens cover every non-whitespace character in order, and the projection
+drops every whitespace character, so equal token lists give equal
+projections. A pair past stage 3 therefore has different token lists, at
+least one non-equal opcode, and a stage-5 label.
 """
 from __future__ import annotations
 
@@ -55,6 +59,10 @@ _DISPLAY_LABELS = {
 }
 
 CATEGORY_ORDER: tuple[ErrorCategory, ...] = tuple(ErrorCategory)
+
+# Categories of pairs that carry no edit to type: the audit gives them no
+# stratum and the prompt gives them no priority.
+NON_EDITS = frozenset({ErrorCategory.NO_ERROR, ErrorCategory.NULL_EMPTY})
 
 
 @dataclass(frozen=True)
@@ -128,61 +136,47 @@ def _classify(pair: _Pair) -> Classification:
         )
 
     a, b = pair.texts()
-    if _nonpunct_multiset(a) == _nonpunct_multiset(b) and a != b:
+    if _nonpunct_multiset(a) == _nonpunct_multiset(b):
         return Classification(ErrorCategory.WORD_ORDER, Evidence(4, "permuted_multiset"))
 
-    touched_syn = saw_insdel = saw_repl = saw_morph = saw_spell = False
+    saw_insdel = saw_spell = False
     syntax_hits: list[str] = []
     morph_hits: list[list[str]] = []
     for tag, i1, i2, j1, j2 in pair.ops():
+        if tag == "equal":
+            continue
         seg_a, seg_b = a[i1:i2], b[j1:j2]
-        if tag in ("insert", "delete"):
+        if tag != "replace":
             saw_insdel = True
-            if touches_syntax(seg_a, profile) or touches_syntax(seg_b, profile):
-                touched_syn = True
-                syntax_hits.extend(seg_a + seg_b)
+        if touches_syntax(seg_a, profile) or touches_syntax(seg_b, profile):
+            syntax_hits.extend(seg_a + seg_b)
         elif tag == "replace":
-            saw_repl = True
-            if touches_syntax(seg_a, profile) or touches_syntax(seg_b, profile):
-                touched_syn = True
-                syntax_hits.extend(seg_a + seg_b)
-            else:
-                # Length-mismatched replace segments are zipped pairwise;
-                # the overhang carries no morphology/spelling signal.
-                for ta, tb in zip(seg_a, seg_b):
-                    if same_script(ta, tb) and suffix_tail_change(
-                        ta, tb, profile.suffixes
-                    ):
-                        saw_morph = True
-                        morph_hits.append([ta, tb])
-                    elif levenshtein(ta, tb) <= SPELL_THRESHOLD:
-                        saw_spell = True
+            # Length-mismatched replace segments are zipped pairwise;
+            # the overhang carries no morphology/spelling signal.
+            for ta, tb in zip(seg_a, seg_b):
+                if same_script(ta, tb) and suffix_tail_change(ta, tb, profile.suffixes):
+                    morph_hits.append([ta, tb])
+                elif levenshtein(ta, tb) <= SPELL_THRESHOLD:
+                    saw_spell = True
 
-    # Insert/delete outranks replace; syntax outranks the rest on both paths.
+    # Syntax outranks the rest; then insert/delete outranks replace.
+    if syntax_hits:
+        rule = "insert_delete_syntax" if saw_insdel else "replace_syntax"
+        return Classification(
+            ErrorCategory.SYNTAX_AGREEMENT, Evidence(5, rule, {"hits": syntax_hits})
+        )
     if saw_insdel:
-        if touched_syn:
-            return Classification(
-                ErrorCategory.SYNTAX_AGREEMENT,
-                Evidence(5, "insert_delete_syntax", {"hits": syntax_hits}),
-            )
         return Classification(
             ErrorCategory.MISSING_EXTRA_WORD, Evidence(5, "insert_delete")
         )
-    if saw_repl:
-        if touched_syn:
-            return Classification(
-                ErrorCategory.SYNTAX_AGREEMENT,
-                Evidence(5, "replace_syntax", {"hits": syntax_hits}),
-            )
-        if saw_morph:
-            return Classification(
-                ErrorCategory.MORPHOLOGY,
-                Evidence(5, "replace_suffix_tail", {"pairs": morph_hits}),
-            )
-        if saw_spell:
-            return Classification(
-                ErrorCategory.SPELLING,
-                Evidence(5, "replace_small_distance", {"threshold": SPELL_THRESHOLD}),
-            )
-        return Classification(ErrorCategory.GRAMMAR_SYNTAX, Evidence(5, "replace_other"))
-    return Classification(ErrorCategory.GRAMMAR_SYNTAX, Evidence(6, "fallback"))
+    if morph_hits:
+        return Classification(
+            ErrorCategory.MORPHOLOGY,
+            Evidence(5, "replace_suffix_tail", {"pairs": morph_hits}),
+        )
+    if saw_spell:
+        return Classification(
+            ErrorCategory.SPELLING,
+            Evidence(5, "replace_small_distance", {"threshold": SPELL_THRESHOLD}),
+        )
+    return Classification(ErrorCategory.GRAMMAR_SYNTAX, Evidence(5, "replace_other"))

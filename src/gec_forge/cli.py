@@ -20,7 +20,7 @@ from .audit import DEFAULT_DISTANCE_CAP, Stratum, audit_pair, dual_report
 from .classifier import CATEGORY_ORDER, classify_pair, constants
 from .corpus import DistributionReport, analyze, load_pairs, synthesize_prompt
 from .errors import GecForgeError, InputError, ParseError, SchemaError, UsageError
-from .gleu import MAX_N_LIMIT, gleu_corpus, note_ignored_sampling_args
+from .gleu import MAX_N_LIMIT, gleu_corpus
 from .reports import read_text, write_report, write_text_atomic
 from .textnorm import (DEFAULT_POLICY, POLICY_KEYS, DandaPolicy, DigitPolicy,
                        NormalizationPolicy, normalize_text, postprocess_hypothesis)
@@ -127,10 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=_max_n, default=4,
                    help=f"highest n-gram order, 1..{MAX_N_LIMIT} (default 4)")
     p.add_argument("--report", metavar="REPORT_JSON")
-    p.add_argument("--iterations", type=int, default=None,
-                   help="accepted for harness compatibility; ignored")
-    p.add_argument("--seed", type=int, default=None,
-                   help="accepted for harness compatibility; ignored")
     p.add_argument("--raw", action="store_true",
                    help="score lines as-is, skipping normalization")
     p.set_defaults(func=cmd_score)
@@ -153,10 +149,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("audit", help="stratify model edits against guardrails")
     _add_normalization(p)
     _add_language(p)
-    p.add_argument("--in", dest="infile", metavar="PREDS_CSV",
-                   help="single-candidate predictions CSV (input/output columns)")
-    p.add_argument("--dual", nargs=2, metavar=("A_CSV", "B_CSV"),
-                   help="two candidate CSVs sharing inputs row-by-row")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--in", dest="infile", metavar="PREDS_CSV",
+                      help="single-candidate predictions CSV (input/output columns)")
+    mode.add_argument("--dual", nargs=2, metavar=("A_CSV", "B_CSV"),
+                      help="two candidate CSVs sharing inputs row-by-row")
     p.add_argument("--cap", type=_cap, default=DEFAULT_DISTANCE_CAP,
                    help=f"token edit-distance cap (default {DEFAULT_DISTANCE_CAP})")
     p.add_argument("--report", required=True, metavar="AUDIT_JSON")
@@ -200,7 +197,6 @@ def cmd_analyze(args) -> int:
 
 def cmd_score(args) -> int:
     policy = _policy(args)
-    note_ignored_sampling_args(args.iterations, args.seed)
     src, hyp, ref = _read_lines(args.src), _read_lines(args.hyp), _read_lines(args.ref)
     if not args.raw:
         src = [normalize_text(line, policy) for line in src]
@@ -248,8 +244,6 @@ def cmd_synth_prompt(args) -> int:
 def cmd_audit(args) -> int:
     policy = _policy(args)
     profile = profile_for(args.lang, args.lexicon)
-    if bool(args.infile) == bool(args.dual):
-        raise UsageError("audit needs exactly one of --in or --dual")
     if args.dual:
         pairs_a = load_pairs(args.dual[0], policy)
         pairs_b = load_pairs(args.dual[1], policy)

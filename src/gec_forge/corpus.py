@@ -8,7 +8,7 @@ import logging
 import re
 from dataclasses import dataclass
 
-from .classifier import CATEGORY_ORDER, ErrorCategory, classify_pair
+from .classifier import CATEGORY_ORDER, NON_EDITS, ErrorCategory, classify_pair
 from .errors import InputError, ParseError, SchemaError
 from .reports import read_text
 from .textnorm import DEFAULT_POLICY, NormalizationPolicy, normalize_text
@@ -179,7 +179,6 @@ def analyze(
 
 # Error categories a correction prompt can meaningfully emphasize.
 _PROMOTED = (ErrorCategory.PUNCT_WHITESPACE, ErrorCategory.MORPHOLOGY)
-_NON_ERRORS = {ErrorCategory.NO_ERROR, ErrorCategory.NULL_EMPTY}
 DEPRIORITIZED = (ErrorCategory.WORD_ORDER, ErrorCategory.MISSING_EXTRA_WORD)
 
 CONSTRAINT_CLAUSES = (
@@ -224,7 +223,7 @@ def synthesize_prompt(report: DistributionReport) -> str:
     if report.total <= 0:
         raise InputError("cannot synthesize a prompt from an empty report")
     by_count = sorted(
-        (cat for cat in CATEGORY_ORDER if cat not in _NON_ERRORS and report.counts[cat] > 0),
+        (cat for cat in CATEGORY_ORDER if cat not in NON_EDITS and report.counts[cat] > 0),
         key=lambda cat: (-report.counts[cat], CATEGORY_ORDER.index(cat)),
     )
     promoted = [cat for cat in _PROMOTED if report.counts[cat] > 0]

@@ -11,7 +11,6 @@ on pooled token lengths. Any pooled zero tally makes the corpus score 0.
 """
 from __future__ import annotations
 
-import logging
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -19,8 +18,6 @@ from itertools import chain
 from typing import Sequence
 
 from .errors import InputError
-
-log = logging.getLogger(__name__)
 
 # Highest accepted n-gram order. Each order costs time, memory and a report
 # entry per corpus, and an order longer than every hypothesis pools a zero
@@ -145,12 +142,3 @@ def gleu_corpus(
         hyp_tokens=hyp_tokens,
         ref_tokens=ref_tokens,
     )
-
-
-def note_ignored_sampling_args(iterations=None, seed=None) -> None:
-    """Single-reference scoring is closed-form; sampling flags are accepted
-    for harness compatibility and ignored."""
-    if iterations is not None or seed is not None:
-        log.warning(
-            "iterations/seed are ignored: single-reference GLEU needs no sampling"
-        )

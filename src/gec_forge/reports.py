@@ -7,7 +7,7 @@ import json
 import os
 import tempfile
 
-from .errors import ParseError
+from .errors import InputError, ParseError
 
 SCHEMA_VERSION = "1"
 
@@ -20,6 +20,8 @@ def read_text(path, newline: str | None = None) -> str:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: invalid UTF-8 byte sequence at offset {exc.start}") from exc
+    except ValueError as exc:  # a NUL byte in the path
+        raise InputError(f"{path}: invalid path: {exc}") from exc
 
 
 def render_json(obj: dict) -> str:
@@ -29,15 +31,18 @@ def render_json(obj: dict) -> str:
 def write_text_atomic(path, text: str) -> None:
     """Write via a temp file in the target directory, then rename."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except ValueError as exc:  # a NUL byte in the path
+        raise InputError(f"{path}: invalid path: {exc}") from exc
 
 
 def write_report(path, kind: str, body: dict) -> None:

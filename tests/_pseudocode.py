@@ -136,7 +136,8 @@ def classify_pair(inp, out, prof):
 
 def classify_evidence(inp, out, prof):
     """Returns (category, stage, rule, detail): the category as a machine
-    name string and the evidence `classify --evidence` writes for it."""
+    name string and the evidence `classify --evidence` writes for it, with
+    the rule names of the README precedence list."""
     # (1) Null/Empty
     if nullish(inp) or nullish(out):
         return "null_empty", 1, "nullish", {}

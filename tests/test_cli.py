@@ -55,14 +55,6 @@ def test_score_identical_files(tmp_path, capsys):
     assert report["kind"] == "gleu"
 
 
-def test_score_seed_and_iterations_accepted_and_ignored(tmp_path, capsys, caplog):
-    src = _write(tmp_path / "s.txt", "क ख ग घ\n")
-    code = run(["score", "--src", src, "--hyp", src, "--ref", src,
-                "--seed", "7", "--iterations", "500"])
-    assert code == 0
-    assert "ignored" in caplog.text
-
-
 def test_score_toy_corpus_value(tmp_path, capsys):
     report_path = tmp_path / "toy.json"
     code = run(["score",
@@ -340,8 +332,7 @@ _SUBCOMMAND_DESTS = {
     "classify": _NORMALIZATION_DESTS | _LANGUAGE_DESTS | {"infile", "outfile", "evidence"},
     "analyze": _NORMALIZATION_DESTS | _LANGUAGE_DESTS | {"infile", "split", "report",
                                                          "dedup"},
-    "score": _NORMALIZATION_DESTS | {"src", "hyp", "ref", "max_n", "report", "iterations",
-                                     "seed", "raw"},
+    "score": _NORMALIZATION_DESTS | {"src", "hyp", "ref", "max_n", "report", "raw"},
     "normalize": _NORMALIZATION_DESTS | {"infile", "outfile", "post", "prompt_prefix"},
     "synth-prompt": {"dist", "outfile"},
     "audit": _NORMALIZATION_DESTS | _LANGUAGE_DESTS | {"infile", "dual", "cap", "report"},
@@ -356,7 +347,7 @@ def test_each_subcommand_takes_exactly_the_values_it_reads():
         for name, sub in subs.choices.items()
     }
     assert dests == _SUBCOMMAND_DESTS
-    assert sum(map(len, dests.values())) == 61
+    assert sum(map(len, dests.values())) == 59
 
 
 def _base_commands(tmp):
@@ -388,6 +379,8 @@ def _base_commands(tmp):
     ("score", "--config", "{config}"),
     ("normalize", "--config", "{config}"),
     ("audit", "--config", "{config}"),
+    ("score", "--seed", "7"),
+    ("score", "--iterations", "500"),
 ])
 def test_removed_flag_exits_1_with_usage(tmp_path, capsys, command, flag, value):
     base = _base_commands(tmp_path)[command]
@@ -401,6 +394,21 @@ def test_removed_flag_exits_1_with_usage(tmp_path, capsys, command, flag, value)
 
 def test_audit_requires_exactly_one_mode(tmp_path, capsys):
     assert run(["audit", "--lang", "hi", "--report", str(tmp_path / "r.json")]) == 1
+
+
+@pytest.mark.parametrize("mode, message", [
+    ([], "one of the arguments --in --dual is required"),
+    (["--in", "", "--dual", str(FIXTURE_CSV), str(FIXTURE_CSV)],
+     "argument --dual: not allowed with argument --in"),
+])
+def test_audit_mode_is_checked_before_any_file_is_read(tmp_path, capsys, mode, message):
+    missing = str(tmp_path / "missing.lex")
+    report = tmp_path / "r.json"
+    assert run(["audit", "--lang", "hi", "--lexicon", missing, *mode,
+                "--report", str(report)]) == 1
+    err = capsys.readouterr().err
+    assert "usage:" in err and message in err and missing not in err
+    assert not report.exists()
 
 
 def test_reports_byte_identical_across_runs(tmp_path):
@@ -534,6 +542,30 @@ def _non_utf8_normalize_in(tmp_path):
     return ["normalize", "--in", path, "--out", str(tmp_path / "o.txt")], path
 
 
+def _nul_in_path(flag):
+    """A case whose `flag` names a path with a NUL byte in it."""
+    def case(tmp_path):
+        path = str(tmp_path / "a\0b")
+        line = _write(tmp_path / "line.txt", "क\n")
+        report = str(tmp_path / "r.json")
+        analyze = ["analyze", "--lang", "hi", "--split", "train", "--in", str(FIXTURE_CSV)]
+        argv = {
+            "--in": ["normalize", "--in", path, "--out", str(tmp_path / "o.txt")],
+            "--out": ["normalize", "--in", line, "--out", path],
+            "--report": [*analyze, "--report", path],
+            "--lexicon": [*analyze, "--lexicon", path, "--report", report],
+            "--src": ["score", "--src", path, "--hyp", line, "--ref", line],
+            "--hyp": ["score", "--src", line, "--hyp", path, "--ref", line],
+            "--ref": ["score", "--src", line, "--hyp", line, "--ref", path],
+            "--dist": ["synth-prompt", "--dist", path, "--out", str(tmp_path / "p.txt")],
+            "--dual": ["audit", "--lang", "hi", "--dual", str(FIXTURE_CSV), path,
+                       "--report", report],
+        }[flag]
+        return argv, path
+    case.__name__ = f"_nul_in_{flag[2:]}_path"
+    return case
+
+
 @pytest.mark.parametrize("case", [_oversize_cell_csv, _non_json_dist, _list_counts_dist,
                                   _list_lang_dist, _infinite_total_dist, _infinite_count_dist,
                                   _boolean_count_dist, _non_utf8_dist, _non_utf8_lexicon,
@@ -541,7 +573,10 @@ def _non_utf8_normalize_in(tmp_path):
                                   _non_utf8_score_ref, _non_utf8_normalize_in,
                                   _negative_count_dist, _counts_not_summing_to_total_dist,
                                   _unknown_lang_dist, _unknown_split_dist, _empty_dist,
-                                  _unknown_category_dist, _postpositions_lexicon_under_ml])
+                                  _unknown_category_dist, _postpositions_lexicon_under_ml,
+                                  *map(_nul_in_path, ["--in", "--out", "--report", "--lexicon",
+                                                      "--src", "--hyp", "--ref", "--dist",
+                                                      "--dual"])])
 def test_malformed_input_exits_1_naming_the_file(tmp_path, capsys, case):
     argv, path, *fields = case(tmp_path)
     assert run(argv) == 1
@@ -550,6 +585,7 @@ def test_malformed_input_exits_1_naming_the_file(tmp_path, capsys, case):
     assert path in err
     for field in fields:
         assert field in err
+    assert not list(tmp_path.glob(".tmp-*.part"))
 
 
 # Arbitrary JSON: huge and non-finite floats, negative and huge integers,
