@@ -34,18 +34,17 @@ _INVISIBLES = _char_class(INVISIBLE_CHARS)
 _NON_JOINER_INVISIBLES = _char_class(INVISIBLE_CHARS - JOINER_CHARS)
 
 DANDA = "।"  # Devanagari sentence terminator (।)
-TERMINAL_MARKS = ".।?!"
 
 # Native decimal digits mapped by digit_policy=to_ascii; the tokenizer's
 # digit ranges are the one source.
-_DIGIT_TRANSLATION = str.maketrans({
+_ASCII_DIGIT = {
     chr(lo + i): str(i) for lo, _ in (DEVANAGARI_DIGITS, MALAYALAM_DIGITS) for i in range(10)
-})
+}
+_NATIVE_DIGITS = _char_class(_ASCII_DIGIT)
 
-_WHITESPACE_RUN = re.compile(r"\s+")
-# Trailing run of sentence-final marks (optionally space-separated); the run
-# collapses to its final member.
-_TERMINAL_RUN = re.compile(r"\s*([.।?!](?:\s*[.।?!])*)\s*$")
+# Matched against the reversed string: the trailing run of whitespace and
+# sentence-final marks, which collapses to its final mark.
+_REVERSED_TERMINAL_RUN = re.compile(r"[\s.।?!]*")
 _SPACE_BEFORE_PUNCT = re.compile(r"\s+([,;:.।?!])")
 _MID_PUNCT_GAP = re.compile(r"([,;:])(?=\S)")
 # A period that is not between two decimal digits, so 3.5 stays a number.
@@ -92,12 +91,26 @@ def _strip_invisibles(s: str, keep_joiners: bool) -> str:
     return (_NON_JOINER_INVISIBLES if keep_joiners else _INVISIBLES).sub("", s)
 
 
+def _ascii_digit(m: re.Match) -> str:
+    return _ASCII_DIGIT[m.group()]
+
+
+def _digits_to_ascii(s: str) -> str:
+    return _NATIVE_DIGITS.sub(_ascii_digit, s)
+
+
+def _collapse_whitespace(s: str) -> str:
+    return " ".join(s.split())
+
+
 def _unify_terminal_run(s: str) -> str:
-    m = _TERMINAL_RUN.search(s)
-    if not m:
+    # One greedy pass over the reversed string finds the run; a search
+    # anchored at the end would retry from every start, quadratic in its length.
+    run = _REVERSED_TERMINAL_RUN.match(s[::-1]).group()
+    marks = run.lstrip()  # reversed, so the final mark comes first
+    if not marks:
         return s
-    marks = [ch for ch in m.group(1) if ch in TERMINAL_MARKS]
-    return s[: m.start()] + marks[-1]
+    return s[: len(s) - len(run)] + marks[0]
 
 
 def normalize_text(s: str, policy: NormalizationPolicy = DEFAULT_POLICY) -> str:
@@ -115,12 +128,27 @@ def normalize_text(s: str, policy: NormalizationPolicy = DEFAULT_POLICY) -> str:
     elif policy.danda_policy is DandaPolicy.MAP_PERIOD_TO_DANDA:
         s = _PERIOD_OUTSIDE_NUMBER.sub(DANDA, s)
     if policy.digit_policy is DigitPolicy.TO_ASCII:
-        s = s.translate(_DIGIT_TRANSLATION)
+        s = _digits_to_ascii(s)
     if policy.collapse_whitespace:
-        s = _WHITESPACE_RUN.sub(" ", s).strip()
+        s = _collapse_whitespace(s)
     if policy.unify_terminal_punct:
         s = _unify_terminal_run(s)
     return s
+
+
+class _ProjectionTable(dict):
+    """str.translate table for alnum_projection: each code point maps to
+    itself (kept) or to None (dropped), decided on first sight."""
+
+    def __missing__(self, cp: int) -> int | None:
+        ch = chr(cp)
+        kept = cp if ch.isalnum() or unicodedata.category(ch).startswith("M") else None
+        self[cp] = kept
+        return kept
+
+
+# Filled lazily, so it holds at most one entry per distinct code point seen.
+_PROJECTION = _ProjectionTable()
 
 
 def alnum_projection(s: str) -> str:
@@ -133,9 +161,7 @@ def alnum_projection(s: str) -> str:
     projections differ only in whitespace/punctuation. The rule is
     script-independent.
     """
-    return "".join(
-        ch for ch in s if ch.isalnum() or unicodedata.category(ch).startswith("M")
-    )
+    return s.translate(_PROJECTION)
 
 
 def _strip_prompt_echo(s: str, prompt_prefix: str | None) -> str:
@@ -166,7 +192,7 @@ def postprocess_hypothesis(s: str, prompt_prefix: str | None = None) -> str:
     result equals the projection of the echo-stripped input.
     """
     s = _strip_prompt_echo(str(s), prompt_prefix)
-    s = _WHITESPACE_RUN.sub(" ", s).strip()
+    s = _collapse_whitespace(s)
     s = _SPACE_BEFORE_PUNCT.sub(r"\1", s)
     s = _MID_PUNCT_GAP.sub(_space_after_mid_punct, s)
     s = _unify_terminal_run(s)

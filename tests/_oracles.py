@@ -6,6 +6,7 @@ independent of the package implementation it checks.
 """
 import json
 import math
+import re
 import unicodedata
 from functools import lru_cache
 from pathlib import Path
@@ -100,6 +101,52 @@ def projection_filter(s):
         elif unicodedata.category(ch).startswith("M"):
             kept.append(ch)
     return "".join(kept)
+
+
+def native_digits_to_ascii(s):
+    """Map each Devanagari (U+0966-U+096F) and Malayalam (U+0D66-U+0D6F)
+    decimal digit to its ASCII digit; leave every other character."""
+    out = []
+    for ch in s:
+        cp = ord(ch)
+        if 0x0966 <= cp <= 0x096F:
+            out.append(str(cp - 0x0966))
+        elif 0x0D66 <= cp <= 0x0D6F:
+            out.append(str(cp - 0x0D66))
+        else:
+            out.append(ch)
+    return "".join(out)
+
+
+def whitespace_collapse(s):
+    """Drop leading and trailing whitespace and turn each inner run of
+    whitespace characters into one space."""
+    words = []
+    word = []
+    for ch in s:
+        if not ch.isspace():
+            word.append(ch)
+        elif word:
+            words.append("".join(word))
+            word = []
+    if word:
+        words.append("".join(word))
+    return " ".join(words)
+
+
+_TERMINAL_RUN = re.compile(r"\s*([.।?!](?:\s*[.।?!])*)\s*$")
+
+
+def unify_terminal_run(s):
+    """The right-anchored regex form of the terminal-run rule: a trailing
+    run of sentence-final marks, optionally space-separated, collapses to
+    its final mark. Quadratic in the length of a mark run, so only for
+    short inputs."""
+    m = _TERMINAL_RUN.search(s)
+    if not m:
+        return s
+    marks = [ch for ch in m.group(1) if ch in ".।?!"]
+    return s[: m.start()] + marks[-1]
 
 
 def char_classes(s):

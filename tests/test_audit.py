@@ -70,6 +70,7 @@ def test_cap_boundary_moves_to_risky(hi):
     assert capped.distance_cap_exceeded
     relaxed = audit_pair(inp, pred, hi, cap=6)
     assert relaxed.stratum is Stratum.RECTIFYING
+    assert not relaxed.distance_cap_exceeded  # distance == cap is within it
 
 
 def test_raising_cap_never_moves_rectifying_to_risky(hi):
@@ -190,6 +191,15 @@ def test_dual_report_hand_tally(hi):
     assert sum(map(sum, report.strata_cross)) == 2
     assert report.resolutions[0]["reason"] == "identical"
     assert report.resolutions[3]["chosen"] == "b"  # redundant beats risky
+
+
+def test_dual_report_tells_intersection_from_conflict(hi):
+    agree = ("राम खाता", "राम खाता है", "राम खाता है")  # syntax on both sides
+    differ = ("शब्द एक दो", "दो शब्द एक", "शब्द एक दो ।")  # word order vs punct
+    report = dual_report([agree, agree, differ], hi)
+    assert report.union_count == 3
+    assert report.intersection_count == 2
+    assert report.conflict_count == 1
 
 
 def test_dual_report_counting_identity(hi):

@@ -1,4 +1,5 @@
 import os
+import time
 import unicodedata
 from dataclasses import replace
 
@@ -17,9 +18,24 @@ from gec_forge import (
 from gec_forge import textnorm
 from gec_forge.textnorm import DEFAULT_POLICY, INVISIBLE_CHARS, JOINER_CHARS
 
-from _oracles import invisible_filter, projection_filter
+from _oracles import (
+    invisible_filter,
+    native_digits_to_ascii,
+    projection_filter,
+    unify_terminal_run,
+    whitespace_collapse,
+)
 
 PUNCT_POOL = " \t।॥.,;:!?()[]\"'-_/"
+# Whitespace (ASCII, NEL, ideographic space), every terminal mark, and
+# characters that stop a terminal run.
+TERMINAL_POOL = " \t\n.।?!ab,\u3000\u0085"
+EVERY_CODE_POINT = "".join(map(chr, range(0x110000)))
+
+
+def assert_same(got, want):
+    same = got == want  # a bare bool spares pytest a diff of 1.1M characters
+    assert same, f"first difference at index {len(os.path.commonprefix([got, want]))}"
 
 policies = st.builds(
     NormalizationPolicy,
@@ -45,11 +61,29 @@ def test_invisible_removal():
 
 @pytest.mark.parametrize("keep_joiners", [False, True])
 def test_strip_invisibles_matches_oracle_on_every_code_point(keep_joiners):
-    every = "".join(map(chr, range(0x110000)))
-    got = textnorm._strip_invisibles(every, keep_joiners)
-    want = invisible_filter(every, keep_joiners)
-    same = got == want  # a bare bool spares pytest a diff of 1.1M characters
-    assert same, f"first difference at index {len(os.path.commonprefix([got, want]))}"
+    assert_same(
+        textnorm._strip_invisibles(EVERY_CODE_POINT, keep_joiners),
+        invisible_filter(EVERY_CODE_POINT, keep_joiners),
+    )
+
+
+def test_digit_map_matches_oracle_on_every_code_point():
+    assert_same(
+        textnorm._digits_to_ascii(EVERY_CODE_POINT), native_digits_to_ascii(EVERY_CODE_POINT)
+    )
+
+
+def test_whitespace_collapse_matches_oracle_on_every_code_point():
+    assert_same(
+        textnorm._collapse_whitespace(EVERY_CODE_POINT), whitespace_collapse(EVERY_CODE_POINT)
+    )
+
+
+def test_projection_matches_character_filter_on_every_code_point():
+    try:
+        assert_same(alnum_projection(EVERY_CODE_POINT), projection_filter(EVERY_CODE_POINT))
+    finally:
+        textnorm._PROJECTION.clear()  # release the 1.1M cached decisions
 
 
 def test_keep_joiners_retains_zwj_zwnj():
@@ -107,6 +141,27 @@ def test_unify_terminal_punct_policy():
     assert normalize_text("वाक्य", policy) == "वाक्य"
 
 
+@given(st.text(TERMINAL_POOL))
+def test_terminal_run_matches_regex_oracle(s):
+    assert textnorm._unify_terminal_run(s) == unify_terminal_run(s)
+
+
+@pytest.mark.parametrize("text, want", [
+    ("a" + "." * 200_000 + "x", "a" + "." * 200_000 + "x"),
+    ("a" + ". " * 200_000, "a."),
+], ids=["inner-run", "terminal-run"])
+def test_long_mark_runs_finish_in_linear_time(text, want):
+    # A search anchored at the end of the line retries from every start of
+    # a mark run, quadratic in its length; the bound fails such a search.
+    policy = NormalizationPolicy(collapse_whitespace=False, unify_terminal_punct=True)
+    started = time.perf_counter()
+    post = postprocess_hypothesis(text)
+    norm = normalize_text(text, policy)
+    elapsed = time.perf_counter() - started
+    assert elapsed < 1.0, f"200k-mark line took {elapsed:.3f}s"
+    assert post == norm == want
+
+
 @given(st.text(), policies)
 def test_normalize_idempotent(s, policy):
     once = normalize_text(s, policy)
@@ -143,6 +198,15 @@ def test_postprocess_examples():
 
 def test_postprocess_keeps_digit_groupings():
     assert postprocess_hypothesis("कुल 1,000 रुपये ।") == "कुल 1,000 रुपये।"
+
+
+def test_postprocess_spaces_a_mark_with_a_digit_on_one_side_only():
+    # Only a mark between two digits is a grouping; one digit is not enough.
+    assert postprocess_hypothesis("1,b") == "1, b"
+    assert postprocess_hypothesis("a,1") == "a, 1"
+    # A mark at position 0 has no character before it; the last character
+    # of the line is not its neighbour.
+    assert postprocess_hypothesis(",5 9") == ", 5 9"
 
 
 def test_postprocess_removes_repeated_echo():
