@@ -92,4 +92,5 @@ def suffix_tail_change(a: str, b: str, suffixes: Sequence[str]) -> bool:
 
 def touches_syntax(segment: Sequence[str], profile: LanguageProfile) -> bool:
     """True iff any token in the segment is an auxiliary or postposition."""
-    return any(t in profile.auxiliaries or t in profile.postpositions for t in segment)
+    return not (profile.auxiliaries.isdisjoint(segment)
+                and profile.postpositions.isdisjoint(segment))

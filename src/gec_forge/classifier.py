@@ -5,7 +5,8 @@ Precedence (earlier stages short-circuit later ones):
   1. Null/Empty: either side blank or a nan/null/none sentinel
   2. No Error: strings bit-identical
   3. Punct/WS: alphanumeric projections equal
-  4. Word Order: same non-punct token multiset, different sequence
+  4. Word Order: same multiset of non-punct runs (the non-punct tokens,
+     read straight from the two strings), different sequence
   5. Alignment typing over the non-equal opcodes: syntax > missing/extra
      word > morphology > spelling > grammar, the last resort
 
@@ -16,13 +17,12 @@ least one non-equal opcode, and a stage-5 label.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 
 from .alignment import Opcode, align, levenshtein, suffix_tail_change, touches_syntax
 from .textnorm import alnum_projection
-from .tokenizer import SYNTAX_LABELS, LanguageProfile, is_punct, same_script, tokenize
+from .tokenizer import _NONPUNCT_RUN, SYNTAX_LABELS, LanguageProfile, same_script, tokenize
 
 SPELL_THRESHOLD = 2  # max Levenshtein distance still counted as a spelling slip
 
@@ -113,10 +113,6 @@ class _Pair:
         return self._ops
 
 
-def _nonpunct_multiset(texts) -> Counter:
-    return Counter(t for t in texts if not is_punct(t))
-
-
 def classify_pair(inp, out, profile: LanguageProfile) -> Classification:
     """Assign exactly one category to the pair; total on any input."""
     return _classify(_Pair(inp, out, profile))
@@ -135,9 +131,10 @@ def _classify(pair: _Pair) -> Classification:
             ErrorCategory.PUNCT_WHITESPACE, Evidence(3, "equal_projection")
         )
 
-    a, b = pair.texts()
-    if _nonpunct_multiset(a) == _nonpunct_multiset(b):
+    if sorted(_NONPUNCT_RUN.findall(inp)) == sorted(_NONPUNCT_RUN.findall(out)):
         return Classification(ErrorCategory.WORD_ORDER, Evidence(4, "permuted_multiset"))
+
+    a, b = pair.texts()
 
     saw_insdel = saw_spell = False
     syntax_hits: list[str] = []

@@ -7,6 +7,7 @@ surface-level post-processor applied to model hypotheses.
 """
 from __future__ import annotations
 
+import functools
 import json
 import re
 import unicodedata
@@ -164,12 +165,28 @@ def alnum_projection(s: str) -> str:
     return s.translate(_PROJECTION)
 
 
+@functools.lru_cache(maxsize=16)
+def _echo_run(prompt_prefix: str) -> re.Pattern:
+    # Up to 64 echoes, each with the whitespace after it (for str patterns
+    # \s is the set of characters str.lstrip() removes). The bound keeps the
+    # regex engine's backtracking stack, about 140 bytes an echo, small. The
+    # caller matches only a prefix that starts with a non-space character,
+    # so giving back whitespace never lets one more echo match, and the
+    # greedy match is the echo-by-echo strip.
+    return re.compile(f"(?:{re.escape(prompt_prefix)}\\s*){{1,64}}")
+
+
 def _strip_prompt_echo(s: str, prompt_prefix: str | None) -> str:
     s = s.lstrip()
-    if prompt_prefix:
-        while s.startswith(prompt_prefix):
-            s = s[len(prompt_prefix):].lstrip()
-    return s
+    if not (prompt_prefix and s.startswith(prompt_prefix)):
+        return s
+    # Advance an index a run of echoes at a time and slice once, so a line
+    # of many echoes costs linear time.
+    run = _echo_run(prompt_prefix)
+    i = run.match(s).end()
+    while s.startswith(prompt_prefix, i):
+        i = run.match(s, i).end()
+    return s[i:]
 
 
 def _space_after_mid_punct(m: re.Match) -> str:

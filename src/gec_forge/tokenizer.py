@@ -4,6 +4,10 @@ residue, plus script membership tests and the per-language profiles.
 Tokenization is script-universal across the supported scripts (Devanagari,
 Malayalam, Latin) and takes no profile, so code-mixed pairs still align
 token-by-token; the profile contributes lexica and labels.
+
+The per-token work runs in C-level regex calls: tokenize() is one findall,
+is_punct() one search for any digit or script character, and token_script()
+one search per script. Both predicates accept any string, token or not.
 """
 from __future__ import annotations
 
@@ -61,31 +65,34 @@ _DIGITS = "0-9" + "".join(
 _WORD_CLASSES = {"latn": "A-Za-z"} | {
     script: _letters_and_marks(lo, hi) for script, (lo, hi) in SCRIPT_BLOCKS.items()
 }
-# One named group per character class; a token is a maximal run of one class,
-# and whitespace only separates. Anything else that is not whitespace is punct.
-_TOKEN_RE = re.compile("|".join(
-    [f"(?P<digit>[{_DIGITS}]+)"]
-    + [f"(?P<{script}>[{chars}]+)" for script, chars in _WORD_CLASSES.items()]
-    + [f"(?P<punct>[^\\s{_DIGITS}{''.join(_WORD_CLASSES.values())}]+)"]
-))
+_NONPUNCT_CHARS = _DIGITS + "".join(_WORD_CLASSES.values())
+# A token is a maximal run of one character class, and whitespace only
+# separates; anything else that is not whitespace is punct. The classes are
+# disjoint, so the non-punct runs of a string are exactly its non-punct
+# tokens, in order, and a string holds a class iff one search finds it.
+_CLASS_RUNS = [f"[{chars}]+" for chars in (_DIGITS, *_WORD_CLASSES.values())]
+_NONPUNCT_RUN = re.compile("|".join(_CLASS_RUNS))
+_TOKEN_RE = re.compile("|".join(_CLASS_RUNS + [f"[^\\s{_NONPUNCT_CHARS}]+"]))
+_NONPUNCT_CHAR = re.compile(f"[{_NONPUNCT_CHARS}]")
+_SCRIPT_CHAR = {script: re.compile(f"[{chars}]") for script, chars in _WORD_CLASSES.items()}
 
 
 def tokenize(s: str) -> list[str]:
     """Split s into maximal same-class runs; whitespace only separates."""
-    return [m[0] for m in _TOKEN_RE.finditer(s)]
+    return _TOKEN_RE.findall(s)
 
 
 def is_punct(tok: str) -> bool:
-    """True iff every character is outside the script and digit classes."""
-    return all(m.lastgroup == "punct" for m in _TOKEN_RE.finditer(tok))
+    """True iff no character of tok is a digit or a script letter or mark;
+    so also for "" and whitespace. Any string is accepted, not only tokens."""
+    return _NONPUNCT_CHAR.search(tok) is None
 
 
 def token_script(tok: str) -> str | None:
-    """The single script of a token's letters, or None if mixed/absent."""
-    scripts = {m.lastgroup for m in _TOKEN_RE.finditer(tok)} & _WORD_CLASSES.keys()
-    if len(scripts) == 1:
-        return scripts.pop()
-    return None
+    """The one script whose letters or marks occur in tok, or None when
+    letters of two scripts occur or none do; digits and punct are ignored."""
+    found = [script for script, char in _SCRIPT_CHAR.items() if char.search(tok)]
+    return found[0] if len(found) == 1 else None
 
 
 def same_script(a: str, b: str) -> bool:

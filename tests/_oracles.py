@@ -149,6 +149,17 @@ def unify_terminal_run(s):
     return s[: m.start()] + marks[-1]
 
 
+def strip_prompt_echo(s, prompt_prefix):
+    """The slicing form of the echo rule: drop leading whitespace, then each
+    leading copy of prompt_prefix and the whitespace after it. Each echo
+    copies the rest of the line, so quadratic in the number of echoes."""
+    s = s.lstrip()
+    if prompt_prefix:
+        while s.startswith(prompt_prefix):
+            s = s[len(prompt_prefix):].lstrip()
+    return s
+
+
 def char_classes(s):
     """Per-character class map used to hand-check tokenization."""
     out = []
@@ -184,6 +195,30 @@ def tokens_by_class(s):
         grouped.append((s[i:j], classes[i].split(":")[0]))
         i = j
     return grouped
+
+
+def is_punct_by_class(s):
+    """True iff no character of s is a digit or a script letter or mark."""
+    return all(c in ("punct", "space") for c in char_classes(s))
+
+
+def token_script_by_class(s):
+    """The one script among the character classes of s, else None."""
+    scripts = set()
+    for c in char_classes(s):
+        if c.startswith("script:"):
+            scripts.add(c.split(":")[1])
+    if len(scripts) == 1:
+        return scripts.pop()
+    return None
+
+
+def touches_syntax(segment, auxiliaries, postpositions):
+    """True iff some token of the segment is in one of the two word sets."""
+    for tok in segment:
+        if tok in auxiliaries or tok in postpositions:
+            return True
+    return False
 
 
 def _ngram_list(tokens, n):

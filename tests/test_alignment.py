@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from gec_forge import (
     ErrorCategory,
+    LanguageProfile,
     align,
     classify_pair,
     levenshtein,
@@ -16,6 +17,7 @@ from gec_forge import (
 )
 
 from _oracles import apply_opcodes, levenshtein_matrix, levenshtein_recursive, validate_opcodes
+from _oracles import touches_syntax as touches_syntax_loop
 
 short_strings = st.text(alphabet="abc", max_size=6)
 
@@ -169,3 +171,15 @@ def test_touches_syntax(hi, ml):
     assert touches_syntax(["।", "?"], hi) is False
     assert touches_syntax(["ഇല്ല"], ml) is True
     assert touches_syntax(["वह"], hi) is False
+
+
+lexicon_word = st.text(alphabet="abकि", max_size=2)
+
+
+@given(st.frozensets(lexicon_word, max_size=4), st.frozensets(lexicon_word, max_size=4),
+       st.lists(lexicon_word, max_size=5))
+def test_touches_syntax_matches_membership_loop(auxiliaries, postpositions, segment):
+    profile = LanguageProfile("hi", auxiliaries, postpositions, ())
+    assert touches_syntax(segment, profile) is touches_syntax_loop(
+        segment, auxiliaries, postpositions
+    )

@@ -41,6 +41,18 @@ def test_word_order(hi, ml):
     assert cat("അവൻ വീട്ടിൽ പോയി", "വീട്ടിൽ അവൻ പോയി", ml) is C.WORD_ORDER
 
 
+def test_word_order_is_decided_without_tokenizing(hi, monkeypatch):
+    # Stage 4 reads the non-punct runs straight from the strings, so a
+    # permuted pair never reaches the tokenizer.
+    def no_tokenize(s):
+        raise AssertionError(f"tokenize called on {s!r}")
+
+    monkeypatch.setattr("gec_forge.classifier.tokenize", no_tokenize)
+    assert cat("शब्द, एक दो।", "दो शब्द एक!", hi) is C.WORD_ORDER
+    with pytest.raises(AssertionError, match="tokenize called"):
+        cat("राम खाता", "राम खाता है", hi)
+
+
 def test_missing_extra(hi):
     assert cat("राम खाता", "राम फल खाता", hi) is C.MISSING_EXTRA_WORD
     assert cat("वह घर गया", "वह गया", hi) is C.MISSING_EXTRA_WORD

@@ -64,6 +64,13 @@ def test_headers_matched_by_name_any_order(tmp_path):
     assert pairs[0].input == "गलत" and pairs[0].output == "सही"
 
 
+def test_first_of_two_columns_wins(tmp_path):
+    path = _write_csv(tmp_path / "t.csv", ["सही,गलत,दूसरा,तीसरा"],
+                      header="Output sentence,Input sentence,output,input")
+    pairs = load_pairs(path)
+    assert (pairs[0].input, pairs[0].output) == ("गलत", "सही")
+
+
 def test_wrong_header_names_rejected(tmp_path):
     path = _write_csv(tmp_path / "t.csv", ["क,ख"], header="source,target")
     with pytest.raises(SchemaError) as exc:
@@ -171,6 +178,13 @@ def test_report_dict_round_trip(hi):
     assert again.lang == "hi" and again.split == "train"
 
 
+def test_report_missing_category_reads_zero():
+    report = DistributionReport.from_dict(
+        {"lang": "hi", "split": "train", "total": 2, "counts": {"spelling": 2}}
+    )
+    assert report.counts == {cat: 2 if cat is C.SPELLING else 0 for cat in C}
+
+
 def _report(counts, lang="hi", split="train"):
     full = {cat: 0 for cat in C}
     full.update(counts)
@@ -236,6 +250,11 @@ def test_prompt_rendering_deterministic():
         C.GRAMMAR_SYNTAX, C.MISSING_EXTRA_WORD,
     ), "ml")
     assert "Malayalam" in first
+
+
+def test_prompt_of_a_one_pair_report():
+    prompt = synthesize_prompt(_report({C.SPELLING: 1}))
+    assert _priorities(prompt) == _labels((C.SPELLING,), "hi")
 
 
 def test_prompt_empty_report_rejected():

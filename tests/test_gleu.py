@@ -153,6 +153,7 @@ def test_max_n_outside_limit_rejected(max_n):
 
 
 def test_max_n_limit_accepted():
+    assert MAX_N_LIMIT == 16  # the documented limit; the other tests read the name
     report = gleu_corpus(["a b"], ["a b"], ["a b"], max_n=MAX_N_LIMIT)
     assert len(report.ngram_stats) == MAX_N_LIMIT
 

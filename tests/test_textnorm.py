@@ -4,7 +4,7 @@ import unicodedata
 from dataclasses import replace
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from gec_forge import (
@@ -22,6 +22,7 @@ from _oracles import (
     invisible_filter,
     native_digits_to_ascii,
     projection_filter,
+    strip_prompt_echo,
     unify_terminal_run,
     whitespace_collapse,
 )
@@ -211,6 +212,31 @@ def test_postprocess_spaces_a_mark_with_a_digit_on_one_side_only():
 
 def test_postprocess_removes_repeated_echo():
     assert postprocess_hypothesis("P: P: वाक्य", prompt_prefix="P:") == "वाक्य"
+
+
+ECHO_POOL = "P: \t\u3000x"
+# Lines made of echoes of "P:" and whitespace, as well as any text.
+echo_lines = st.one_of(
+    st.text(ECHO_POOL),
+    st.lists(st.sampled_from(["P:", "P", " ", "\t", "\u3000", "x"])).map("".join),
+)
+prefixes = st.one_of(st.none(), st.just("P:"), st.text(ECHO_POOL, max_size=3))
+
+
+@given(echo_lines, prefixes)
+@example(" P: \u3000P:\tx P:", "P:")
+def test_prompt_echo_matches_slicing_oracle(s, prompt_prefix):
+    assert textnorm._strip_prompt_echo(s, prompt_prefix) == strip_prompt_echo(s, prompt_prefix)
+
+
+def test_many_prompt_echoes_finish_in_linear_time():
+    # Slicing off one echo at a time copies the rest of the line for each,
+    # quadratic in the number of echoes; the bound fails that.
+    started = time.perf_counter()
+    out = postprocess_hypothesis("P: " * 200_000 + "x", prompt_prefix="P:")
+    elapsed = time.perf_counter() - started
+    assert elapsed < 1.0, f"200k echoes took {elapsed:.3f}s"
+    assert out == "x"
 
 
 @given(st.text())

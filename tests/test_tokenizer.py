@@ -1,7 +1,7 @@
 from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from gec_forge import (
@@ -12,10 +12,15 @@ from gec_forge import (
     same_script,
     tokenize,
 )
-from gec_forge.tokenizer import token_script
+from gec_forge.tokenizer import _NONPUNCT_RUN, token_script
 
 from _gen import make_sentence, random_pairs
-from _oracles import tokens_by_class
+from _oracles import char_classes, is_punct_by_class, token_script_by_class, tokens_by_class
+
+# Letters, marks and digits of each class, danda and a sign inside the
+# script blocks, Latin, whitespace and other punct.
+SCRIPT_POOL = "aZ09कि्१॥।ॐകി്൧൹ \t!?"
+EVERY_CODE_POINT = "".join(map(chr, range(0x110000)))
 
 
 def kind_of(tok):
@@ -65,8 +70,46 @@ def test_tokenize_matches_class_oracle(seed):
 
 
 def test_tokenize_matches_class_oracle_on_every_code_point():
-    text = "".join(map(chr, range(0x110000)))
+    text = EVERY_CODE_POINT
     assert [(t, kind_of(t)) for t in tokenize(text)] == tokens_by_class(text)
+
+
+def _nonpunct_runs(s):
+    return [t for t, kind in tokens_by_class(s) if kind != "punct"]
+
+
+def test_nonpunct_runs_match_class_oracle_on_every_code_point():
+    assert _NONPUNCT_RUN.findall(EVERY_CODE_POINT) == _nonpunct_runs(EVERY_CODE_POINT)
+
+
+@given(st.one_of(st.text(), st.text(SCRIPT_POOL)))
+@example("a1क१ക൧।b")
+def test_nonpunct_runs_match_class_oracle(s):
+    assert _NONPUNCT_RUN.findall(s) == _nonpunct_runs(s)
+
+
+def test_class_predicates_match_class_oracle_on_every_code_point():
+    # One character at a time, so the predicates see each class membership;
+    # a one-character string's class is its one entry of char_classes.
+    classes = char_classes(EVERY_CODE_POINT)
+    assert [is_punct(ch) for ch in EVERY_CODE_POINT] == [
+        c in ("punct", "space") for c in classes
+    ]
+    assert [token_script(ch) for ch in EVERY_CODE_POINT] == [
+        c.split(":")[1] if c.startswith("script:") else None for c in classes
+    ]
+
+
+@given(st.one_of(st.text(), st.text(SCRIPT_POOL)))
+@example("")
+@example(" ")
+@example("a१")
+@example("aक")
+@example("कക")
+@example("।क")
+def test_class_predicates_match_class_oracle(s):
+    assert is_punct(s) is is_punct_by_class(s)
+    assert token_script(s) == token_script_by_class(s)
 
 
 def _rng(seed):
@@ -151,17 +194,23 @@ def test_lexicon_loader(tmp_path):
     assert profile.suffixes == ("ताता", "ता")
 
 
+def test_lexicon_unclosed_bracket_is_an_entry(tmp_path):
+    path = tmp_path / "custom.lexicon"
+    path.write_text("[auxiliaries]\n[foo\nfoo]\n", encoding="utf-8")
+    assert load_lexicon(path)["auxiliaries"] == ["[foo", "foo]"]
+
+
 def test_lexicon_unknown_section(tmp_path):
     path = tmp_path / "bad.lexicon"
-    path.write_text("[verbs]\nकरना\n", encoding="utf-8")
-    with pytest.raises(SchemaError):
+    path.write_text("# comment\n\n[verbs]\nकरना\n", encoding="utf-8")
+    with pytest.raises(SchemaError, match=": line 3: "):
         load_lexicon(path)
 
 
 def test_lexicon_entry_before_section(tmp_path):
     path = tmp_path / "bad.lexicon"
-    path.write_text("है\n[auxiliaries]\n", encoding="utf-8")
-    with pytest.raises(SchemaError):
+    path.write_text("\nहै\n[auxiliaries]\n", encoding="utf-8")
+    with pytest.raises(SchemaError, match=": line 2: "):
         load_lexicon(path)
 
 
