@@ -10,7 +10,6 @@ from .classifier import (
     ErrorCategory,
     Evidence,
     classify_pair,
-    constants,
     nullish,
 )
 from .corpus import (
@@ -20,7 +19,7 @@ from .corpus import (
     load_pairs,
     synthesize_prompt,
 )
-from .errors import GecForgeError, InputError, ParseError, SchemaError, UsageError
+from .errors import InputError
 from .gleu import GleuReport, gleu_corpus
 from .textnorm import (
     DEFAULT_POLICY,
@@ -33,7 +32,6 @@ from .textnorm import (
 )
 from .tokenizer import (
     LanguageProfile,
-    is_punct,
     load_lexicon,
     profile_for,
     same_script,
@@ -45,12 +43,12 @@ __all__ = [
     "align", "levenshtein", "suffix_tail_change", "touches_syntax",
     "DualReport", "EditAudit", "Stratum", "audit_pair", "dual_report", "reconcile",
     "CATEGORY_ORDER", "Classification", "ErrorCategory", "Evidence",
-    "classify_pair", "constants", "nullish",
+    "classify_pair", "nullish",
     "DistributionReport", "SentencePair",
     "analyze", "load_pairs", "synthesize_prompt",
-    "GecForgeError", "InputError", "ParseError", "SchemaError", "UsageError",
+    "InputError",
     "GleuReport", "gleu_corpus",
     "DEFAULT_POLICY", "DandaPolicy", "DigitPolicy", "NormalizationPolicy",
     "alnum_projection", "normalize_text", "postprocess_hypothesis",
-    "LanguageProfile", "is_punct", "load_lexicon", "profile_for", "same_script", "tokenize",
+    "LanguageProfile", "load_lexicon", "profile_for", "same_script", "tokenize",
 ]

@@ -86,11 +86,6 @@ def nullish(x) -> bool:
     return s == "" or s.lower() in _NULL_SENTINELS
 
 
-def constants() -> dict:
-    """Fixed classifier constants, exposed for tests and reports."""
-    return {"SPELL_THR": SPELL_THRESHOLD}
-
-
 class _Pair:
     """One (input, output) pair as text, with None read as "". Its token
     texts and edit opcodes are computed on first use and then kept, so the

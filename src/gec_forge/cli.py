@@ -17,9 +17,9 @@ import sys
 
 from . import __version__
 from .audit import DEFAULT_DISTANCE_CAP, Stratum, audit_pair, dual_report
-from .classifier import CATEGORY_ORDER, classify_pair, constants
+from .classifier import CATEGORY_ORDER, SPELL_THRESHOLD, classify_pair
 from .corpus import DistributionReport, analyze, load_pairs, synthesize_prompt
-from .errors import GecForgeError, InputError, ParseError, SchemaError, UsageError
+from .errors import InputError
 from .gleu import MAX_N_LIMIT, gleu_corpus
 from .reports import read_text, write_report, write_text_atomic
 from .textnorm import (DEFAULT_POLICY, POLICY_KEYS, DandaPolicy, DigitPolicy,
@@ -65,7 +65,7 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on bad usage; the contract is usage text + exit 1.
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise UsageError(message)
+        raise InputError(message)
 
 
 def _add_normalization(sub):
@@ -189,7 +189,7 @@ def cmd_analyze(args) -> int:
     report = analyze(pairs, profile, args.split)
     body = report.to_dict()
     body["normalization"] = policy.to_dict()
-    body["classifier_constants"] = constants()
+    body["classifier_constants"] = {"SPELL_THR": SPELL_THRESHOLD}
     write_report(args.report, "distribution", body)
     print(f"analyzed {report.total} pairs -> {args.report}")
     return 0
@@ -227,11 +227,11 @@ def cmd_synth_prompt(args) -> int:
     try:
         data = json.loads(read_text(args.dist))
     except ValueError as exc:  # bad JSON, or an integer past int_max_str_digits
-        raise ParseError(f"{args.dist}: invalid JSON distribution report: {exc}") from exc
+        raise InputError(f"{args.dist}: invalid JSON distribution report: {exc}") from exc
     try:
         report = DistributionReport.from_dict(data)
-    except SchemaError as exc:
-        raise SchemaError(f"{args.dist}: {exc}") from exc
+    except InputError as exc:
+        raise InputError(f"{args.dist}: {exc}") from exc
     prompt = synthesize_prompt(report)
     write_text_atomic(args.outfile, prompt)
     digest = hashlib.sha256(prompt.encode("utf-8")).hexdigest()
@@ -292,17 +292,13 @@ def run(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if not getattr(args, "command", None):
+            parser.print_usage(sys.stderr)
+            return 1
+        return args.func(args)
     except SystemExit as exc:  # --help / --version
         return int(exc.code or 0)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if not getattr(args, "command", None):
-        parser.print_usage(sys.stderr)
-        return 1
-    try:
-        return args.func(args)
-    except (GecForgeError, OSError, UnicodeDecodeError) as exc:
+    except (InputError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # pragma: no cover - defensive

@@ -9,7 +9,7 @@ import re
 from dataclasses import dataclass
 
 from .classifier import CATEGORY_ORDER, NON_EDITS, ErrorCategory, classify_pair
-from .errors import InputError, ParseError, SchemaError
+from .errors import InputError
 from .reports import read_text
 from .textnorm import DEFAULT_POLICY, NormalizationPolicy, normalize_text
 from .tokenizer import SYNTAX_LABELS, LanguageProfile
@@ -59,15 +59,15 @@ class DistributionReport:
         """Read a report as to_dict writes it, rejecting any report that
         analyze could not have written."""
         if not isinstance(data, dict) or not isinstance(data.get("counts"), dict):
-            raise SchemaError("bad distribution report: 'counts' must be a JSON object")
+            raise InputError("bad distribution report: 'counts' must be a JSON object")
         lang, split, total = data.get("lang"), data.get("split"), data.get("total")
         if not isinstance(lang, str) or lang not in SYNTAX_LABELS:
-            raise SchemaError(
+            raise InputError(
                 f"bad distribution report: 'lang' must be one of {sorted(SYNTAX_LABELS)}, "
                 f"got {lang!r}"
             )
         if split not in SPLITS:
-            raise SchemaError(
+            raise InputError(
                 f"bad distribution report: 'split' must be one of {list(SPLITS)}, got {split!r}"
             )
         numbers = {"total": total} | {
@@ -75,23 +75,23 @@ class DistributionReport:
         }
         for key, value in numbers.items():
             if type(value) is not int:  # not a float, bool, string or null
-                raise SchemaError(
+                raise InputError(
                     f"bad distribution report: {key} must be an integer, got {value!r}"
                 )
             if value < 0:
-                raise SchemaError(f"bad distribution report: {key} must be >= 0, got {value}")
+                raise InputError(f"bad distribution report: {key} must be >= 0, got {value}")
         if total == 0:  # analyze raises on an empty corpus instead
-            raise SchemaError("bad distribution report: 'total' must be >= 1, got 0")
+            raise InputError("bad distribution report: 'total' must be >= 1, got 0")
         try:
             counts = {ErrorCategory(name): count for name, count in data["counts"].items()}
         except ValueError as exc:
-            raise SchemaError(
+            raise InputError(
                 f"bad distribution report: 'counts': {exc} "
                 f"(expected keys among {[cat.value for cat in CATEGORY_ORDER]})"
             ) from exc
         counted = sum(counts.values())
         if counted != total:
-            raise SchemaError(
+            raise InputError(
                 f"bad distribution report: 'counts' sum to {counted}, but 'total' is {total}"
             )
         return cls(lang=lang, split=split, total=total,
@@ -107,7 +107,7 @@ def _resolve_columns(header: list[str], path) -> tuple[int, int]:
         elif name in OUTPUT_HEADERS and out_idx is None:
             out_idx = i
     if in_idx is None or out_idx is None:
-        raise SchemaError(
+        raise InputError(
             f"{path}: header {header!r} does not name the two required columns "
             f"(expected one of {sorted(INPUT_HEADERS)} and one of {sorted(OUTPUT_HEADERS)})"
         )
@@ -132,11 +132,11 @@ def load_pairs(
     try:
         header = next(reader, None)
         if header is None:
-            raise SchemaError(f"{path}: empty file, expected a CSV header row")
+            raise InputError(f"{path}: empty file, expected a CSV header row")
         in_idx, out_idx = _resolve_columns(header, path)
         for row_idx, row in enumerate(reader):
             if len(row) != len(header):
-                raise ParseError(
+                raise InputError(
                     f"{path}: row {row_idx}: expected {len(header)} fields, got {len(row)}"
                 )
             pairs.append(
@@ -147,7 +147,7 @@ def load_pairs(
                 )
             )
     except csv.Error as exc:  # e.g. a cell over csv.field_size_limit()
-        raise ParseError(f"{path}: line {reader.line_num}: {exc}") from exc
+        raise InputError(f"{path}: line {reader.line_num}: {exc}") from exc
     if drop_duplicates:
         seen: set[tuple[str, str]] = set()
         unique = []

@@ -1,25 +1,11 @@
-"""Exception types shared across the toolkit.
+"""The one exception type the package raises on purpose.
 
-The CLI maps GecForgeError (and OS-level file errors) to exit code 1;
+Every rejected input raises InputError: a malformed file, config or
+report, a bad command line, or arguments that violate an operation's
+preconditions. The CLI maps it (and OS-level file errors) to exit code 1;
 anything else is treated as an internal error (exit code 2).
 """
 
 
-class GecForgeError(Exception):
-    """Base class for all errors raised deliberately by this package."""
-
-
-class SchemaError(GecForgeError):
-    """A file does not match its documented schema (headers, sections)."""
-
-
-class ParseError(GecForgeError):
-    """A file is syntactically malformed (bad row, bad encoding)."""
-
-
-class InputError(GecForgeError):
-    """Arguments violate an operation's preconditions."""
-
-
-class UsageError(GecForgeError):
-    """Bad command line (unknown subcommand, missing flag)."""
+class InputError(Exception):
+    """An input the package rejects; the message names the file and field."""

@@ -7,7 +7,7 @@ import json
 import os
 import tempfile
 
-from .errors import InputError, ParseError
+from .errors import InputError
 
 SCHEMA_VERSION = "1"
 
@@ -19,13 +19,9 @@ def read_text(path, newline: str | None = None) -> str:
         with open(path, encoding="utf-8", newline=newline) as fh:
             return fh.read()
     except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: invalid UTF-8 byte sequence at offset {exc.start}") from exc
+        raise InputError(f"{path}: invalid UTF-8 byte sequence at offset {exc.start}") from exc
     except ValueError as exc:  # a NUL byte in the path
         raise InputError(f"{path}: invalid path: {exc}") from exc
-
-
-def render_json(obj: dict) -> str:
-    return json.dumps(obj, ensure_ascii=False, sort_keys=True, indent=2) + "\n"
 
 
 def write_text_atomic(path, text: str) -> None:
@@ -46,6 +42,6 @@ def write_text_atomic(path, text: str) -> None:
 
 
 def write_report(path, kind: str, body: dict) -> None:
-    payload = {"schema_version": SCHEMA_VERSION, "kind": kind}
-    payload.update(body)
-    write_text_atomic(path, render_json(payload))
+    payload = {"schema_version": SCHEMA_VERSION, "kind": kind, **body}
+    write_text_atomic(path, json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2)
+                      + "\n")

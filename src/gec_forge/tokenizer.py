@@ -6,8 +6,8 @@ Malayalam, Latin) and takes no profile, so code-mixed pairs still align
 token-by-token; the profile contributes lexica and labels.
 
 The per-token work runs in C-level regex calls: tokenize() is one findall,
-is_punct() one search for any digit or script character, and token_script()
-one search per script. Both predicates accept any string, token or not.
+and token_script() one search per script; it accepts any string, token or
+not.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable
 
-from .errors import SchemaError
+from .errors import InputError
 from .reports import read_text
 
 # Script blocks recognized as word material. Danda, abbreviation signs, and
@@ -45,9 +45,9 @@ class LanguageProfile:
 
     def __post_init__(self):
         if self.name not in SYNTAX_LABELS:
-            raise SchemaError(f"unknown language: {self.name!r} (expected hi or ml)")
+            raise InputError(f"unknown language: {self.name!r} (expected hi or ml)")
         if self.name == "ml" and self.postpositions:
-            raise SchemaError("Malayalam profiles use [suffixes], not [postpositions]")
+            raise InputError("Malayalam profiles use [suffixes], not [postpositions]")
 
 
 def _letters_and_marks(lo: int, hi: int) -> str:
@@ -73,19 +73,12 @@ _NONPUNCT_CHARS = _DIGITS + "".join(_WORD_CLASSES.values())
 _CLASS_RUNS = [f"[{chars}]+" for chars in (_DIGITS, *_WORD_CLASSES.values())]
 _NONPUNCT_RUN = re.compile("|".join(_CLASS_RUNS))
 _TOKEN_RE = re.compile("|".join(_CLASS_RUNS + [f"[^\\s{_NONPUNCT_CHARS}]+"]))
-_NONPUNCT_CHAR = re.compile(f"[{_NONPUNCT_CHARS}]")
 _SCRIPT_CHAR = {script: re.compile(f"[{chars}]") for script, chars in _WORD_CLASSES.items()}
 
 
 def tokenize(s: str) -> list[str]:
     """Split s into maximal same-class runs; whitespace only separates."""
     return _TOKEN_RE.findall(s)
-
-
-def is_punct(tok: str) -> bool:
-    """True iff no character of tok is a digit or a script letter or mark;
-    so also for "" and whitespace. Any string is accepted, not only tokens."""
-    return _NONPUNCT_CHAR.search(tok) is None
 
 
 def token_script(tok: str) -> str | None:
@@ -118,14 +111,14 @@ def load_lexicon(path) -> dict[str, list[str]]:
         if line.startswith("[") and line.endswith("]"):
             name = line[1:-1].strip().lower()
             if name not in sections:
-                raise SchemaError(
+                raise InputError(
                     f"{path}: line {lineno}: unknown section [{name}] "
                     f"(expected {sorted(sections)})"
                 )
             current = name
             continue
         if current is None:
-            raise SchemaError(f"{path}: line {lineno}: entry before any [section]")
+            raise InputError(f"{path}: line {lineno}: entry before any [section]")
         sections[current].append(line)
     return sections
 
@@ -142,7 +135,7 @@ def _profile_from_sections(name: str, sections: dict[str, list[str]]) -> Languag
 def profile_for(lang: str, lexicon_path=None) -> LanguageProfile:
     """Build the profile for hi/ml from the bundled lexicon or a user file."""
     if lang not in SYNTAX_LABELS:
-        raise SchemaError(f"unknown language: {lang!r} (expected hi or ml)")
+        raise InputError(f"unknown language: {lang!r} (expected hi or ml)")
     if lexicon_path is None:
         ref = resources.files("gec_forge").joinpath(f"data/{lang}.lexicon")
         with resources.as_file(ref) as path:
@@ -150,5 +143,5 @@ def profile_for(lang: str, lexicon_path=None) -> LanguageProfile:
     sections = load_lexicon(lexicon_path)
     try:
         return _profile_from_sections(lang, sections)
-    except SchemaError as exc:  # e.g. [postpositions] entries under ml
-        raise SchemaError(f"{lexicon_path}: {exc}") from exc
+    except InputError as exc:  # e.g. [postpositions] entries under ml
+        raise InputError(f"{lexicon_path}: {exc}") from exc

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gec_forge import (ErrorCategory, alnum_projection, classify_pair, constants, nullish,
+from gec_forge import (ErrorCategory, alnum_projection, classify_pair, nullish,
                        profile_for, tokenize)
+from gec_forge.classifier import SPELL_THRESHOLD
 
 from _gen import PUNCT_TOKENS, make_sentence, random_pairs
 from _pseudocode import classify_pair as straightline_classify
@@ -80,7 +81,7 @@ def test_grammar_fallback(hi, ml):
 
 
 def test_spell_threshold_boundary(hi):
-    assert constants() == {"SPELL_THR": 2}
+    assert SPELL_THRESHOLD == 2
     # distance exactly 2 -> spelling; distance 3 -> grammar
     assert cat("कमल गरर", "कमल घर", hi) is C.SPELLING
     assert cat("कमल गररर", "कमल घर", hi) is C.GRAMMAR_SYNTAX

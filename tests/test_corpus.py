@@ -13,8 +13,6 @@ from gec_forge import (
     ErrorCategory,
     InputError,
     NormalizationPolicy,
-    ParseError,
-    SchemaError,
     analyze,
     load_pairs,
     synthesize_prompt,
@@ -73,14 +71,14 @@ def test_first_of_two_columns_wins(tmp_path):
 
 def test_wrong_header_names_rejected(tmp_path):
     path = _write_csv(tmp_path / "t.csv", ["क,ख"], header="source,target")
-    with pytest.raises(SchemaError) as exc:
+    with pytest.raises(InputError) as exc:
         load_pairs(path)
     assert "Input sentence".lower() in str(exc.value).lower()
 
 
 def test_ragged_row_rejected_with_row_number(tmp_path):
     path = _write_csv(tmp_path / "t.csv", ["क,ख", "ग"])
-    with pytest.raises(ParseError) as exc:
+    with pytest.raises(InputError) as exc:
         load_pairs(path)
     assert "row 1" in str(exc.value)
 
@@ -88,7 +86,7 @@ def test_ragged_row_rejected_with_row_number(tmp_path):
 def test_invalid_utf8_reports_offset(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_bytes("Input sentence,Output sentence\nक,".encode("utf-8") + b"\xff\n")
-    with pytest.raises(ParseError) as exc:
+    with pytest.raises(InputError) as exc:
         load_pairs(path)
     assert "offset" in str(exc.value)
 
@@ -98,7 +96,7 @@ def test_invalid_utf8_offset_counts_from_start_of_file(tmp_path):
     good = ("Input sentence,Output sentence\n" + "क,ख\n" * 3000).encode("utf-8")
     path = tmp_path / "bad.csv"
     path.write_bytes(good + b"\xff\n")
-    with pytest.raises(ParseError) as exc:
+    with pytest.raises(InputError) as exc:
         load_pairs(path)
     assert str(exc.value).endswith(f"at offset {len(good)}")
 
@@ -125,7 +123,8 @@ def test_rows_and_cells_match_csv_reading_the_file(body):
             want = None
         try:
             got = [[pair.input, pair.output] for pair in load_pairs(path, _RAW)]
-        except ParseError:  # a csv error or a ragged row
+        except InputError as exc:  # a csv error or a ragged row, not the header
+            assert re.search(r": (row|line) \d+: ", str(exc))
             got = None
     assert got == want
 

@@ -5,8 +5,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from gec_forge import (
-    SchemaError,
-    is_punct,
+    InputError,
     load_lexicon,
     profile_for,
     same_script,
@@ -23,8 +22,14 @@ SCRIPT_POOL = "aZ09कि्१॥।ॐകി്൧൹ \t!?"
 EVERY_CODE_POINT = "".join(map(chr, range(0x110000)))
 
 
+def is_punct(s):
+    """No character of s is a digit or a script letter or mark: stage 4 and
+    tokenize() read the non-punct characters through _NONPUNCT_RUN."""
+    return _NONPUNCT_RUN.search(s) is None
+
+
 def kind_of(tok):
-    """A token's class, read back from the package's class predicates."""
+    """A token's class, read back from the package's class patterns."""
     if is_punct(tok):
         return "punct"
     return "script" if token_script(tok) else "digit"
@@ -203,24 +208,24 @@ def test_lexicon_unclosed_bracket_is_an_entry(tmp_path):
 def test_lexicon_unknown_section(tmp_path):
     path = tmp_path / "bad.lexicon"
     path.write_text("# comment\n\n[verbs]\nकरना\n", encoding="utf-8")
-    with pytest.raises(SchemaError, match=": line 3: "):
+    with pytest.raises(InputError, match=": line 3: "):
         load_lexicon(path)
 
 
 def test_lexicon_entry_before_section(tmp_path):
     path = tmp_path / "bad.lexicon"
     path.write_text("\nहै\n[auxiliaries]\n", encoding="utf-8")
-    with pytest.raises(SchemaError, match=": line 2: "):
+    with pytest.raises(InputError, match=": line 2: "):
         load_lexicon(path)
 
 
 def test_malayalam_rejects_postpositions(tmp_path):
     path = tmp_path / "ml.lexicon"
     path.write_text("[postpositions]\nഇല്\n", encoding="utf-8")
-    with pytest.raises(SchemaError):
+    with pytest.raises(InputError):
         profile_for("ml", path)
 
 
 def test_unknown_language():
-    with pytest.raises(SchemaError):
+    with pytest.raises(InputError):
         profile_for("ta")
