@@ -60,6 +60,21 @@ _DISPLAY_LABELS = {
 
 CATEGORY_ORDER: tuple[ErrorCategory, ...] = tuple(ErrorCategory)
 
+# The categories in the order _classify tests them; the report's
+# precedence_order and the prompt's tie-break follow it. CATEGORY_ORDER
+# stays the axis order of the counts and of the dual audit.
+PRECEDENCE: tuple[ErrorCategory, ...] = (
+    ErrorCategory.NULL_EMPTY,
+    ErrorCategory.NO_ERROR,
+    ErrorCategory.PUNCT_WHITESPACE,
+    ErrorCategory.WORD_ORDER,
+    ErrorCategory.SYNTAX_AGREEMENT,
+    ErrorCategory.MISSING_EXTRA_WORD,
+    ErrorCategory.MORPHOLOGY,
+    ErrorCategory.SPELLING,
+    ErrorCategory.GRAMMAR_SYNTAX,
+)
+
 # Categories of pairs that carry no edit to type: the audit gives them no
 # stratum and the prompt gives them no priority.
 NON_EDITS = frozenset({ErrorCategory.NO_ERROR, ErrorCategory.NULL_EMPTY})

@@ -8,7 +8,7 @@ import logging
 import re
 from dataclasses import dataclass
 
-from .classifier import CATEGORY_ORDER, NON_EDITS, ErrorCategory, classify_pair
+from .classifier import CATEGORY_ORDER, NON_EDITS, PRECEDENCE, ErrorCategory, classify_pair
 from .errors import InputError
 from .reports import read_text
 from .textnorm import DEFAULT_POLICY, NormalizationPolicy, normalize_text
@@ -51,7 +51,7 @@ class DistributionReport:
             "display_labels": {
                 cat.value: cat.display_label(self.lang) for cat in CATEGORY_ORDER
             },
-            "precedence_order": [cat.value for cat in CATEGORY_ORDER],
+            "precedence_order": [cat.value for cat in PRECEDENCE],
         }
 
     @classmethod
@@ -215,16 +215,16 @@ Return only the corrected sentence, nothing else.
 def synthesize_prompt(report: DistributionReport) -> str:
     """Render a distribution report as the fixed correction prompt text.
 
-    Categories are ordered by descending count (ties broken by precedence
-    order), with Punctuation/Whitespace and Morphology promoted to the front
-    when present; pure reorderings and word additions/deletions are always
-    listed as deprioritized. The text is a pure function of the report.
+    Categories are ordered by descending count, ties broken by the order
+    the classifier tests them (PRECEDENCE), with Punctuation/Whitespace and
+    Morphology promoted to the front when present; pure reorderings and word
+    additions/deletions are always listed as deprioritized. The text is a pure function of the report.
     """
     if report.total <= 0:
         raise InputError("cannot synthesize a prompt from an empty report")
-    by_count = sorted(
-        (cat for cat in CATEGORY_ORDER if cat not in NON_EDITS and report.counts[cat] > 0),
-        key=lambda cat: (-report.counts[cat], CATEGORY_ORDER.index(cat)),
+    by_count = sorted(  # stable, so ties keep PRECEDENCE order
+        (cat for cat in PRECEDENCE if cat not in NON_EDITS and report.counts[cat] > 0),
+        key=lambda cat: -report.counts[cat],
     )
     promoted = [cat for cat in _PROMOTED if report.counts[cat] > 0]
     prioritized = promoted + [cat for cat in by_count if cat not in promoted]

@@ -1,3 +1,4 @@
+import itertools
 import re
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import strategies as st
 
 from gec_forge import (ErrorCategory, alnum_projection, classify_pair, nullish,
                        profile_for, tokenize)
-from gec_forge.classifier import SPELL_THRESHOLD
+from gec_forge.classifier import PRECEDENCE, SPELL_THRESHOLD
 
 from _gen import PUNCT_TOKENS, make_sentence, random_pairs
 from _pseudocode import classify_pair as straightline_classify
@@ -106,6 +107,41 @@ def test_evidence_stage_matches_category(hi):
         result = classify_pair(inp, out, hi)
         assert result.category is expected_cat
         assert result.evidence.stage == stage
+
+
+# One pair per stage-5 category that meets that category's condition and no
+# later one's; the anchors differ, so two joined pairs align part by part.
+_STAGE5_ONLY = {
+    C.SYNTAX_AGREEMENT: ("राम ने खाया", "राम को खाया"),
+    C.MISSING_EXTRA_WORD: ("वह घर गया", "वह गया"),
+    C.MORPHOLOGY: ("लड़का सोता", "लड़के सोता"),
+    C.SPELLING: ("कमल गर", "कमल घर"),
+    C.GRAMMAR_SYNTAX: ("श्याम पुस्तकालय", "श्याम विद्यालय"),
+}
+
+
+def test_precedence_is_the_order_classify_applies(hi):
+    # Stages 1-4 come in stage order.
+    early = [classify_pair(inp, out, hi)
+             for inp, out in (("", "क"), ("क", "क"), ("क ।", "क."), ("क ख ग", "ग क ख"))]
+    assert [r.evidence.stage for r in early] == [1, 2, 3, 4]
+    assert PRECEDENCE[:4] == tuple(r.category for r in early)
+    # A joined pair meets the conditions of both its parts, so the category
+    # it gets is the one tested first; package and oracle agree on it.
+    prof = profile_dict(hi)
+    for only in _STAGE5_ONLY.items():
+        assert cat(*only[1], hi) is only[0]
+    wins = dict.fromkeys(_STAGE5_ONLY, 0)
+    for x, y in itertools.combinations(_STAGE5_ONLY, 2):
+        (ax, bx), (ay, by) = _STAGE5_ONLY[x], _STAGE5_ONLY[y]
+        for inp, out in ((f"{ax} {ay}", f"{bx} {by}"), (f"{ay} {ax}", f"{by} {bx}")):
+            winner = cat(inp, out, hi)
+            assert winner in (x, y)
+            assert straightline_classify(inp, out, prof) == winner.value
+            wins[winner] += 1
+    # Each category beats every later one, in both join orders.
+    assert sorted(wins.values()) == [0, 2, 4, 6, 8]
+    assert PRECEDENCE[4:] == tuple(sorted(wins, key=wins.get, reverse=True))
 
 
 def test_display_labels():

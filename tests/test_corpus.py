@@ -228,6 +228,9 @@ def test_prompt_ties_break_by_precedence_order():
     report = _report({C.SPELLING: 5, C.WORD_ORDER: 5, C.GRAMMAR_SYNTAX: 5})
     prompt = synthesize_prompt(report)
     assert _priorities(prompt) == _labels((C.WORD_ORDER, C.SPELLING, C.GRAMMAR_SYNTAX), "hi")
+    # The classifier tests syntax before missing/extra word, unlike enum order.
+    prompt = synthesize_prompt(_report({C.MISSING_EXTRA_WORD: 3, C.SYNTAX_AGREEMENT: 3}))
+    assert _priorities(prompt) == _labels((C.SYNTAX_AGREEMENT, C.MISSING_EXTRA_WORD), "hi")
 
 
 def test_prompt_degenerate_distribution():
