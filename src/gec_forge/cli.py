@@ -22,8 +22,8 @@ from .corpus import DistributionReport, analyze, load_pairs, synthesize_prompt
 from .errors import InputError
 from .gleu import MAX_N_LIMIT, gleu_corpus
 from .reports import read_text, write_report, write_text_atomic
-from .textnorm import (DEFAULT_POLICY, POLICY_KEYS, DandaPolicy, DigitPolicy,
-                       NormalizationPolicy, normalize_text, postprocess_hypothesis)
+from .textnorm import (POLICY_KEYS, DandaPolicy, DigitPolicy, NormalizationPolicy,
+                       normalize_text, postprocess_hypothesis)
 from .tokenizer import profile_for
 
 log = logging.getLogger(__name__)
@@ -62,14 +62,27 @@ def _cap(text: str) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    # argparse exits 2 on bad usage; the contract is usage text + exit 1.
+    """argparse exits 2 on bad usage; the contract is usage text + exit 1.
+    A flag the subcommand would not read with the others given is bad usage
+    too: unread(args) names it."""
+
+    unread = None
+
     def error(self, message):
         self.print_usage(sys.stderr)
         raise InputError(message)
 
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        message = self.unread and self.unread(namespace)
+        if message:
+            self.error(message)
+        return namespace, extras
+
 
 def _add_normalization(sub):
-    group = sub.add_argument_group("normalization")
+    # Only a flag given sets its key, so a command can tell that one was.
+    group = sub.add_argument_group("normalization", argument_default=argparse.SUPPRESS)
     group.add_argument("--strip-invisibles", action="store_true")
     group.add_argument("--no-strip-invisibles", dest="strip_invisibles",
                        action="store_false")
@@ -81,11 +94,36 @@ def _add_normalization(sub):
     for flag, enum in (("--danda-policy", DandaPolicy), ("--digit-policy", DigitPolicy)):
         group.add_argument(flag, type=enum,
                            metavar="{" + ",".join(member.value for member in enum) + "}")
-    sub.set_defaults(**{key: getattr(DEFAULT_POLICY, key) for key in POLICY_KEYS})
+
+
+def _given_policy(args) -> dict:
+    """The normalization keys set by a flag; the others keep their defaults."""
+    return {key: value for key, value in vars(args).items() if key in POLICY_KEYS}
 
 
 def _policy(args) -> NormalizationPolicy:
-    return NormalizationPolicy(**{key: getattr(args, key) for key in POLICY_KEYS})
+    return NormalizationPolicy(**_given_policy(args))
+
+
+def _policy_flag_with(args, flag: str) -> str | None:
+    """Names a normalization flag given together with flag, which makes the
+    command skip normalization."""
+    for key, value in _given_policy(args).items():
+        given = f"--{'no-' if value is False else ''}{key.replace('_', '-')}"
+        return f"argument {given}: not allowed with argument {flag}"
+    return None
+
+
+def _score_unread(args) -> str | None:
+    return _policy_flag_with(args, "--raw") if args.raw else None
+
+
+def _normalize_unread(args) -> str | None:
+    if args.post:
+        return _policy_flag_with(args, "--post")
+    if args.prompt_prefix is not None:
+        return "argument --prompt-prefix: only read with argument --post"
+    return None
 
 
 def _add_language(sub):
@@ -130,6 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--raw", action="store_true",
                    help="score lines as-is, skipping normalization")
     p.set_defaults(func=cmd_score)
+    p.unread = _score_unread
 
     p = subs.add_parser("normalize", help="normalize text lines per policy")
     _add_normalization(p)
@@ -140,6 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prompt-prefix", default=None,
                    help="leading prompt echo removed by --post")
     p.set_defaults(func=cmd_normalize)
+    p.unread = _normalize_unread
 
     p = subs.add_parser("synth-prompt", help="render a prompt from a distribution report")
     p.add_argument("--dist", required=True, metavar="DIST_JSON")

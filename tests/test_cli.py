@@ -392,6 +392,35 @@ def test_removed_flag_exits_1_with_usage(tmp_path, capsys, command, flag, value)
     assert "usage:" in err and f"unrecognized arguments: {flag}" in err
 
 
+@pytest.mark.parametrize("command, skipper, unread", [
+    ("normalize", "--post", ["--no-collapse-whitespace"]),
+    ("normalize", "--post", ["--collapse-whitespace"]),
+    ("normalize", "--post", ["--digit-policy", "keep_native"]),
+    ("score", "--raw", ["--no-strip-invisibles"]),
+    ("score", "--raw", ["--keep-joiners"]),
+])
+def test_normalization_flag_that_would_be_skipped_exits_1_with_usage(
+        tmp_path, capsys, command, skipper, unread):
+    # --post and --raw skip normalization, so a normalization flag beside
+    # them would be taken and never read.
+    base = _base_commands(tmp_path)[command]
+    assert run([*base, skipper, *unread]) == 1
+    err = capsys.readouterr().err
+    assert "usage:" in err
+    assert f"error: argument {unread[0]}: not allowed with argument {skipper}" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["line.txt"]
+    assert run([*base, skipper]) == 0 and run([*base, *unread]) == 0  # each alone is valid
+
+
+def test_prompt_prefix_without_post_exits_1_with_usage(tmp_path, capsys):
+    base = _base_commands(tmp_path)["normalize"]
+    assert run([*base, "--prompt-prefix", "P:"]) == 1
+    err = capsys.readouterr().err
+    assert "usage:" in err
+    assert "error: argument --prompt-prefix: only read with argument --post" in err
+    assert not (tmp_path / "n.txt").exists()
+
+
 def test_audit_requires_exactly_one_mode(tmp_path, capsys):
     assert run(["audit", "--lang", "hi", "--report", str(tmp_path / "r.json")]) == 1
 
