@@ -26,7 +26,7 @@ def read_text(path, newline: str | None = None) -> str:
 
 def write_text_atomic(path, text: str) -> None:
     """Write via a temp file in the target directory, then rename."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
+    directory = os.path.dirname(os.path.abspath(path))
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
         try:

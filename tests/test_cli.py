@@ -53,6 +53,7 @@ def test_score_identical_files(tmp_path, capsys):
     assert report["corpus_score"] == 1.0
     assert report["schema_version"] == "1"
     assert report["kind"] == "gleu"
+    assert capsys.readouterr().out == "GLEU: 1.000000 (100.00)\n"
 
 
 def test_score_toy_corpus_value(tmp_path, capsys):
@@ -215,7 +216,7 @@ def test_user_lexicon_changes_label(tmp_path):
     assert "missing_extra_word" in out_user.read_text(encoding="utf-8")
 
 
-def test_synth_prompt_writes_prompt_and_hash(tmp_path):
+def test_synth_prompt_writes_prompt_and_hash(tmp_path, capsys):
     dist_path = tmp_path / "dist.json"
     assert run(["analyze", "--lang", "hi", "--split", "train",
                 "--in", str(FIXTURE_CSV), "--report", str(dist_path)]) == 0
@@ -228,7 +229,9 @@ def test_synth_prompt_writes_prompt_and_hash(tmp_path):
     digest_line = (tmp_path / "prompt.txt.sha256").read_text(encoding="utf-8")
     import hashlib
 
-    assert digest_line.split()[0] == hashlib.sha256(prompt.encode("utf-8")).hexdigest()
+    digest = hashlib.sha256(prompt.encode("utf-8")).hexdigest()
+    assert digest_line == f"{digest}  prompt.txt\n"
+    assert capsys.readouterr().out.splitlines()[-1] == f"prompt ({digest[:12]}) -> {prompt_path}"
 
 
 def test_audit_single(tmp_path):
@@ -239,6 +242,8 @@ def test_audit_single(tmp_path):
     assert report["total"] == 10
     assert report["strata_counts"]["redundant"] == 2
     assert len(report["pairs"]) == 10
+    # Each fixture pair is audited as classified, so the tally is analyze's.
+    assert report["category_counts"] == json.loads(GOLDEN_DIST.read_text("utf-8"))["counts"]
 
 
 def test_audit_dual(tmp_path):
@@ -255,6 +260,8 @@ def test_audit_dual(tmp_path):
     assert report["kind"] == "dual_audit"
     assert report["union_count"] == 1
     assert report["resolutions"][0]["chosen"] == "a"
+    # Reports are UTF-8 JSON: sentence text is written as it is, not escaped.
+    assert '"text": "राम खाता है"' in report_path.read_text(encoding="utf-8")
 
 
 def test_audit_dual_mismatched_inputs(tmp_path, capsys):
@@ -297,6 +304,18 @@ def test_bad_flag_exits_1_naming_it_before_reading_files(tmp_path, capsys, comma
     assert "usage:" in err and error.startswith("error:") and flag in error
     assert missing not in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, flag, value, key", [
+    ("score", "--max-n", 1, "max_n"),
+    ("score", "--max-n", MAX_N_LIMIT, "max_n"),
+    ("audit", "--cap", 0, "cap"),
+])
+def test_flag_values_at_their_limits_are_accepted(tmp_path, command, flag, value, key):
+    base = _base_commands(tmp_path)[command]
+    assert run([*base, flag, str(value)]) == 0
+    report = Path(base[base.index("--report") + 1])
+    assert json.loads(report.read_text(encoding="utf-8"))[key] == value
 
 
 @pytest.mark.parametrize("max_n", [0, MAX_N_LIMIT + 1])
@@ -361,7 +380,8 @@ def _base_commands(tmp):
                   "--report", str(tmp / "a.json")],
         "synth-prompt": ["synth-prompt", "--dist", str(GOLDEN_DIST),
                          "--out", str(tmp / "p.txt")],
-        "score": ["score", "--src", line, "--hyp", line, "--ref", line],
+        "score": ["score", "--src", line, "--hyp", line, "--ref", line,
+                  "--report", str(tmp / "g.json")],
         "normalize": ["normalize", "--in", line, "--out", str(tmp / "n.txt")],
     }
 
@@ -419,6 +439,32 @@ def test_prompt_prefix_without_post_exits_1_with_usage(tmp_path, capsys):
     assert "usage:" in err
     assert "error: argument --prompt-prefix: only read with argument --post" in err
     assert not (tmp_path / "n.txt").exists()
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("classify", "--in"), ("classify", "--out"),
+    ("analyze", "--in"), ("analyze", "--split"), ("analyze", "--report"),
+    ("score", "--src"), ("score", "--hyp"), ("score", "--ref"),
+    ("normalize", "--in"), ("normalize", "--out"),
+    ("synth-prompt", "--dist"), ("synth-prompt", "--out"),
+    ("audit", "--report"),
+])
+def test_missing_required_flag_exits_1_with_usage(tmp_path, capsys, command, flag):
+    base = _base_commands(tmp_path)[command]
+    i = base.index(flag)
+    assert run(base[:i] + base[i + 2:]) == 1
+    err = capsys.readouterr().err
+    assert "usage:" in err and "the following arguments are required: " + flag in err
+    assert [p.name for p in tmp_path.iterdir()] == ["line.txt"]
+
+
+def test_internal_error_exits_2(tmp_path, capsys, monkeypatch):
+    def broken(line, policy):
+        raise RuntimeError("broken layer")
+
+    monkeypatch.setattr("gec_forge.cli.normalize_text", broken)
+    assert run(_base_commands(tmp_path)["normalize"]) == 2
+    assert "internal error: broken layer" in capsys.readouterr().err
 
 
 def test_audit_requires_exactly_one_mode(tmp_path, capsys):
