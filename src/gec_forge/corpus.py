@@ -218,7 +218,8 @@ def synthesize_prompt(report: DistributionReport) -> str:
     Categories are ordered by descending count, ties broken by the order
     the classifier tests them (PRECEDENCE), with Punctuation/Whitespace and
     Morphology promoted to the front when present; pure reorderings and word
-    additions/deletions are always listed as deprioritized. The text is a pure function of the report.
+    additions/deletions are always listed as deprioritized. The text is a
+    pure function of the report.
     """
     if report.total <= 0:
         raise InputError("cannot synthesize a prompt from an empty report")

@@ -43,5 +43,5 @@ def write_text_atomic(path, text: str) -> None:
 
 def write_report(path, kind: str, body: dict) -> None:
     payload = {"schema_version": SCHEMA_VERSION, "kind": kind, **body}
-    write_text_atomic(path, json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2)
-                      + "\n")
+    text = json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2) + "\n"
+    write_text_atomic(path, text)
