@@ -50,7 +50,7 @@ EQUIVALENT = {
 
 
 def _mutations(node: ast.AST):
-    """The one-node changes of node, each as (replacement node)."""
+    """The one-node changes of node, each as its replacement node."""
     if isinstance(node, ast.Compare):
         for i, op in enumerate(node.ops):
             if type(op) in _FLIP:
@@ -73,17 +73,12 @@ class _Site(ast.NodeTransformer):
         self.target, self.count, self.found = target, 0, []
         self.scope = ["<module>"]
 
-    def visit_FunctionDef(self, node):
-        self.scope.append(node.name)
-        self.generic_visit(node)
-        self.scope.pop()
-        return node
-
-    visit_AsyncFunctionDef = visit_FunctionDef
-
     def visit(self, node):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            return self.visit_FunctionDef(node)
+            self.scope.append(node.name)
+            self.generic_visit(node)
+            self.scope.pop()
+            return node
         for mutant in _mutations(node):
             index, self.count = self.count, self.count + 1
             if self.target is None:
