@@ -106,12 +106,15 @@ def _policy(args) -> NormalizationPolicy:
 
 
 def _policy_flag_with(args, flag: str) -> str | None:
-    """Names a normalization flag given together with flag, which makes the
-    command skip normalization."""
-    for key, value in _given_policy(args).items():
-        given = f"--{'no-' if value is False else ''}{key.replace('_', '-')}"
-        return f"argument {given}: not allowed with argument {flag}"
-    return None
+    """Names the first normalization flag given together with flag, which
+    makes the command skip normalization. Every store_false flag is spelled
+    --no-<dest>."""
+    given = next(iter(_given_policy(args).items()), None)
+    if given is None:
+        return None
+    key, value = given
+    option = f"--{'no-' if value is False else ''}{key.replace('_', '-')}"
+    return f"argument {option}: not allowed with argument {flag}"
 
 
 def _score_unread(args) -> str | None:

@@ -1,6 +1,6 @@
 """Mutation sweep of one package module.
 
-    python tests/mutate.py MODULE [--jobs N] [--list]
+    python tests/mutate.py MODULE
 
 MODULE names a file under src/gec_forge (for example `cli`). Each mutant
 changes one node of that module:
@@ -12,6 +12,7 @@ changes one node of that module:
 
 The mutated module is written with ast.unparse into a temporary copy of the
 repository, and pytest -x runs there, the module's own test file first.
+One copy is tested per CPU this process may run on.
 A mutant that passes every test survives. Survivors listed in EQUIVALENT
 are reported apart: no input tells them from the original. The exit code
 is 1 when a survivor is not listed there. The repository itself is never
@@ -130,21 +131,13 @@ def _run_tests(copy: Path, module: str, timeout: float) -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("module", help="module name under src/gec_forge, e.g. cli")
-    parser.add_argument("--jobs", type=int, default=1, choices=range(1, 9),
-                        help="mutants tested at once, each in its own copy (default 1)")
-    parser.add_argument("--list", action="store_true", help="list the mutants and exit")
-    args = parser.parse_args(argv)
-    module = args.module.removesuffix(".py")
-    path = PACKAGE / f"{module}.py"
-    source = path.read_text(encoding="utf-8")
+    module = parser.parse_args(argv).module.removesuffix(".py")
+    source = (PACKAGE / f"{module}.py").read_text(encoding="utf-8")
     found = mutants(source)
-    if args.list:
-        for i, (scope, line, change) in enumerate(found):
-            print(f"{i:4d} {module}.py:{line} {scope}: {change}")
-        return 0
+    jobs = len(os.sched_getaffinity(0))
 
     with tempfile.TemporaryDirectory(prefix="gec-forge-mutate-") as tmp:
-        copies = [Path(tmp) / f"copy{j}" for j in range(args.jobs)]
+        copies = [Path(tmp) / f"copy{j}" for j in range(jobs)]
         for copy in copies:
             _copy_repo(copy)
         # The unparsed but unmutated module must pass, and sets the timeout.
@@ -169,7 +162,7 @@ def main(argv=None) -> int:
             finally:
                 free.put(copy)
 
-        with ThreadPoolExecutor(args.jobs) as pool:
+        with ThreadPoolExecutor(jobs) as pool:
             results = list(pool.map(test_one, range(len(found))))
 
     survivors = equivalent = 0

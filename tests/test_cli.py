@@ -412,13 +412,16 @@ def test_removed_flag_exits_1_with_usage(tmp_path, capsys, command, flag, value)
     assert "usage:" in err and f"unrecognized arguments: {flag}" in err
 
 
-@pytest.mark.parametrize("command, skipper, unread", [
-    ("normalize", "--post", ["--no-collapse-whitespace"]),
-    ("normalize", "--post", ["--collapse-whitespace"]),
-    ("normalize", "--post", ["--digit-policy", "keep_native"]),
-    ("score", "--raw", ["--no-strip-invisibles"]),
-    ("score", "--raw", ["--keep-joiners"]),
-])
+NORMALIZATION_FLAGS = [
+    ["--strip-invisibles"], ["--no-strip-invisibles"],
+    ["--collapse-whitespace"], ["--no-collapse-whitespace"],
+    ["--unify-terminal-punct"], ["--keep-joiners"],
+    ["--danda-policy", "keep_danda"], ["--digit-policy", "keep_native"],
+]
+
+
+@pytest.mark.parametrize("command, skipper", [("normalize", "--post"), ("score", "--raw")])
+@pytest.mark.parametrize("unread", NORMALIZATION_FLAGS, ids=lambda flag: flag[0])
 def test_normalization_flag_that_would_be_skipped_exits_1_with_usage(
         tmp_path, capsys, command, skipper, unread):
     # --post and --raw skip normalization, so a normalization flag beside
@@ -430,6 +433,16 @@ def test_normalization_flag_that_would_be_skipped_exits_1_with_usage(
     assert f"error: argument {unread[0]}: not allowed with argument {skipper}" in err
     assert [p.name for p in tmp_path.iterdir()] == ["line.txt"]
     assert run([*base, skipper]) == 0 and run([*base, *unread]) == 0  # each alone is valid
+
+
+def test_skipped_flag_cases_cover_every_normalization_option():
+    # The error message spells the flag from its dest; the case above checks
+    # that spelling for each option a subcommand declares.
+    subs = next(action for action in build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction))
+    options = {option for action in subs.choices["normalize"]._actions
+               if action.dest in _NORMALIZATION_DESTS for option in action.option_strings}
+    assert options == {flag[0] for flag in NORMALIZATION_FLAGS}
 
 
 def test_prompt_prefix_without_post_exits_1_with_usage(tmp_path, capsys):
