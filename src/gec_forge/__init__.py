@@ -8,7 +8,6 @@ from .classifier import (
     CATEGORY_ORDER,
     Classification,
     ErrorCategory,
-    Evidence,
     classify_pair,
     nullish,
 )
@@ -42,8 +41,7 @@ __all__ = [
     "__version__",
     "align", "levenshtein", "suffix_tail_change", "touches_syntax",
     "DualReport", "EditAudit", "Stratum", "audit_pair", "dual_report", "reconcile",
-    "CATEGORY_ORDER", "Classification", "ErrorCategory", "Evidence",
-    "classify_pair", "nullish",
+    "CATEGORY_ORDER", "Classification", "ErrorCategory", "classify_pair", "nullish",
     "DistributionReport", "SentencePair",
     "analyze", "load_pairs", "synthesize_prompt",
     "InputError",

@@ -40,8 +40,8 @@ class ErrorCategory(Enum):
     SPELLING = "spelling"
     GRAMMAR_SYNTAX = "grammar_syntax"
 
-    def display_label(self, lang: str | None = None) -> str:
-        if self is ErrorCategory.SYNTAX_AGREEMENT and lang is not None:
+    def display_label(self, lang: str) -> str:
+        if self is ErrorCategory.SYNTAX_AGREEMENT:
             return SYNTAX_LABELS[lang]
         return _DISPLAY_LABELS[self]
 
@@ -52,7 +52,6 @@ _DISPLAY_LABELS = {
     ErrorCategory.PUNCT_WHITESPACE: "Punctuation/Whitespace",
     ErrorCategory.WORD_ORDER: "Word Order",
     ErrorCategory.MISSING_EXTRA_WORD: "Missing/Extra Word",
-    ErrorCategory.SYNTAX_AGREEMENT: "Syntax/Agreement",
     ErrorCategory.MORPHOLOGY: "Morphology (Inflection/Affix)",
     ErrorCategory.SPELLING: "Spelling/Orthography",
     ErrorCategory.GRAMMAR_SYNTAX: "Grammar/Syntax",
@@ -81,18 +80,18 @@ NON_EDITS = frozenset({ErrorCategory.NO_ERROR, ErrorCategory.NULL_EMPTY})
 
 
 @dataclass(frozen=True)
-class Evidence:
-    """Which precedence stage fired and why; never alters the category."""
+class Classification:
+    """The category, and which rule of its precedence stage fired and why;
+    the rule and detail never alter the category."""
 
-    stage: int
+    category: ErrorCategory
     rule: str
     detail: dict = field(default_factory=dict)
 
-
-@dataclass(frozen=True)
-class Classification:
-    category: ErrorCategory
-    evidence: Evidence
+    @property
+    def stage(self) -> int:
+        # Stages 1-4 test one category each; stage 5 types the rest.
+        return min(PRECEDENCE.index(self.category), 4) + 1
 
 
 def nullish(x) -> bool:
@@ -131,18 +130,16 @@ def classify_pair(inp, out, profile: LanguageProfile) -> Classification:
 def _classify(pair: _Pair) -> Classification:
     inp, out, profile = pair.inp, pair.out, pair.profile
     if nullish(inp) or nullish(out):
-        return Classification(ErrorCategory.NULL_EMPTY, Evidence(1, "nullish"))
+        return Classification(ErrorCategory.NULL_EMPTY, "nullish")
 
     if inp == out:
-        return Classification(ErrorCategory.NO_ERROR, Evidence(2, "identical"))
+        return Classification(ErrorCategory.NO_ERROR, "identical")
 
     if alnum_projection(inp) == alnum_projection(out):
-        return Classification(
-            ErrorCategory.PUNCT_WHITESPACE, Evidence(3, "equal_projection")
-        )
+        return Classification(ErrorCategory.PUNCT_WHITESPACE, "equal_projection")
 
     if sorted(_NONPUNCT_RUN.findall(inp)) == sorted(_NONPUNCT_RUN.findall(out)):
-        return Classification(ErrorCategory.WORD_ORDER, Evidence(4, "permuted_multiset"))
+        return Classification(ErrorCategory.WORD_ORDER, "permuted_multiset")
 
     a, b = pair.texts()
 
@@ -169,21 +166,13 @@ def _classify(pair: _Pair) -> Classification:
     # Syntax outranks the rest; then insert/delete outranks replace.
     if syntax_hits:
         rule = "insert_delete_syntax" if saw_insdel else "replace_syntax"
-        return Classification(
-            ErrorCategory.SYNTAX_AGREEMENT, Evidence(5, rule, {"hits": syntax_hits})
-        )
+        return Classification(ErrorCategory.SYNTAX_AGREEMENT, rule, {"hits": syntax_hits})
     if saw_insdel:
-        return Classification(
-            ErrorCategory.MISSING_EXTRA_WORD, Evidence(5, "insert_delete")
-        )
+        return Classification(ErrorCategory.MISSING_EXTRA_WORD, "insert_delete")
     if morph_hits:
-        return Classification(
-            ErrorCategory.MORPHOLOGY,
-            Evidence(5, "replace_suffix_tail", {"pairs": morph_hits}),
-        )
+        return Classification(ErrorCategory.MORPHOLOGY, "replace_suffix_tail",
+                              {"pairs": morph_hits})
     if saw_spell:
-        return Classification(
-            ErrorCategory.SPELLING,
-            Evidence(5, "replace_small_distance", {"threshold": SPELL_THRESHOLD}),
-        )
-    return Classification(ErrorCategory.GRAMMAR_SYNTAX, Evidence(5, "replace_other"))
+        return Classification(ErrorCategory.SPELLING, "replace_small_distance",
+                              {"threshold": SPELL_THRESHOLD})
+    return Classification(ErrorCategory.GRAMMAR_SYNTAX, "replace_other")

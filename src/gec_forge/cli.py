@@ -18,13 +18,13 @@ import sys
 from . import __version__
 from .audit import DEFAULT_DISTANCE_CAP, Stratum, audit_pair, dual_report
 from .classifier import CATEGORY_ORDER, SPELL_THRESHOLD, classify_pair
-from .corpus import DistributionReport, analyze, load_pairs, synthesize_prompt
+from .corpus import SPLITS, DistributionReport, analyze, load_pairs, synthesize_prompt
 from .errors import InputError
-from .gleu import MAX_N_LIMIT, gleu_corpus
+from .gleu import DEFAULT_MAX_N, MAX_N_LIMIT, gleu_corpus
 from .reports import read_text, write_report, write_text_atomic
-from .textnorm import (POLICY_KEYS, DandaPolicy, DigitPolicy, NormalizationPolicy,
-                       normalize_text, postprocess_hypothesis)
-from .tokenizer import profile_for
+from .textnorm import (DEFAULT_POLICY, POLICY_KEYS, NormalizationPolicy, normalize_text,
+                       postprocess_hypothesis)
+from .tokenizer import SYNTAX_LABELS, profile_for
 
 log = logging.getLogger(__name__)
 
@@ -80,20 +80,25 @@ class _Parser(argparse.ArgumentParser):
         return namespace, extras
 
 
+def _flag(key: str) -> str:
+    """The one option that sets a normalization key: a bool option flips
+    the key's default, an enum option takes a value."""
+    name = key.replace("_", "-")
+    return f"--no-{name}" if getattr(DEFAULT_POLICY, key) is True else f"--{name}"
+
+
 def _add_normalization(sub):
     # Only a flag given sets its key, so a command can tell that one was.
     group = sub.add_argument_group("normalization", argument_default=argparse.SUPPRESS)
-    group.add_argument("--strip-invisibles", action="store_true")
-    group.add_argument("--no-strip-invisibles", dest="strip_invisibles",
-                       action="store_false")
-    group.add_argument("--collapse-whitespace", action="store_true")
-    group.add_argument("--no-collapse-whitespace", dest="collapse_whitespace",
-                       action="store_false")
-    group.add_argument("--unify-terminal-punct", action="store_true")
-    group.add_argument("--keep-joiners", action="store_true")
-    for flag, enum in (("--danda-policy", DandaPolicy), ("--digit-policy", DigitPolicy)):
-        group.add_argument(flag, type=enum,
-                           metavar="{" + ",".join(member.value for member in enum) + "}")
+    for key in POLICY_KEYS:
+        default = getattr(DEFAULT_POLICY, key)
+        if isinstance(default, bool):
+            group.add_argument(_flag(key), dest=key,
+                               action="store_false" if default else "store_true")
+        else:
+            enum = type(default)
+            group.add_argument(_flag(key), type=enum,
+                               metavar="{" + ",".join(member.value for member in enum) + "}")
 
 
 def _given_policy(args) -> dict:
@@ -107,14 +112,11 @@ def _policy(args) -> NormalizationPolicy:
 
 def _policy_flag_with(args, flag: str) -> str | None:
     """Names the first normalization flag given together with flag, which
-    makes the command skip normalization. Every store_false flag is spelled
-    --no-<dest>."""
-    given = next(iter(_given_policy(args).items()), None)
-    if given is None:
+    makes the command skip normalization."""
+    key = next(iter(_given_policy(args)), None)
+    if key is None:
         return None
-    key, value = given
-    option = f"--{'no-' if value is False else ''}{key.replace('_', '-')}"
-    return f"argument {option}: not allowed with argument {flag}"
+    return f"argument {_flag(key)}: not allowed with argument {flag}"
 
 
 def _score_unread(args) -> str | None:
@@ -130,7 +132,7 @@ def _normalize_unread(args) -> str | None:
 
 
 def _add_language(sub):
-    sub.add_argument("--lang", choices=["hi", "ml"], required=True, help="language profile")
+    sub.add_argument("--lang", choices=SYNTAX_LABELS, required=True, help="language profile")
     sub.add_argument("--lexicon", help="lexicon file used instead of the bundled one")
 
 
@@ -154,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_normalization(p)
     _add_language(p)
     p.add_argument("--in", dest="infile", required=True, metavar="PAIRS_CSV")
-    p.add_argument("--split", choices=["train", "dev", "test"], required=True)
+    p.add_argument("--split", choices=SPLITS, required=True)
     p.add_argument("--report", required=True, metavar="DIST_JSON")
     p.add_argument("--dedup", action="store_true",
                    help="drop exact duplicate pairs before counting")
@@ -165,8 +167,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--src", required=True)
     p.add_argument("--hyp", required=True)
     p.add_argument("--ref", required=True)
-    p.add_argument("--max-n", type=_max_n, default=4,
-                   help=f"highest n-gram order, 1..{MAX_N_LIMIT} (default 4)")
+    p.add_argument("--max-n", type=_max_n, default=DEFAULT_MAX_N,
+                   help=f"highest n-gram order, 1..{MAX_N_LIMIT} (default {DEFAULT_MAX_N})")
     p.add_argument("--report", metavar="REPORT_JSON")
     p.add_argument("--raw", action="store_true",
                    help="score lines as-is, skipping normalization")
@@ -216,8 +218,7 @@ def cmd_classify(args) -> int:
         record = [pair.row, result.category.value, result.category.display_label(args.lang)]
         if args.evidence:
             record.append(json.dumps(
-                {"stage": result.evidence.stage, "rule": result.evidence.rule,
-                 "detail": result.evidence.detail},
+                {"stage": result.stage, "rule": result.rule, "detail": result.detail},
                 ensure_ascii=False, sort_keys=True))
         writer.writerow(record)
     write_text_atomic(args.outfile, buf.getvalue())

@@ -238,7 +238,7 @@ def synthesize_prompt(report: DistributionReport) -> str:
     )
     rules = "\n".join(f"  - {clause}" for clause in CONSTRAINT_CLAUSES)
     return _PROMPT_TEMPLATE.format(
-        language=_LANGUAGE_NAMES.get(report.lang, report.lang),
+        language=_LANGUAGE_NAMES[report.lang],
         priorities=priorities,
         cautions=cautions,
         rules=rules,

@@ -24,6 +24,8 @@ from .errors import InputError
 # tally, which makes the corpus score 0.
 MAX_N_LIMIT = 16
 
+DEFAULT_MAX_N = 4  # the order scored when none is given
+
 
 @dataclass(frozen=True)
 class GleuReport:
@@ -99,7 +101,7 @@ def gleu_corpus(
     sources: Sequence[str],
     hypotheses: Sequence[str],
     references: Sequence[str],
-    max_n: int = 4,
+    max_n: int = DEFAULT_MAX_N,
 ) -> GleuReport:
     """Score a corpus of whitespace-tokenizable lines.
 

@@ -146,8 +146,7 @@ def test_criterion_classifier_oracle_equivalence(hi, ml):
         for inp, out in random_pairs(seed, 500, lang):
             total += 1
             result = classify_pair(inp, out, profile)
-            main = (result.category.value, result.evidence.stage, result.evidence.rule,
-                    result.evidence.detail)
+            main = (result.category.value, result.stage, result.rule, result.detail)
             if main != straightline_evidence(inp, out, prof):
                 disagreements += 1
     assert total == 1000

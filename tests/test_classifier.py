@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import re
 
@@ -106,7 +107,10 @@ def test_evidence_stage_matches_category(hi):
     for (inp, out), (expected_cat, stage) in expectations.items():
         result = classify_pair(inp, out, hi)
         assert result.category is expected_cat
-        assert result.evidence.stage == stage
+        assert result.stage == stage
+    # A result is a value: its category cannot be rewritten after the fact.
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        result.category = C.NO_ERROR
 
 
 # One pair per stage-5 category that meets that category's condition and no
@@ -124,7 +128,7 @@ def test_precedence_is_the_order_classify_applies(hi):
     # Stages 1-4 come in stage order.
     early = [classify_pair(inp, out, hi)
              for inp, out in (("", "क"), ("क", "क"), ("क ।", "क."), ("क ख ग", "ग क ख"))]
-    assert [r.evidence.stage for r in early] == [1, 2, 3, 4]
+    assert [r.stage for r in early] == [1, 2, 3, 4]
     assert PRECEDENCE[:4] == tuple(r.category for r in early)
     # A joined pair meets the conditions of both its parts, so the category
     # it gets is the one tested first; package and oracle agree on it.
@@ -147,7 +151,8 @@ def test_precedence_is_the_order_classify_applies(hi):
 def test_display_labels():
     assert C.SYNTAX_AGREEMENT.display_label("hi") == "Syntax/Case/Agreement"
     assert C.SYNTAX_AGREEMENT.display_label("ml") == "Syntax/Agreement"
-    assert C.MORPHOLOGY.display_label() == "Morphology (Inflection/Affix)"
+    assert C.MORPHOLOGY.display_label("hi") == "Morphology (Inflection/Affix)"
+    assert C.MORPHOLOGY.display_label("ml") == "Morphology (Inflection/Affix)"
 
 
 def test_nullish():

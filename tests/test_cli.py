@@ -129,6 +129,17 @@ def test_classify_evidence_column(tmp_path):
     assert evidence["stage"] == 1
 
 
+# A blank line is a row with no fields: skipping it would renumber the rows
+# after it, so it exits 1 as a ragged row.
+@pytest.mark.parametrize("rows, row", [("क,ख\n\nग,घ\n", 1), ("क,ख\nग,घ\n\n", 2)],
+                         ids=["middle", "trailing"])
+def test_blank_line_in_pair_csv_exits_1_naming_file_and_row(tmp_path, capsys, rows, row):
+    path = _write(tmp_path / "pairs.csv", "input,output\n" + rows)
+    assert run(["classify", "--lang", "hi", "--in", path, "--out", str(tmp_path / "l.csv")]) == 1
+    assert f"error: {path}: row {row}: expected 2 fields, got 0\n" in capsys.readouterr().err
+    assert not (tmp_path / "l.csv").exists()
+
+
 def test_normalize_roundtrip(tmp_path):
     src = _write(tmp_path / "in.txt", "क‍ख  ग १२\nवाक्य ।।\n")
     out_path = tmp_path / "out.txt"
@@ -153,16 +164,18 @@ def test_normalize_policy_flags(tmp_path):
     assert out_path.read_text(encoding="utf-8") == "क. १२\n"
 
 
+# Each option, and each value of the enum options.
 @pytest.mark.parametrize("flags, key, value", [
     ([], None, None),
-    (["--strip-invisibles"], "strip_invisibles", True),
+    (["--danda-policy", "map_danda_to_period"], "danda_policy", "map_danda_to_period"),
     (["--no-strip-invisibles"], "strip_invisibles", False),
-    (["--collapse-whitespace"], "collapse_whitespace", True),
+    (["--digit-policy", "to_ascii"], "digit_policy", "to_ascii"),
     (["--no-collapse-whitespace"], "collapse_whitespace", False),
     (["--unify-terminal-punct"], "unify_terminal_punct", True),
     (["--keep-joiners"], "keep_joiners", True),
     (["--danda-policy", "map_period_to_danda"], "danda_policy", "map_period_to_danda"),
     (["--digit-policy", "keep_native"], "digit_policy", "keep_native"),
+    (["--danda-policy", "keep_danda"], "danda_policy", "keep_danda"),
 ])
 def test_each_policy_flag_sets_exactly_its_key(tmp_path, flags, key, value):
     report_path = tmp_path / "dist.json"
@@ -401,22 +414,26 @@ def _base_commands(tmp):
     ("audit", "--config", "{config}"),
     ("score", "--seed", "7"),
     ("score", "--iterations", "500"),
+    # Each would set its key to the value it has by default.
+    ("analyze", "--strip-invisibles", None),
+    ("normalize", "--strip-invisibles", None),
+    ("classify", "--collapse-whitespace", None),
+    ("score", "--collapse-whitespace", None),
 ])
 def test_removed_flag_exits_1_with_usage(tmp_path, capsys, command, flag, value):
     base = _base_commands(tmp_path)[command]
     assert run(base) == 0  # the command itself is valid
     capsys.readouterr()
     config = _write(tmp_path / "config.json", "{}")
-    assert run([*base, flag, value.format(lexicon=HI_LEXICON, config=config)]) == 1
+    values = [] if value is None else [value.format(lexicon=HI_LEXICON, config=config)]
+    assert run([*base, flag, *values]) == 1
     err = capsys.readouterr().err
     assert "usage:" in err and f"unrecognized arguments: {flag}" in err
 
 
 NORMALIZATION_FLAGS = [
-    ["--strip-invisibles"], ["--no-strip-invisibles"],
-    ["--collapse-whitespace"], ["--no-collapse-whitespace"],
-    ["--unify-terminal-punct"], ["--keep-joiners"],
-    ["--danda-policy", "keep_danda"], ["--digit-policy", "keep_native"],
+    ["--no-strip-invisibles"], ["--no-collapse-whitespace"], ["--unify-terminal-punct"],
+    ["--keep-joiners"], ["--danda-policy", "keep_danda"], ["--digit-policy", "keep_native"],
 ]
 
 
@@ -436,13 +453,15 @@ def test_normalization_flag_that_would_be_skipped_exits_1_with_usage(
 
 
 def test_skipped_flag_cases_cover_every_normalization_option():
-    # The error message spells the flag from its dest; the case above checks
-    # that spelling for each option a subcommand declares.
+    # The error message spells the flag with the function that declares it;
+    # the case above checks that spelling for each option, one per key.
     subs = next(action for action in build_parser()._actions
                 if isinstance(action, argparse._SubParsersAction))
-    options = {option for action in subs.choices["normalize"]._actions
-               if action.dest in _NORMALIZATION_DESTS for option in action.option_strings}
-    assert options == {flag[0] for flag in NORMALIZATION_FLAGS}
+    options = {action.dest: action.option_strings
+               for action in subs.choices["normalize"]._actions
+               if action.dest in _NORMALIZATION_DESTS}
+    assert sorted(options) == sorted(POLICY_KEYS)
+    assert sorted(sum(options.values(), [])) == sorted(flag[0] for flag in NORMALIZATION_FLAGS)
 
 
 def test_prompt_prefix_without_post_exits_1_with_usage(tmp_path, capsys):

@@ -8,19 +8,18 @@ import gec_forge
 
 PUBLIC_NAMES = [
     "CATEGORY_ORDER", "Classification", "DEFAULT_POLICY", "DandaPolicy", "DigitPolicy",
-    "DistributionReport", "DualReport", "EditAudit", "ErrorCategory", "Evidence",
-    "GleuReport", "InputError", "LanguageProfile", "NormalizationPolicy", "SentencePair",
-    "Stratum", "__version__", "align", "alnum_projection", "analyze", "audit_pair",
-    "classify_pair", "dual_report", "gleu_corpus", "levenshtein", "load_lexicon",
-    "load_pairs", "normalize_text", "nullish", "postprocess_hypothesis", "profile_for",
-    "reconcile", "same_script", "suffix_tail_change", "synthesize_prompt", "tokenize",
-    "touches_syntax",
+    "DistributionReport", "DualReport", "EditAudit", "ErrorCategory", "GleuReport",
+    "InputError", "LanguageProfile", "NormalizationPolicy", "SentencePair", "Stratum",
+    "__version__", "align", "alnum_projection", "analyze", "audit_pair", "classify_pair",
+    "dual_report", "gleu_corpus", "levenshtein", "load_lexicon", "load_pairs",
+    "normalize_text", "nullish", "postprocess_hypothesis", "profile_for", "reconcile",
+    "same_script", "suffix_tail_change", "synthesize_prompt", "tokenize", "touches_syntax",
 ]
 
 
 def test_public_names_are_pinned_and_resolve():
     assert sorted(gec_forge.__all__) == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 37
+    assert len(PUBLIC_NAMES) == 36
     for name in PUBLIC_NAMES:
         assert hasattr(gec_forge, name), name
 
