@@ -41,12 +41,25 @@ _FLIP = {
     ast.Is: ast.IsNot, ast.IsNot: ast.Is,
 }
 
-# (module, enclosing function, mutant as "before -> after") -> why no input
-# tells the mutant from the original.
+# (module, source line of the mutated node, mutant as "before -> after") ->
+# why no input tells the mutant from the original. The line is stripped of
+# its indentation, so the key holds while the code around it moves.
 EQUIVALENT = {
-    ("cli", "run", "exc.code or 0 -> exc.code and 0"):
+    ("cli", "return int(exc.code or 0)", "exc.code or 0 -> exc.code and 0"):
         "argparse raises SystemExit only for --help and --version, with code 0 "
         "(its usage errors raise InputError), so both forms return 0",
+    ("gleu", "net = [0] * (max_n + 1)", "1 -> 2"):
+        "n-gram orders run from 1 to max_n, so the added last slot is never "
+        "written or read",
+    ("gleu", "overlap = h if h < r else r", "h < r -> h <= r"):
+        "the two branches are equal when h == r, so the minimum is the same",
+    ("gleu", "penalty = (h if h < extra else extra) if extra > 0 else 0",
+     "extra > 0 -> extra >= 0"):
+        "when extra == 0 the inner expression gives min(h, 0), which is 0 for "
+        "a hypothesis count h >= 1, as the else branch does",
+    ("gleu", "penalty = (h if h < extra else extra) if extra > 0 else 0",
+     "h < extra -> h <= extra"):
+        "the two branches are equal when h == extra, so the minimum is the same",
 }
 
 
@@ -72,26 +85,20 @@ class _Site(ast.NodeTransformer):
 
     def __init__(self, target: int | None = None):
         self.target, self.count, self.found = target, 0, []
-        self.scope = ["<module>"]
 
     def visit(self, node):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            self.scope.append(node.name)
-            self.generic_visit(node)
-            self.scope.pop()
-            return node
         for mutant in _mutations(node):
             index, self.count = self.count, self.count + 1
             if self.target is None:
-                self.found.append((self.scope[-1], getattr(node, "lineno", 0),
-                                   f"{ast.unparse(node)} -> {ast.unparse(mutant)}"))
+                self.found.append(
+                    (node.lineno, f"{ast.unparse(node)} -> {ast.unparse(mutant)}"))
             elif index == self.target:
                 return ast.copy_location(mutant, node)
         return self.generic_visit(node)
 
 
-def mutants(source: str) -> list[tuple[str, int, str]]:
-    """(enclosing function, line, "before -> after") for each mutant."""
+def mutants(source: str) -> list[tuple[int, str]]:
+    """(line number, "before -> after") for each mutant."""
     site = _Site()
     site.visit(ast.parse(source))
     return site.found
@@ -166,16 +173,18 @@ def main(argv=None) -> int:
             results = list(pool.map(test_one, range(len(found))))
 
     survivors = equivalent = 0
-    for (scope, line, change), result in zip(found, results):
+    lines = source.splitlines()
+    for (line, change), result in zip(found, results):
         if result != "survived":
             continue
-        reason = EQUIVALENT.get((module, scope, change))
+        text = lines[line - 1].strip()
+        reason = EQUIVALENT.get((module, text, change))
         if reason:
             equivalent += 1
-            print(f"equivalent {module}.py:{line} {scope}: {change}  ({reason})")
+            print(f"equivalent {module}.py:{line} {text}: {change}  ({reason})")
         else:
             survivors += 1
-            print(f"SURVIVED   {module}.py:{line} {scope}: {change}")
+            print(f"SURVIVED   {module}.py:{line} {text}: {change}")
     timeouts = results.count("timeout")
     print(f"{module}: {len(found)} mutants, {len(found) - survivors - equivalent} killed "
           f"({timeouts} by timeout), {equivalent} equivalent, {survivors} survived")

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -44,6 +45,8 @@ def test_report_structure():
     assert report.hyp_tokens == sum(len(line.split()) for line in TOY_HYP)
     payload = report.to_dict()
     assert payload["corpus_score_x100"] == round(report.corpus_score * 100, 2)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.corpus_score = 1.0
 
 
 def test_corpus_score_is_pooled_not_mean():
