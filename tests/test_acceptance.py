@@ -374,6 +374,8 @@ def test_criterion_end_to_end_determinism(tmp_path):
         gleu_report = tmp_path / f"gleu-{name}.json"
         prompt = tmp_path / f"prompt-{name}.txt"
         labels = tmp_path / f"labels-{name}.csv"
+        audit = tmp_path / f"audit-{name}.json"
+        dual = tmp_path / f"dual-{name}.json"
         assert run(["classify", "--lang", "hi", "--evidence",
                     "--in", str(FIXTURES / "hi_fixture.csv"),
                     "--out", str(labels)]) == 0
@@ -387,9 +389,16 @@ def test_criterion_end_to_end_determinism(tmp_path):
                     "--report", str(gleu_report)]) == 0
         assert run(["synth-prompt", "--dist", str(dist),
                     "--out", str(prompt)]) == 0
+        assert run(["audit", "--lang", "hi",
+                    "--in", str(FIXTURES / "hi_fixture.csv"),
+                    "--report", str(audit)]) == 0
+        assert run(["audit", "--lang", "hi",
+                    "--dual", str(FIXTURES / "hi_fixture.csv"),
+                    str(FIXTURES / "hi_fixture_b.csv"),
+                    "--report", str(dual)]) == 0
         outputs.append(
             (dist.read_bytes(), gleu_report.read_bytes(), prompt.read_bytes(),
-             labels.read_bytes())
+             labels.read_bytes(), audit.read_bytes(), dual.read_bytes())
         )
     assert outputs[0] == outputs[1]
     golden_pairs = [
@@ -397,6 +406,8 @@ def test_criterion_end_to_end_determinism(tmp_path):
         (outputs[0][1], GOLDEN / "gleu_toy.json"),
         (outputs[0][2], GOLDEN / "prompt_hi_fixture.txt"),
         (outputs[0][3], GOLDEN / "labels_hi_fixture.csv"),
+        (outputs[0][4], GOLDEN / "audit_hi_fixture.json"),
+        (outputs[0][5], GOLDEN / "dual_audit_hi_fixture.json"),
     ]
     for produced, golden_path in golden_pairs:
         assert produced == golden_path.read_bytes(), f"drift vs {golden_path.name}"
