@@ -4,16 +4,17 @@
 Precedence (earlier stages short-circuit later ones):
   1. Null/Empty: either side blank or a nan/null/none sentinel
   2. No Error: strings bit-identical
-  3. Punct/WS: alphanumeric projections equal
+  3. Punct/WS: alphanumeric projections (the non-punct runs, joined) equal
   4. Word Order: same multiset of non-punct runs (the non-punct tokens,
      read straight from the two strings), different sequence
   5. Alignment typing over the non-equal opcodes: syntax > missing/extra
      word > morphology > spelling > grammar, the last resort
 
-Tokens cover every non-whitespace character in order, and the projection
-drops every whitespace character, so equal token lists give equal
-projections. A pair past stage 3 therefore has different token lists, at
-least one non-equal opcode, and a stage-5 label.
+Equal sequences of non-punct runs give equal projections, so a pair past
+stage 3 has different run sequences: stage 4 fires only on a true
+permutation. Those runs are the pair's non-punct tokens in order, so the
+pair also has different token lists, at least one non-equal opcode, and a
+stage-5 label.
 """
 from __future__ import annotations
 

@@ -2,8 +2,9 @@
 
 Three layers live here: ingestion normalization (NFKC, invisible-character
 removal, whitespace collapse, digit and danda mapping), the alphanumeric
-projection used to detect punctuation/whitespace-only edits, and the
-surface-level post-processor applied to model hypotheses.
+projection used to detect punctuation/whitespace-only edits, which keeps
+exactly the tokenizer's non-punctuation classes, and the surface-level
+post-processor applied to model hypotheses.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from dataclasses import dataclass, fields
 from enum import Enum
 from importlib import resources
 
-from .tokenizer import DEVANAGARI_DIGITS, MALAYALAM_DIGITS
+from .tokenizer import _NONPUNCT_RUN, DEVANAGARI_DIGITS, MALAYALAM_DIGITS
 
 # Fixed invisible-character inventory; the authoritative copy ships as a
 # versioned data table (data/invisible_chars.json) and is loaded below.
@@ -137,32 +138,17 @@ def normalize_text(s: str, policy: NormalizationPolicy = DEFAULT_POLICY) -> str:
     return s
 
 
-class _ProjectionTable(dict):
-    """str.translate table for alnum_projection: each code point maps to
-    itself (kept) or to None (dropped), decided on first sight."""
-
-    def __missing__(self, cp: int) -> int | None:
-        ch = chr(cp)
-        kept = cp if ch.isalnum() or unicodedata.category(ch).startswith("M") else None
-        self[cp] = kept
-        return kept
-
-
-# Filled lazily, so it holds at most one entry per distinct code point seen.
-_PROJECTION = _ProjectionTable()
-
-
 def alnum_projection(s: str) -> str:
-    """Letters-and-digits view of s: everything that is not a letter, digit,
-    or combining mark is dropped.
+    """Word-material view of s: its non-punctuation runs joined, keeping
+    exactly the tokenizer's digit, Latin, Devanagari and Malayalam classes.
 
-    Combining marks (Unicode M*) must survive because Indic vowel signs and
-    virama are combining characters; dropping them would make inflectional
-    edits look like punctuation-only edits. Two strings with equal
-    projections differ only in whitespace/punctuation. The rule is
-    script-independent.
+    The script classes hold letters and combining marks, so Indic vowel
+    signs and virama survive and inflectional edits never look like
+    punctuation-only edits. Every other character is a punct token to the
+    tokenizer and is dropped here, so two strings with equal projections
+    differ only in whitespace and punct tokens.
     """
-    return s.translate(_PROJECTION)
+    return "".join(_NONPUNCT_RUN.findall(s))
 
 
 @functools.lru_cache(maxsize=16)

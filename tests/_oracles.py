@@ -92,17 +92,6 @@ def apply_opcodes(ops, a, b):
     return out
 
 
-def projection_filter(s):
-    """Per-character filter: keep letters, digits, and combining marks."""
-    kept = []
-    for ch in s:
-        if ch.isalnum():
-            kept.append(ch)
-        elif unicodedata.category(ch).startswith("M"):
-            kept.append(ch)
-    return "".join(kept)
-
-
 def native_digits_to_ascii(s):
     """Map each Devanagari (U+0966-U+096F) and Malayalam (U+0D66-U+0D6F)
     decimal digit to its ASCII digit; leave every other character."""
@@ -178,6 +167,16 @@ def char_classes(s):
         else:
             out.append("punct")
     return out
+
+
+def projection_filter(s):
+    """Per-character filter: keep the characters char_classes marks as a
+    digit or a script letter or mark."""
+    kept = []
+    for ch, c in zip(s, char_classes(s)):
+        if c == "digit" or c.startswith("script:"):
+            kept.append(ch)
+    return "".join(kept)
 
 
 def tokens_by_class(s):

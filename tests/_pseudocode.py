@@ -5,7 +5,6 @@ stdlib SequenceMatcher for alignment, plain dicts and loops everywhere,
 no shared code with the package. The two routes can only agree by
 computing the same labels.
 """
-import re
 import unicodedata
 from collections import Counter
 from difflib import SequenceMatcher
@@ -18,14 +17,6 @@ _SENTINELS = {"nan", "null", "none"}
 def nullish(x):
     s = "" if x is None else str(x).strip()
     return s == "" or s.lower() in _SENTINELS
-
-
-def alnum_projection(s):
-    s1 = re.sub(r"\s+", " ", str(s)).strip()
-    return "".join(
-        ch for ch in s1
-        if ch.isalnum() or unicodedata.category(ch).startswith("M")
-    )
 
 
 def char_kind(ch):
@@ -65,6 +56,10 @@ def tokenize(s):
 
 def is_punct(tok):
     return all(char_kind(ch) == "punct" for ch in tok)
+
+
+def alnum_projection(s):
+    return "".join(t for t in tokenize(s) if not is_punct(t))
 
 
 def token_script(tok):

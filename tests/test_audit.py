@@ -25,6 +25,14 @@ def test_punct_only_fix_is_redundant(hi):
     assert audit.stratum is Stratum.REDUNDANT
 
 
+@pytest.mark.parametrize("inp,out", [("राम α", "राम β"), ("राम Zo\u00eb", "राम Zo\u00e8")])
+def test_edit_outside_the_word_classes_is_redundant(hi, inp, out):
+    audit = audit_pair(inp, out, hi)
+    assert audit.category is C.PUNCT_WHITESPACE
+    assert audit.stratum is Stratum.REDUNDANT
+    assert not audit.multiset_preserving_reorder
+
+
 def test_none_input_is_null_empty_with_token_distance(hi):
     audit = audit_pair(None, "राम है", hi)
     assert audit.category is C.NULL_EMPTY

@@ -10,7 +10,8 @@ from gec_forge import (ErrorCategory, alnum_projection, classify_pair, nullish,
                        profile_for, tokenize)
 from gec_forge.classifier import PRECEDENCE, SPELL_THRESHOLD
 
-from _gen import PUNCT_TOKENS, make_sentence, random_pairs
+from _gen import HI_WORDS, PUNCT_TOKENS, make_sentence, random_pairs
+from _oracles import tokens_by_class
 from _pseudocode import classify_pair as straightline_classify
 from _pseudocode import profile_dict
 
@@ -220,3 +221,31 @@ def test_equal_tokens_imply_equal_projections(text, separators):
     respaced = "".join(sep + tok for sep, tok in zip(separators + [" "] * len(tokens), tokens))
     assert tokenize(respaced) == tokens
     assert alnum_projection(respaced) == alnum_projection(text)
+
+
+# Letters and digits outside the tokenizer's classes (Greek, Latin with a
+# diacritic, Cyrillic, Arabic-Indic) are punct tokens, so they are not word
+# material for the projection either.
+OUT_OF_CLASS = list("αβ\u00e9\u04d5\u0661")
+OUT_OF_CLASS_EDITS = [("राम α", "राम β"), ("राम Zo\u00eb", "राम Zo\u00e8")]
+
+
+@pytest.mark.parametrize("inp,out", OUT_OF_CLASS_EDITS)
+def test_edit_outside_the_word_classes_is_punct_whitespace(hi, inp, out):
+    result = classify_pair(inp, out, hi)
+    assert (result.category, result.rule) == (C.PUNCT_WHITESPACE, "equal_projection")
+
+
+def _nonpunct_runs(s):
+    return [text for text, kind in tokens_by_class(s) if kind != "punct"]
+
+
+@given(st.lists(st.sampled_from(HI_WORDS[:6] + OUT_OF_CLASS), min_size=1, max_size=6),
+       st.sampled_from([" ", ""]), st.data())
+def test_word_order_only_when_the_nonpunct_runs_differ(hi, words, sep, data):
+    # A permutation of the words whose out-of-class letters may also change.
+    moved = [data.draw(st.sampled_from(OUT_OF_CLASS)) if w in OUT_OF_CLASS else w
+             for w in data.draw(st.permutations(words))]
+    inp, out = sep.join(words), sep.join(moved)
+    if cat(inp, out, hi) is C.WORD_ORDER:
+        assert _nonpunct_runs(inp) != _nonpunct_runs(out)
