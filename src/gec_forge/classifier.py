@@ -23,7 +23,9 @@ from enum import Enum
 
 from .alignment import Opcode, align, levenshtein, suffix_tail_change, touches_syntax
 from .textnorm import alnum_projection
-from .tokenizer import _NONPUNCT_RUN, SYNTAX_LABELS, LanguageProfile, same_script, tokenize
+from .tokenizer import (
+    _NONPUNCT_RUN, SYNTAX_LABELS, LanguageProfile, _check_lang, same_script, tokenize,
+)
 
 SPELL_THRESHOLD = 2  # max Levenshtein distance still counted as a spelling slip
 
@@ -42,6 +44,7 @@ class ErrorCategory(Enum):
     GRAMMAR_SYNTAX = "grammar_syntax"
 
     def display_label(self, lang: str) -> str:
+        _check_lang(lang)
         if self is ErrorCategory.SYNTAX_AGREEMENT:
             return SYNTAX_LABELS[lang]
         return _DISPLAY_LABELS[self]

@@ -34,6 +34,11 @@ MALAYALAM_DIGITS = (0x0D66, 0x0D6F)
 SYNTAX_LABELS = {"hi": "Syntax/Case/Agreement", "ml": "Syntax/Agreement"}
 
 
+def _check_lang(lang: str) -> None:
+    if lang not in SYNTAX_LABELS:
+        raise InputError(f"unknown language: {lang!r} (expected hi or ml)")
+
+
 @dataclass(frozen=True)
 class LanguageProfile:
     """Per-language lexica, immutable after load."""
@@ -44,8 +49,7 @@ class LanguageProfile:
     suffixes: tuple[str, ...]  # deduplicated, longest-first
 
     def __post_init__(self):
-        if self.name not in SYNTAX_LABELS:
-            raise InputError(f"unknown language: {self.name!r} (expected hi or ml)")
+        _check_lang(self.name)
         if self.name == "ml" and self.postpositions:
             raise InputError("Malayalam profiles use [suffixes], not [postpositions]")
 
@@ -134,8 +138,7 @@ def _profile_from_sections(name: str, sections: dict[str, list[str]]) -> Languag
 
 def profile_for(lang: str, lexicon_path=None) -> LanguageProfile:
     """Build the profile for hi/ml from the bundled lexicon or a user file."""
-    if lang not in SYNTAX_LABELS:
-        raise InputError(f"unknown language: {lang!r} (expected hi or ml)")
+    _check_lang(lang)
     if lexicon_path is None:
         ref = resources.files("gec_forge").joinpath(f"data/{lang}.lexicon")
         with resources.as_file(ref) as path:

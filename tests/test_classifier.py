@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gec_forge import (ErrorCategory, alnum_projection, classify_pair, nullish,
-                       profile_for, tokenize)
+from gec_forge import (ErrorCategory, InputError, alnum_projection, classify_pair,
+                       nullish, profile_for, tokenize)
 from gec_forge.classifier import PRECEDENCE, SPELL_THRESHOLD
 
 from _gen import HI_WORDS, PUNCT_TOKENS, make_sentence, random_pairs
@@ -154,6 +154,9 @@ def test_display_labels():
     assert C.SYNTAX_AGREEMENT.display_label("ml") == "Syntax/Agreement"
     assert C.MORPHOLOGY.display_label("hi") == "Morphology (Inflection/Affix)"
     assert C.MORPHOLOGY.display_label("ml") == "Morphology (Inflection/Affix)"
+    for category in C:
+        with pytest.raises(InputError, match="unknown language: 'xx'"):
+            category.display_label("xx")
 
 
 def test_nullish():
