@@ -60,6 +60,24 @@ EQUIVALENT = {
     ("gleu", "penalty = (h if h < extra else extra) if extra > 0 else 0",
      "h < extra -> h <= extra"):
         "the two branches are equal when h == extra, so the minimum is the same",
+    ("audit", "Stratum.NONE: 3,", "3 -> 4"):
+        "reconcile only compares preferences, and NONE stays the largest",
+    ("audit", 'winner = "a" if pref_a < pref_b else "b"', "pref_a < pref_b -> pref_a <= pref_b"):
+        "the branch runs only when pref_a != pref_b, so < and <= agree",
+    ("audit", 'winner = "a" if audit_a.edit_distance < audit_b.edit_distance else "b"',
+     "audit_a.edit_distance < audit_b.edit_distance -> "
+     "audit_a.edit_distance <= audit_b.edit_distance"):
+        "the branch runs only when the two distances differ, so < and <= agree",
+    ("audit", 'winner = "a" if moves_a < moves_b else "b"', "moves_a < moves_b -> moves_a <= moves_b"):
+        "the branch runs only when moves_a != moves_b, so < and <= agree",
+    ("tokenizer", '"mlym": (0x0D00, 0x0D7F),', "3455 -> 3456"):
+        "U+0D80 is unassigned (category Cn) in the Unicode tables of every "
+        "supported Python, so the block gains no letter or mark",
+    ("tokenizer", 'line = raw.split("#", 1)[0].strip()', "1 -> 2"):
+        "the text before the first '#' is the same whatever the split limit",
+    ("textnorm", "@functools.lru_cache(maxsize=16)", "16 -> 17"):
+        "the cache bound changes how many compiled echo patterns are kept, "
+        "not what any of them matches",
 }
 
 

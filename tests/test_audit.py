@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -171,6 +172,15 @@ def test_reconcile_positional_tiebreak(hi):
     chosen, reason = reconcile(inp, cand_a, cand_b, hi)
     assert chosen == cand_a
     assert reason == "positional"
+
+
+def test_audits_and_dual_reports_are_frozen(hi):
+    audit = audit_pair("राम खाता", "राम खाता है", hi)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        audit.edit_distance = 0
+    report = dual_report([("क", "ख", "ग")], hi)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.union_count = 0
 
 
 def test_dual_report_hand_tally(hi):

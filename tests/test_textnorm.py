@@ -1,7 +1,7 @@
 import os
 import time
 import unicodedata
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 from hypothesis import example, given
@@ -82,6 +82,11 @@ def test_whitespace_collapse_matches_oracle_on_every_code_point():
 
 def test_projection_matches_character_filter_on_every_code_point():
     assert_same(alnum_projection(EVERY_CODE_POINT), projection_filter(EVERY_CODE_POINT))
+
+
+def test_policy_is_frozen():
+    with pytest.raises(FrozenInstanceError):
+        NormalizationPolicy().keep_joiners = True
 
 
 def test_keep_joiners_retains_zwj_zwnj():
@@ -196,6 +201,8 @@ def test_postprocess_examples():
 
 def test_postprocess_keeps_digit_groupings():
     assert postprocess_hypothesis("कुल 1,000 रुपये ।") == "कुल 1,000 रुपये।"
+    # The mark at index 1 has the line's first character before it.
+    assert postprocess_hypothesis("1,000") == "1,000"
 
 
 def test_postprocess_spaces_a_mark_with_a_digit_on_one_side_only():

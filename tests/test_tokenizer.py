@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import example, given
@@ -183,6 +184,11 @@ def test_profiles(hi, ml):
     lengths = [len(s) for s in hi.suffixes]
     assert lengths == sorted(lengths, reverse=True)
     assert len(set(hi.suffixes)) == len(hi.suffixes)
+
+
+def test_profile_is_frozen():
+    with pytest.raises(FrozenInstanceError):
+        profile_for("hi").name = "ml"
 
 
 def test_lexicon_loader(tmp_path):
