@@ -111,3 +111,35 @@ def random_pairs(seed, count, lang):
             left, right = right, left
         pairs.append((left, right))
     return pairs
+
+
+def edit_tokens(rng, sentence, lang):
+    """Apply 1 to 6 token edits, each a drop, an insert, a swap for another
+    word or a character corruption at a random position."""
+    tokens = sentence.split()
+    words = HI_WORDS if lang == "hi" else ML_WORDS
+    for _ in range(rng.randint(1, 6)):
+        pos = rng.randrange(len(tokens))
+        mode = rng.randrange(4)
+        if mode == 0 and len(tokens) > 1:
+            del tokens[pos]
+        elif mode == 1:
+            tokens.insert(pos, rng.choice(words))
+        elif mode == 2:
+            tokens[pos] = rng.choice(words)
+        else:
+            tokens[pos] = _corrupt_token(rng, tokens[pos])
+    return " ".join(tokens)
+
+
+def long_pairs(seed, count, lang):
+    """Pairs of 200 to 400 words of one language, a few token edits apart:
+    long enough that difflib's autojunk heuristic would mark every word of
+    the small vocabulary as popular."""
+    rng = random.Random(seed)
+    words = HI_WORDS if lang == "hi" else ML_WORDS
+    pairs = []
+    for _ in range(count):
+        left = " ".join(rng.choice(words) for _ in range(rng.randint(200, 400)))
+        pairs.append((left, edit_tokens(rng, left, lang)))
+    return pairs

@@ -2,12 +2,17 @@
 
 Everything here is written against the contracts directly, in the most
 obvious way possible (explicit loops, dict counting, recursion), and stays
-independent of the package implementation it checks.
+independent of the package implementation it checks. The straight-line
+classifier, audit and reconcile at the end are built from the per-character
+oracles above them and stdlib difflib, so the package and this module can
+only agree by computing the same labels.
 """
 import json
 import math
 import re
 import unicodedata
+from collections import Counter
+from difflib import SequenceMatcher
 from functools import lru_cache
 from pathlib import Path
 
@@ -301,3 +306,169 @@ def invisible_filter(s, keep_joiners):
     if keep_joiners:
         drop -= {int(cp[2:], 16) for cp in table["joiners"]}
     return "".join(ch for ch in s if ord(ch) not in drop)
+
+
+# ---------------------------------------------------------------------------
+# Straight-line classifier, audit and dual-candidate reconciliation.
+
+SPELL_THR = 2
+CAP = 5
+_SENTINELS = {"nan", "null", "none"}
+_NO_EDIT = ("no_error", "null_empty")
+_RANK = {"rectifying": 0, "redundant": 1, "risky": 2, "none": 3}
+
+
+def nullish(x):
+    s = "" if x is None else str(x).strip()
+    return s == "" or s.lower() in _SENTINELS
+
+
+def suffix_tail_change(a, b, suffixes):
+    """True iff the tails after the common prefix differ and one of them
+    ends with a listed suffix."""
+    k = 0
+    for x, y in zip(a, b):
+        if x != y:
+            break
+        k += 1
+    ta, tb = a[k:], b[k:]
+    if ta == tb:
+        return False
+    return any(ta.endswith(s) or tb.endswith(s) for s in suffixes)
+
+
+def profile_dict(profile):
+    """Adapt a package LanguageProfile into the plain dict this module uses."""
+    return {
+        "auxiliaries": set(profile.auxiliaries),
+        "postpositions": set(profile.postpositions),
+        "suffixes": list(profile.suffixes),
+    }
+
+
+def _token_texts(s):
+    return [text for text, _ in tokens_by_class("" if s is None else str(s))]
+
+
+def _opcodes(a, b):
+    return SequenceMatcher(None, a, b, autojunk=False).get_opcodes()
+
+
+def classify_pair(inp, out, prof):
+    """Returns the category as a machine name string."""
+    return classify_evidence(inp, out, prof)[0]
+
+
+def classify_evidence(inp, out, prof):
+    """Returns (category, stage, rule, detail): the category as a machine
+    name string and the evidence `classify --evidence` writes for it, with
+    the rule names of the README precedence list."""
+    # (1) Null/Empty
+    if nullish(inp) or nullish(out):
+        return "null_empty", 1, "nullish", {}
+    inp, out = str(inp), str(out)
+
+    # (2) No Error
+    if inp == out:
+        return "no_error", 2, "identical", {}
+
+    # (3) Punctuation/Whitespace
+    if projection_filter(inp) == projection_filter(out):
+        return "punct_whitespace", 3, "equal_projection", {}
+
+    # (4) Word Order
+    runs_a, runs_b = tokens_by_class(inp), tokens_by_class(out)
+    words_a = Counter(text for text, kind in runs_a if kind != "punct")
+    words_b = Counter(text for text, kind in runs_b if kind != "punct")
+    if words_a == words_b:
+        return "word_order", 4, "permuted_multiset", {}
+
+    # (5) Alignment-driven typing
+    A, B = [text for text, _ in runs_a], [text for text, _ in runs_b]
+    aux, post = prof["auxiliaries"], prof["postpositions"]
+    saw_insdel = False
+    saw_spell = False
+    hits = []
+    morph_pairs = []
+    for tag, i1, i2, j1, j2 in _opcodes(A, B):
+        segA, segB = A[i1:i2], B[j1:j2]
+        if tag in ("insert", "delete"):
+            saw_insdel = True
+            if touches_syntax(segA, aux, post) or touches_syntax(segB, aux, post):
+                hits += segA + segB
+        elif tag == "replace":
+            if touches_syntax(segA, aux, post) or touches_syntax(segB, aux, post):
+                hits += segA + segB
+                continue
+            for ta, tb in zip(segA, segB):
+                script = token_script_by_class(ta)
+                if (script is not None and script == token_script_by_class(tb)
+                        and suffix_tail_change(ta, tb, prof["suffixes"])):
+                    morph_pairs.append([ta, tb])
+                elif levenshtein_matrix(ta, tb) <= SPELL_THR:
+                    saw_spell = True
+
+    if saw_insdel:
+        if hits:
+            return "syntax_agreement", 5, "insert_delete_syntax", {"hits": hits}
+        return "missing_extra_word", 5, "insert_delete", {}
+    if hits:
+        return "syntax_agreement", 5, "replace_syntax", {"hits": hits}
+    if morph_pairs:
+        return "morphology", 5, "replace_suffix_tail", {"pairs": morph_pairs}
+    if saw_spell:
+        return "spelling", 5, "replace_small_distance", {"threshold": SPELL_THR}
+    return "grammar_syntax", 5, "replace_other", {}
+
+
+def audit(inp, pred, prof, cap=CAP):
+    """Returns (category, token edit distance, stratum)."""
+    category = classify_pair(inp, pred, prof)
+    distance = levenshtein_matrix(_token_texts(inp), _token_texts(pred))
+    if category in _NO_EDIT:
+        stratum = "none"
+    elif category == "punct_whitespace":
+        stratum = "redundant"
+    elif category == "word_order":
+        stratum = "risky"
+    elif distance <= cap:
+        stratum = "rectifying"
+    else:
+        stratum = "risky"
+    return category, distance, stratum
+
+
+def moved_tokens(inp, pred):
+    """Tokens that an edit both removes and adds back elsewhere."""
+    A, B = _token_texts(inp), _token_texts(pred)
+    removed = Counter()
+    added = Counter()
+    for tag, i1, i2, j1, j2 in _opcodes(A, B):
+        if tag in ("delete", "replace"):
+            removed.update(A[i1:i2])
+        if tag in ("insert", "replace"):
+            added.update(B[j1:j2])
+    return sum((removed & added).values())
+
+
+def reconcile(inp, cand_a, cand_b, prof, cap=CAP):
+    """Returns (chosen text, reason)."""
+    if str(cand_a) == str(cand_b):
+        return cand_a, "identical"
+    _, dist_a, stratum_a = audit(inp, cand_a, prof, cap)
+    _, dist_b, stratum_b = audit(inp, cand_b, prof, cap)
+    if _RANK[stratum_a] < _RANK[stratum_b]:
+        return cand_a, "stratum:" + stratum_a
+    if _RANK[stratum_b] < _RANK[stratum_a]:
+        return cand_b, "stratum:" + stratum_b
+    if dist_a < dist_b:
+        return cand_a, "edit_distance"
+    if dist_b < dist_a:
+        return cand_b, "edit_distance"
+    moves_a = moved_tokens(inp, cand_a)
+    moves_b = moved_tokens(inp, cand_b)
+    if moves_a < moves_b:
+        return cand_a, "reordering"
+    if moves_b < moves_a:
+        return cand_b, "reordering"
+    return cand_a, "positional"

@@ -36,11 +36,11 @@ from _oracles import (
     apply_opcodes,
     gleu_brute,
     levenshtein_recursive,
+    profile_dict,
     projection_filter,
     validate_opcodes,
 )
-from _pseudocode import classify_evidence as straightline_evidence
-from _pseudocode import profile_dict
+from _oracles import classify_evidence as straightline_evidence
 
 C = ErrorCategory
 FIXTURES = Path(__file__).parent / "fixtures"

@@ -14,8 +14,8 @@ from gec_forge import (
 )
 from gec_forge.audit import reordered_token_count
 
-import _pseudocode as ref
-from _gen import HI_WORDS, mutate, random_pairs
+import _oracles as ref
+from _gen import HI_WORDS, edit_tokens, long_pairs, mutate, random_pairs
 
 C = ErrorCategory
 
@@ -272,3 +272,34 @@ def test_audit_and_reconcile_match_straight_line_reference(lang, request):
         reasons.add(reason.split(":")[0])
     # Every branch of the reconcile order was exercised.
     assert reasons == {"identical", "stratum", "edit_distance", "reordering", "positional"}
+
+
+def test_long_pairs_match_straight_line_reference(hi, ml):
+    # At 200 tokens and more, difflib's autojunk heuristic would treat every
+    # word of the small vocabulary as popular and align differently; the
+    # package and the reference both align with it off.
+    reasons = set()
+    for profile, lang in ((hi, "hi"), (ml, "ml")):
+        prof = ref.profile_dict(profile)
+        pairs = long_pairs(5, 50, lang)
+        differ = []
+        for k, (inp, out) in enumerate(pairs):
+            result = classify_pair(inp, out, profile)
+            got = (result.category.value, result.stage, result.rule, result.detail)
+            if got != ref.classify_evidence(inp, out, prof):
+                differ.append(k)
+        assert differ == [], lang
+        # The reference's token distance is a pure-Python table, so the
+        # audit sample stays small.
+        rng = random.Random(5)
+        for inp, cand_a in pairs[:2]:
+            cand_b = edit_tokens(rng, inp, lang)
+            for cand in (cand_a, cand_b):
+                audit = audit_pair(inp, cand, profile)
+                got = (audit.category.value, audit.edit_distance, audit.stratum.value)
+                assert got == ref.audit(inp, cand, prof), lang
+            chosen, reason = reconcile(inp, cand_a, cand_b, profile)
+            assert (chosen, reason) == ref.reconcile(inp, cand_a, cand_b, prof), lang
+            reasons.add(reason.split(":")[0])
+    # Every reason that needs both audits was reached.
+    assert reasons == {"stratum", "edit_distance", "reordering"}

@@ -11,9 +11,7 @@ from gec_forge import (ErrorCategory, InputError, alnum_projection, classify_pai
 from gec_forge.classifier import PRECEDENCE, SPELL_THRESHOLD
 
 from _gen import HI_WORDS, PUNCT_TOKENS, make_sentence, random_pairs
-from _oracles import tokens_by_class
-from _pseudocode import classify_pair as straightline_classify
-from _pseudocode import profile_dict
+from _oracles import classify_pair as straightline_classify, profile_dict, tokens_by_class
 
 C = ErrorCategory
 

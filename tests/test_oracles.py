@@ -16,7 +16,15 @@ def _imported_modules(path):
             yield node.module or ""
 
 
-@pytest.mark.parametrize("name", ["_oracles.py", "_pseudocode.py"])
+# Every helper module: the oracles and the generator that feeds both sides.
+HELPERS = sorted(path.name for path in TESTS.glob("_*.py"))
+
+
+def test_helper_glob_finds_the_oracles():
+    assert "_oracles.py" in HELPERS
+
+
+@pytest.mark.parametrize("name", HELPERS)
 def test_oracle_module_imports_no_package_code(name):
     modules = list(_imported_modules(TESTS / name))
     assert modules, "no imports found: the walk is not reading the module"
