@@ -87,7 +87,8 @@ def suffix_tail_change(a: str, b: str, suffixes: Sequence[str]) -> bool:
     tail_a, tail_b = a[k:], b[k:]
     if tail_a == tail_b:
         return False
-    return any(tail_a.endswith(s) or tail_b.endswith(s) for s in suffixes)
+    sfx = tuple(suffixes)
+    return tail_a.endswith(sfx) or tail_b.endswith(sfx)
 
 
 def touches_syntax(segment: Sequence[str], profile: LanguageProfile) -> bool:

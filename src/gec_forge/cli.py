@@ -11,9 +11,9 @@ import csv
 import hashlib
 import io
 import json
-import logging
 import os
 import sys
+import traceback
 
 from . import __version__
 from .audit import DEFAULT_DISTANCE_CAP, Stratum, audit_pair, dual_report
@@ -25,8 +25,6 @@ from .reports import read_text, write_report, write_text_atomic
 from .textnorm import (DEFAULT_POLICY, POLICY_KEYS, NormalizationPolicy, normalize_text,
                        postprocess_hypothesis)
 from .tokenizer import SYNTAX_LABELS, profile_for
-
-log = logging.getLogger(__name__)
 
 
 def _read_lines(path) -> list[str]:
@@ -229,13 +227,20 @@ def cmd_classify(args) -> int:
 def cmd_analyze(args) -> int:
     policy = _policy(args)
     profile = profile_for(args.lang, args.lexicon)
-    pairs = load_pairs(args.infile, policy, drop_duplicates=args.dedup)
+    pairs = load_pairs(args.infile, policy)
+    dropped = ""
+    if args.dedup:  # keep the first pair of each exact (input, output) repeat
+        first = {}
+        for pair in pairs:
+            first.setdefault((pair.input, pair.output), pair)
+        dropped = f" ({len(pairs) - len(first)} exact duplicates dropped)"
+        pairs = list(first.values())
     report = analyze(pairs, profile, args.split)
     body = report.to_dict()
     body["normalization"] = policy.to_dict()
     body["classifier_constants"] = {"SPELL_THR": SPELL_THRESHOLD}
     write_report(args.report, "distribution", body)
-    print(f"analyzed {report.total} pairs -> {args.report}")
+    print(f"analyzed {report.total} pairs{dropped} -> {args.report}")
     return 0
 
 
@@ -331,8 +336,6 @@ def cmd_audit(args) -> int:
 
 def run(argv=None) -> int:
     """Entry point returning an exit code: 0 ok, 1 input error, 2 internal."""
-    logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s",
-                        stream=sys.stderr)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -346,7 +349,7 @@ def run(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # pragma: no cover - defensive
-        log.exception("internal error")
+        traceback.print_exc()
         print(f"internal error: {exc}", file=sys.stderr)
         return 2
 

@@ -4,7 +4,6 @@ analysis, and classifier-informed prompt synthesis.
 from __future__ import annotations
 
 import csv
-import logging
 import re
 from dataclasses import dataclass
 
@@ -13,8 +12,6 @@ from .errors import InputError
 from .reports import read_text
 from .textnorm import DEFAULT_POLICY, NormalizationPolicy, normalize_text
 from .tokenizer import SYNTAX_LABELS, LanguageProfile
-
-log = logging.getLogger(__name__)
 
 SPLITS = ("train", "dev", "test")
 
@@ -114,16 +111,11 @@ def _resolve_columns(header: list[str], path) -> tuple[int, int]:
     return in_idx, out_idx
 
 
-def load_pairs(
-    path,
-    policy: NormalizationPolicy = DEFAULT_POLICY,
-    drop_duplicates: bool = False,
-) -> list[SentencePair]:
+def load_pairs(path, policy: NormalizationPolicy = DEFAULT_POLICY) -> list[SentencePair]:
     """Read a two-column CSV into normalized SentencePairs.
 
     Null entries stay as empty strings (the classifier maps them to
-    Null/Empty); drop_duplicates removes exact (input, output) repeats after
-    normalization, keeping first occurrences and their row indices.
+    Null/Empty).
     """
     # One leading byte-order mark is not part of the header.
     text = read_text(path, newline="").removeprefix("\ufeff")
@@ -148,17 +140,6 @@ def load_pairs(
             )
     except csv.Error as exc:  # e.g. a cell over csv.field_size_limit()
         raise InputError(f"{path}: line {reader.line_num}: {exc}") from exc
-    if drop_duplicates:
-        seen: set[tuple[str, str]] = set()
-        unique = []
-        for pair in pairs:
-            key = (pair.input, pair.output)
-            if key not in seen:
-                seen.add(key)
-                unique.append(pair)
-        if len(unique) < len(pairs):
-            log.info("dropped %d exact duplicate pairs", len(pairs) - len(unique))
-        pairs = unique
     return pairs
 
 

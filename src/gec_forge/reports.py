@@ -1,6 +1,6 @@
-"""File I/O shared by the readers and writers: UTF-8 reads whose errors name
-the file, and deterministic report serialization (sorted-key JSON, atomic
-writes)."""
+"""File I/O shared by the readers and writers: the bundled data directory,
+UTF-8 reads whose errors name the file, and deterministic report
+serialization (sorted-key JSON, atomic writes)."""
 from __future__ import annotations
 
 import json
@@ -10,6 +10,9 @@ import tempfile
 from .errors import InputError
 
 SCHEMA_VERSION = "1"
+
+# Bundled data files, read by path: a zip-imported package is not supported.
+DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
 
 def read_text(path, newline: str | None = None) -> str:

@@ -8,21 +8,19 @@ post-processor applied to model hypotheses.
 """
 from __future__ import annotations
 
-import functools
 import json
+import os
 import re
 import unicodedata
 from dataclasses import dataclass, fields
 from enum import Enum
-from importlib import resources
 
+from .reports import DATA_DIR, read_text
 from .tokenizer import _NONPUNCT_RUN, DEVANAGARI_DIGITS, MALAYALAM_DIGITS
 
 # Fixed invisible-character inventory; the authoritative copy ships as a
 # versioned data table (data/invisible_chars.json) and is loaded below.
-_INVISIBLE_TABLE = json.loads(
-    resources.files("gec_forge").joinpath("data/invisible_chars.json").read_text("utf-8")
-)
+_INVISIBLE_TABLE = json.loads(read_text(os.path.join(DATA_DIR, "invisible_chars.json")))
 INVISIBLE_CHARS = frozenset(chr(int(cp[2:], 16)) for cp in _INVISIBLE_TABLE["codepoints"])
 JOINER_CHARS = frozenset(chr(int(cp[2:], 16)) for cp in _INVISIBLE_TABLE["joiners"])
 
@@ -51,6 +49,7 @@ _SPACE_BEFORE_PUNCT = re.compile(r"\s+([,;:.।?!])")
 _MID_PUNCT_GAP = re.compile(r"([,;:])(?=\S)")
 # A period that is not between two decimal digits, so 3.5 stays a number.
 _PERIOD_OUTSIDE_NUMBER = re.compile(r"(?<!\d)\.|\.(?!\d)")
+_WHITESPACE_RUN = re.compile(r"\s*")
 
 
 class DandaPolicy(Enum):
@@ -151,27 +150,14 @@ def alnum_projection(s: str) -> str:
     return "".join(_NONPUNCT_RUN.findall(s))
 
 
-@functools.lru_cache(maxsize=16)
-def _echo_run(prompt_prefix: str) -> re.Pattern:
-    # Up to 64 echoes, each with the whitespace after it (for str patterns
-    # \s is the set of characters str.lstrip() removes). The bound keeps the
-    # regex engine's backtracking stack, about 140 bytes an echo, small. The
-    # caller matches only a prefix that starts with a non-space character,
-    # so giving back whitespace never lets one more echo match, and the
-    # greedy match is the echo-by-echo strip.
-    return re.compile(f"(?:{re.escape(prompt_prefix)}\\s*){{1,64}}")
-
-
 def _strip_prompt_echo(s: str, prompt_prefix: str | None) -> str:
+    # Step an index past each echo and the whitespace after it (for str
+    # patterns \s is the set of characters str.lstrip() removes), then slice
+    # once, so a line of many echoes costs linear time.
     s = s.lstrip()
-    if not (prompt_prefix and s.startswith(prompt_prefix)):
-        return s
-    # Advance an index a run of echoes at a time and slice once, so a line
-    # of many echoes costs linear time.
-    run = _echo_run(prompt_prefix)
-    i = run.match(s).end()
-    while s.startswith(prompt_prefix, i):
-        i = run.match(s, i).end()
+    i = 0
+    while prompt_prefix and s.startswith(prompt_prefix, i):
+        i = _WHITESPACE_RUN.match(s, i + len(prompt_prefix)).end()
     return s[i:]
 
 

@@ -11,14 +11,14 @@ not.
 """
 from __future__ import annotations
 
+import os
 import re
 import unicodedata
 from dataclasses import dataclass
-from importlib import resources
 from typing import Iterable
 
 from .errors import InputError
-from .reports import read_text
+from .reports import DATA_DIR, read_text
 
 # Script blocks recognized as word material. Danda, abbreviation signs, and
 # the archaic Malayalam number/date signs sit inside these blocks but carry
@@ -99,7 +99,8 @@ def same_script(a: str, b: str) -> bool:
 
 
 def _order_suffixes(suffixes: Iterable[str]) -> tuple[str, ...]:
-    # Longest-first so the longest suffix cue matches first; ties lexicographic.
+    # Longest-first, ties lexicographic: one order for any input order, so
+    # equal lexica give equal profiles.
     return tuple(sorted(set(suffixes), key=lambda s: (-len(s), s)))
 
 
@@ -137,12 +138,11 @@ def _profile_from_sections(name: str, sections: dict[str, list[str]]) -> Languag
 
 
 def profile_for(lang: str, lexicon_path=None) -> LanguageProfile:
-    """Build the profile for hi/ml from the bundled lexicon or a user file."""
+    """Build the profile for hi/ml from a lexicon file, by default the
+    bundled one."""
     _check_lang(lang)
     if lexicon_path is None:
-        ref = resources.files("gec_forge").joinpath(f"data/{lang}.lexicon")
-        with resources.as_file(ref) as path:
-            return _profile_from_sections(lang, load_lexicon(path))
+        lexicon_path = os.path.join(DATA_DIR, f"{lang}.lexicon")
     sections = load_lexicon(lexicon_path)
     try:
         return _profile_from_sections(lang, sections)

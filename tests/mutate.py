@@ -70,14 +70,14 @@ EQUIVALENT = {
         "the branch runs only when the two distances differ, so < and <= agree",
     ("audit", 'winner = "a" if moves_a < moves_b else "b"', "moves_a < moves_b -> moves_a <= moves_b"):
         "the branch runs only when moves_a != moves_b, so < and <= agree",
+    ("alignment", "if len(a) < len(b):", "len(a) < len(b) -> len(a) <= len(b)"):
+        "with equal lengths the swap only makes the other side the shorter "
+        "one, and the distance is exact and symmetric, so it is the same",
     ("tokenizer", '"mlym": (0x0D00, 0x0D7F),', "3455 -> 3456"):
         "U+0D80 is unassigned (category Cn) in the Unicode tables of every "
         "supported Python, so the block gains no letter or mark",
     ("tokenizer", 'line = raw.split("#", 1)[0].strip()', "1 -> 2"):
         "the text before the first '#' is the same whatever the split limit",
-    ("textnorm", "@functools.lru_cache(maxsize=16)", "16 -> 17"):
-        "the cache bound changes how many compiled echo patterns are kept, "
-        "not what any of them matches",
 }
 
 

@@ -3,6 +3,8 @@ import contextlib
 import csv
 import io
 import json
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -18,7 +20,8 @@ from gec_forge.textnorm import DEFAULT_POLICY, POLICY_KEYS
 FIXTURES = Path(__file__).parent / "fixtures"
 FIXTURE_CSV = FIXTURES / "hi_fixture.csv"
 GOLDEN_DIST = Path(__file__).parent / "golden" / "dist_hi_fixture.json"
-HI_LEXICON = Path(__file__).parents[1] / "src" / "gec_forge" / "data" / "hi.lexicon"
+SRC = Path(__file__).parents[1] / "src"
+HI_LEXICON = SRC / "gec_forge" / "data" / "hi.lexicon"
 
 
 def _write(path, text):
@@ -29,6 +32,17 @@ def _write(path, text):
 def test_version(capsys):
     assert run(["--version"]) == 0
     assert "gec-forge" in capsys.readouterr().out
+
+
+def test_run_leaves_the_root_logger_alone():
+    # In a fresh interpreter: pytest's own root handlers would hide a
+    # logging.basicConfig call made in this process.
+    code = (f"import logging, sys; sys.path.insert(0, {str(SRC)!r}); "
+            "import gec_forge.cli; gec_forge.cli.run(['--version']); "
+            "print(logging.getLogger().handlers)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_no_command_prints_usage(capsys):
@@ -87,6 +101,21 @@ def test_analyze_fixture_counts(tmp_path):
     assert report["counts"]["punct_whitespace"] == 2
     assert sum(report["counts"].values()) == report["total"]
     assert report["normalization"]["digit_policy"] == "to_ascii"
+
+
+@pytest.mark.parametrize("rows, total, dropped", [
+    (["क,ख", "क,ख", "ग,घ"], 2, 1),
+    (["क,ख", "ग,घ"], 2, 0),
+])
+def test_analyze_dedup_names_the_dropped_count(tmp_path, capsys, rows, total, dropped):
+    pairs = _write(tmp_path / "t.csv",
+                   "Input sentence,Output sentence\n" + "\n".join(rows) + "\n")
+    report_path = tmp_path / "dist.json"
+    assert run(["analyze", "--lang", "hi", "--split", "train", "--dedup",
+                "--in", pairs, "--report", str(report_path)]) == 0
+    assert json.loads(report_path.read_text(encoding="utf-8"))["total"] == total
+    assert capsys.readouterr().out == (
+        f"analyzed {total} pairs ({dropped} exact duplicates dropped) -> {report_path}\n")
 
 
 def test_classify_then_analyze_consistency(tmp_path, hi):
@@ -496,7 +525,9 @@ def test_internal_error_exits_2(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr("gec_forge.cli.normalize_text", broken)
     assert run(_base_commands(tmp_path)["normalize"]) == 2
-    assert "internal error: broken layer" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback (most recent call last):\n")
+    assert err.endswith("RuntimeError: broken layer\ninternal error: broken layer\n")
 
 
 def test_audit_requires_exactly_one_mode(tmp_path, capsys):

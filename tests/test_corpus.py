@@ -1,6 +1,5 @@
 import csv
 import dataclasses
-import logging
 import random
 import re
 import tempfile
@@ -136,19 +135,6 @@ def test_normalization_applied(tmp_path):
     pairs = load_pairs(path)
     assert pairs[0].input == "कख ग"
     assert pairs[0].output == "12"
-
-
-def test_duplicate_removal_flag(tmp_path, caplog):
-    path = _write_csv(tmp_path / "t.csv", ["क,ख", "क,ख", "ग,घ"])
-    assert len(load_pairs(path)) == 3
-    with caplog.at_level(logging.INFO, logger="gec_forge.corpus"):
-        deduped = load_pairs(path, drop_duplicates=True)
-        assert caplog.messages == ["dropped 1 exact duplicate pairs"]
-        caplog.clear()
-        # Nothing dropped, nothing logged.
-        load_pairs(_write_csv(tmp_path / "u.csv", ["क,ख", "ग,घ"]), drop_duplicates=True)
-        assert caplog.messages == []
-    assert [(p.input, p.row) for p in deduped] == [("क", 0), ("ग", 2)]
 
 
 def test_pairs_and_reports_are_frozen(tmp_path, hi):
