@@ -53,28 +53,6 @@ class EditAudit:
         }
 
 
-@dataclass(frozen=True)
-class DualReport:
-    agreement: tuple  # 9x9 counts, candidate A rows x candidate B columns
-    strata_cross: tuple  # 3x3 over redundant/rectifying/risky (none omitted)
-    union_count: int
-    intersection_count: int
-    conflict_count: int
-    resolutions: tuple  # per pair: {"row", "chosen", "text", "reason"}
-
-    def to_dict(self) -> dict:
-        return {
-            "categories": [cat.value for cat in CATEGORY_ORDER],
-            "agreement": [list(row) for row in self.agreement],
-            "strata": [s.value for s in STRATA_ORDER],
-            "strata_cross": [list(row) for row in self.strata_cross],
-            "union_count": self.union_count,
-            "intersection_count": self.intersection_count,
-            "conflict_count": self.conflict_count,
-            "resolutions": list(self.resolutions),
-        }
-
-
 def audit_pair(
     input, prediction, profile: LanguageProfile, cap: int = DEFAULT_DISTANCE_CAP
 ) -> EditAudit:
@@ -129,11 +107,12 @@ def _moved_tokens(pair: _Pair) -> int:
 
 
 def _reconcile_audited(input, cand_a, cand_b, profile, cap):
-    """Returns (side, chosen_text, reason, audit_a, audit_b)."""
+    """Returns (side, chosen_text, reason, audit_a, audit_b); the text is
+    the chosen candidate as audited, with None read as ""."""
     pair_a, pair_b = _Pair(input, cand_a, profile), _Pair(input, cand_b, profile)
     audit_a, audit_b = _audit(pair_a, cap), _audit(pair_b, cap)
-    if str(cand_a) == str(cand_b):
-        return "a", cand_a, "identical", audit_a, audit_b
+    if pair_a.out == pair_b.out:
+        return "a", pair_a.out, "identical", audit_a, audit_b
     pref_a, pref_b = _PREFERENCE[audit_a.stratum], _PREFERENCE[audit_b.stratum]
     if pref_a != pref_b:
         winner = "a" if pref_a < pref_b else "b"
@@ -149,7 +128,7 @@ def _reconcile_audited(input, cand_a, cand_b, profile, cap):
             reason = "reordering"
         else:
             winner, reason = "a", "positional"
-    chosen = cand_a if winner == "a" else cand_b
+    chosen = pair_a.out if winner == "a" else pair_b.out
     return winner, chosen, reason, audit_a, audit_b
 
 
@@ -167,11 +146,11 @@ def reconcile(
     return chosen, reason
 
 
-def dual_report(
-    triples, profile: LanguageProfile, cap: int = DEFAULT_DISTANCE_CAP
-) -> DualReport:
-    """Aggregate two candidate streams: category agreement matrix, strata
-    cross-matrix, union/intersection/conflict counts, and per-pair picks."""
+def dual_report(triples, profile: LanguageProfile, cap: int = DEFAULT_DISTANCE_CAP) -> dict:
+    """Aggregate two candidate streams into the dual-audit report body:
+    category agreement matrix (candidate A rows x candidate B columns),
+    strata cross-matrix over redundant/rectifying/risky (none omitted),
+    union/intersection/conflict counts, and per-pair picks."""
     _check_cap(cap)
     triples = list(triples)
     if not triples:
@@ -198,14 +177,14 @@ def dual_report(
                 intersection += 1
             else:
                 conflict += 1
-        resolutions.append(
-            {"row": row, "chosen": side, "text": str(chosen), "reason": reason}
-        )
-    return DualReport(
-        agreement=tuple(tuple(r) for r in agreement),
-        strata_cross=tuple(tuple(r) for r in strata_cross),
-        union_count=union,
-        intersection_count=intersection,
-        conflict_count=conflict,
-        resolutions=tuple(resolutions),
-    )
+        resolutions.append({"row": row, "chosen": side, "text": chosen, "reason": reason})
+    return {
+        "categories": [cat.value for cat in CATEGORY_ORDER],
+        "agreement": agreement,
+        "strata": [s.value for s in STRATA_ORDER],
+        "strata_cross": strata_cross,
+        "union_count": union,
+        "intersection_count": intersection,
+        "conflict_count": conflict,
+        "resolutions": resolutions,
+    }

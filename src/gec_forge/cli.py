@@ -211,9 +211,9 @@ def cmd_classify(args) -> int:
     writer = csv.writer(buf, lineterminator="\n")
     header = ["row", "category", "label"] + (["evidence"] if args.evidence else [])
     writer.writerow(header)
-    for pair in pairs:
-        result = classify_pair(pair.input, pair.output, profile)
-        record = [pair.row, result.category.value, result.category.display_label(args.lang)]
+    for row, (inp, out) in enumerate(pairs):
+        result = classify_pair(inp, out, profile)
+        record = [row, result.category.value, result.category.display_label(args.lang)]
         if args.evidence:
             record.append(json.dumps(
                 {"stage": result.stage, "rule": result.rule, "detail": result.detail},
@@ -230,11 +230,9 @@ def cmd_analyze(args) -> int:
     pairs = load_pairs(args.infile, policy)
     dropped = ""
     if args.dedup:  # keep the first pair of each exact (input, output) repeat
-        first = {}
-        for pair in pairs:
-            first.setdefault((pair.input, pair.output), pair)
-        dropped = f" ({len(pairs) - len(first)} exact duplicates dropped)"
-        pairs = list(first.values())
+        kept = list(dict.fromkeys(pairs))
+        dropped = f" ({len(pairs) - len(kept)} exact duplicates dropped)"
+        pairs = kept
     report = analyze(pairs, profile, args.split)
     body = report.to_dict()
     body["normalization"] = policy.to_dict()
@@ -251,12 +249,12 @@ def cmd_score(args) -> int:
         src = [normalize_text(line, policy) for line in src]
         hyp = [normalize_text(line, policy) for line in hyp]
         ref = [normalize_text(line, policy) for line in ref]
-    report = gleu_corpus(src, hyp, ref, args.max_n)
+    body = gleu_corpus(src, hyp, ref, args.max_n)
     if args.report:
-        body = report.to_dict()
         body["normalization"] = None if args.raw else policy.to_dict()
         write_report(args.report, "gleu", body)
-    print(f"GLEU: {report.corpus_score:.6f} ({report.corpus_score * 100:.2f})")
+    score = body["corpus_score"]
+    print(f"GLEU: {score:.6f} ({score * 100:.2f})")
     return 0
 
 
@@ -301,20 +299,17 @@ def cmd_audit(args) -> int:
                 f"candidate files differ in length: {len(pairs_a)} vs {len(pairs_b)}"
             )
         triples = []
-        for pa, pb in zip(pairs_a, pairs_b):
-            if pa.input != pb.input:
-                raise InputError(
-                    f"row {pa.row}: candidate files disagree on the input sentence"
-                )
-            triples.append((pa.input, pa.output, pb.output))
-        report = dual_report(triples, profile, args.cap)
-        body = report.to_dict()
+        for row, ((inp, out_a), (inp_b, out_b)) in enumerate(zip(pairs_a, pairs_b)):
+            if inp != inp_b:
+                raise InputError(f"row {row}: candidate files disagree on the input sentence")
+            triples.append((inp, out_a, out_b))
+        body = dual_report(triples, profile, args.cap)
         body.update({"lang": args.lang, "cap": args.cap, "total": len(triples)})
         write_report(args.report, "dual_audit", body)
         print(f"dual-audited {len(triples)} triples -> {args.report}")
         return 0
     pairs = load_pairs(args.infile, policy)
-    audits = [audit_pair(p.input, p.output, profile, args.cap) for p in pairs]
+    audits = [audit_pair(inp, out, profile, args.cap) for inp, out in pairs]
     strata_counts = {s.value: 0 for s in Stratum}
     for a in audits:
         strata_counts[a.stratum.value] += 1
@@ -327,7 +322,7 @@ def cmd_audit(args) -> int:
         "total": len(audits),
         "strata_counts": strata_counts,
         "category_counts": category_counts,
-        "pairs": [dict(row=p.row, **a.to_dict()) for p, a in zip(pairs, audits)],
+        "pairs": [dict(row=row, **a.to_dict()) for row, a in enumerate(audits)],
     }
     write_report(args.report, "audit", body)
     print(f"audited {len(audits)} pairs -> {args.report}")

@@ -26,13 +26,6 @@ _FILE_LINE = re.compile(r"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+")
 
 
 @dataclass(frozen=True)
-class SentencePair:
-    input: str
-    output: str
-    row: int  # 0-based data-row index in the source CSV
-
-
-@dataclass(frozen=True)
 class DistributionReport:
     lang: str
     split: str
@@ -111,8 +104,9 @@ def _resolve_columns(header: list[str], path) -> tuple[int, int]:
     return in_idx, out_idx
 
 
-def load_pairs(path, policy: NormalizationPolicy = DEFAULT_POLICY) -> list[SentencePair]:
-    """Read a two-column CSV into normalized SentencePairs.
+def load_pairs(path, policy: NormalizationPolicy = DEFAULT_POLICY) -> list[tuple[str, str]]:
+    """Read a two-column CSV into normalized (input, output) pairs, in data
+    row order, so a pair's index is its 0-based data row.
 
     Null entries stay as empty strings (the classifier maps them to
     Null/Empty).
@@ -120,7 +114,7 @@ def load_pairs(path, policy: NormalizationPolicy = DEFAULT_POLICY) -> list[Sente
     # One leading byte-order mark is not part of the header.
     text = read_text(path, newline="").removeprefix("\ufeff")
     reader = csv.reader(m.group() for m in _FILE_LINE.finditer(text))
-    pairs: list[SentencePair] = []
+    pairs: list[tuple[str, str]] = []
     try:
         header = next(reader, None)
         if header is None:
@@ -132,11 +126,7 @@ def load_pairs(path, policy: NormalizationPolicy = DEFAULT_POLICY) -> list[Sente
                     f"{path}: row {row_idx}: expected {len(header)} fields, got {len(row)}"
                 )
             pairs.append(
-                SentencePair(
-                    input=normalize_text(row[in_idx], policy),
-                    output=normalize_text(row[out_idx], policy),
-                    row=row_idx,
-                )
+                (normalize_text(row[in_idx], policy), normalize_text(row[out_idx], policy))
             )
     except csv.Error as exc:  # e.g. a cell over csv.field_size_limit()
         raise InputError(f"{path}: line {reader.line_num}: {exc}") from exc
@@ -144,7 +134,7 @@ def load_pairs(path, policy: NormalizationPolicy = DEFAULT_POLICY) -> list[Sente
 
 
 def analyze(
-    pairs: list[SentencePair], profile: LanguageProfile, split: str
+    pairs: list[tuple[str, str]], profile: LanguageProfile, split: str
 ) -> DistributionReport:
     """Classify every pair of one split and tally categories; totals include
     Null/Empty so they equal the ingested pair count."""
@@ -153,8 +143,8 @@ def analyze(
     if not pairs:
         raise InputError("no pairs to analyze")
     counts = {cat: 0 for cat in CATEGORY_ORDER}
-    for pair in pairs:
-        counts[classify_pair(pair.input, pair.output, profile).category] += 1
+    for inp, out in pairs:
+        counts[classify_pair(inp, out, profile).category] += 1
     return DistributionReport(lang=profile.name, split=split, total=len(pairs), counts=counts)
 
 

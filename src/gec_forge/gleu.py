@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain
 from typing import Sequence
 
@@ -25,27 +24,6 @@ from .errors import InputError
 MAX_N_LIMIT = 16
 
 DEFAULT_MAX_N = 4  # the order scored when none is given
-
-
-@dataclass(frozen=True)
-class GleuReport:
-    corpus_score: float
-    per_sentence: tuple[float, ...]
-    max_n: int
-    ngram_stats: tuple[dict, ...]  # per order: {"n", "matches", "hyp_ngrams"}
-    hyp_tokens: int
-    ref_tokens: int
-
-    def to_dict(self) -> dict:
-        return {
-            "corpus_score": self.corpus_score,
-            "corpus_score_x100": round(self.corpus_score * 100, 2),
-            "per_sentence": list(self.per_sentence),
-            "max_n": self.max_n,
-            "ngram_stats": list(self.ngram_stats),
-            "hyp_tokens": self.hyp_tokens,
-            "ref_tokens": self.ref_tokens,
-        }
 
 
 def _ngram_counts(tokens: Sequence[str], max_n: int) -> Counter:
@@ -102,8 +80,9 @@ def gleu_corpus(
     hypotheses: Sequence[str],
     references: Sequence[str],
     max_n: int = DEFAULT_MAX_N,
-) -> GleuReport:
-    """Score a corpus of whitespace-tokenizable lines.
+) -> dict:
+    """Score a corpus of whitespace-tokenizable lines; returns the GLEU
+    report body.
 
     Lines are split on whitespace as-is; apply textnorm normalization
     upstream when scoring should ignore script-specific surface variation.
@@ -132,15 +111,14 @@ def gleu_corpus(
         ref_tokens += len(ref)
 
     corpus_score = _score([tuple(s) for s in pooled], hyp_tokens, ref_tokens, smooth=False)
-    stats = tuple(
-        {"n": n + 1, "matches": pooled[n][0], "hyp_ngrams": pooled[n][1]}
-        for n in range(max_n)
-    )
-    return GleuReport(
-        corpus_score=corpus_score,
-        per_sentence=tuple(per_sentence),
-        max_n=max_n,
-        ngram_stats=stats,
-        hyp_tokens=hyp_tokens,
-        ref_tokens=ref_tokens,
-    )
+    return {
+        "corpus_score": corpus_score,
+        "corpus_score_x100": round(corpus_score * 100, 2),
+        "per_sentence": per_sentence,
+        "max_n": max_n,
+        "ngram_stats": [
+            {"n": n, "matches": m, "hyp_ngrams": t} for n, (m, t) in enumerate(pooled, start=1)
+        ],
+        "hyp_tokens": hyp_tokens,
+        "ref_tokens": ref_tokens,
+    }

@@ -128,15 +128,6 @@ def load_lexicon(path) -> dict[str, list[str]]:
     return sections
 
 
-def _profile_from_sections(name: str, sections: dict[str, list[str]]) -> LanguageProfile:
-    return LanguageProfile(
-        name=name,
-        auxiliaries=frozenset(sections["auxiliaries"]),
-        postpositions=frozenset(sections["postpositions"]),
-        suffixes=_order_suffixes(sections["suffixes"]),
-    )
-
-
 def profile_for(lang: str, lexicon_path=None) -> LanguageProfile:
     """Build the profile for hi/ml from a lexicon file, by default the
     bundled one."""
@@ -145,6 +136,11 @@ def profile_for(lang: str, lexicon_path=None) -> LanguageProfile:
         lexicon_path = os.path.join(DATA_DIR, f"{lang}.lexicon")
     sections = load_lexicon(lexicon_path)
     try:
-        return _profile_from_sections(lang, sections)
+        return LanguageProfile(
+            name=lang,
+            auxiliaries=frozenset(sections["auxiliaries"]),
+            postpositions=frozenset(sections["postpositions"]),
+            suffixes=_order_suffixes(sections["suffixes"]),
+        )
     except InputError as exc:  # e.g. [postpositions] entries under ml
         raise InputError(f"{lexicon_path}: {exc}") from exc

@@ -452,8 +452,10 @@ def moved_tokens(inp, pred):
 
 
 def reconcile(inp, cand_a, cand_b, prof, cap=CAP):
-    """Returns (chosen text, reason)."""
-    if str(cand_a) == str(cand_b):
+    """Returns (chosen text, reason), with a None candidate read as ""."""
+    cand_a = "" if cand_a is None else str(cand_a)
+    cand_b = "" if cand_b is None else str(cand_b)
+    if cand_a == cand_b:
         return cand_a, "identical"
     _, dist_a, stratum_a = audit(inp, cand_a, prof, cap)
     _, dist_b, stratum_b = audit(inp, cand_b, prof, cap)

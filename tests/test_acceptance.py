@@ -164,11 +164,11 @@ TOY_SCORE = 0.5233175696960528  # frozen output of the brute-force oracle
 
 def test_criterion_gleu_identity():
     lines = ["क ख ग घ ङ च", "अ आ इ ई उ ऊ", "ल व श ष स ह"]
-    assert gleu_corpus(lines, lines, lines).corpus_score == 1.0
+    assert gleu_corpus(lines, lines, lines)["corpus_score"] == 1.0
     src = ["p q r s t", "u v w x y"]
     ref = ["a b c d e", "f g h i j"]
-    assert gleu_corpus(src, src, ref).corpus_score == 0.0
-    got = gleu_corpus(TOY_SRC, TOY_HYP, TOY_REF, 4).corpus_score
+    assert gleu_corpus(src, src, ref)["corpus_score"] == 0.0
+    got = gleu_corpus(TOY_SRC, TOY_HYP, TOY_REF, 4)["corpus_score"]
     assert got == pytest.approx(TOY_SCORE, abs=1e-9)
     assert got == pytest.approx(gleu_brute(TOY_SRC, TOY_HYP, TOY_REF, 4), abs=1e-9)
     _announce("GLEU identity, zero, and toy-corpus oracle match (<=1e-9)")
@@ -199,8 +199,8 @@ def test_criterion_gleu_property_suite():
     rng = random.Random(616161)
     for _ in range(100):
         src, hyp, ref = _random_corpus(rng)
-        once = gleu_corpus(src, hyp, ref).corpus_score
-        assert gleu_corpus(src * 2, hyp * 2, ref * 2).corpus_score == once
+        once = gleu_corpus(src, hyp, ref)["corpus_score"]
+        assert gleu_corpus(src * 2, hyp * 2, ref * 2)["corpus_score"] == once
     rng = random.Random(717171)
     for _ in range(100):
         ref_tokens = [rng.choice("abcdefgh") for _ in range(rng.randint(5, 9))]
@@ -209,11 +209,11 @@ def test_criterion_gleu_property_suite():
         src_tokens[pos] = "Z"  # the error the reference corrects
         hyp_good = list(ref_tokens)
         before = gleu_corpus([" ".join(src_tokens)], [" ".join(hyp_good)],
-                             [" ".join(ref_tokens)]).corpus_score
+                             [" ".join(ref_tokens)])["corpus_score"]
         hyp_bad = list(ref_tokens)
         hyp_bad[pos] = "Z"
         after = gleu_corpus([" ".join(src_tokens)], [" ".join(hyp_bad)],
-                            [" ".join(ref_tokens)]).corpus_score
+                            [" ".join(ref_tokens)])["corpus_score"]
         assert after <= before + 1e-12
     _announce("GLEU duplication invariance and source-penalty monotonicity (100+100)")
 
