@@ -29,7 +29,7 @@ def _char_class(chars) -> re.Pattern:
     return re.compile("[" + "".join(re.escape(ch) for ch in sorted(chars)) + "]")
 
 
-# What _strip_invisibles removes, without and with keep_joiners.
+# What invisibles_policy strip and keep_joiners remove.
 _INVISIBLES = _char_class(INVISIBLE_CHARS)
 _NON_JOINER_INVISIBLES = _char_class(INVISIBLE_CHARS - JOINER_CHARS)
 
@@ -63,20 +63,25 @@ class DigitPolicy(Enum):
     KEEP_NATIVE = "keep_native"
 
 
+class InvisiblesPolicy(Enum):
+    STRIP = "strip"
+    # ZWJ/ZWNJ are orthographically meaningful in some ligature contexts;
+    # keep_joiners retains them while still stripping the other invisibles.
+    KEEP_JOINERS = "keep_joiners"
+    KEEP = "keep"
+
+
 @dataclass(frozen=True)
 class NormalizationPolicy:
     """Switches for normalize_text; the defaults reproduce the ingestion
     pipeline (NFKC, invisibles stripped, whitespace collapsed, ASCII digits,
     danda kept as-is)."""
 
-    strip_invisibles: bool = True
+    invisibles_policy: InvisiblesPolicy = InvisiblesPolicy.STRIP
     collapse_whitespace: bool = True
     unify_terminal_punct: bool = False
     danda_policy: DandaPolicy = DandaPolicy.KEEP_DANDA
     digit_policy: DigitPolicy = DigitPolicy.TO_ASCII
-    # ZWJ/ZWNJ are orthographically meaningful in some ligature contexts;
-    # keep_joiners retains them while still stripping the other invisibles.
-    keep_joiners: bool = False
 
     def to_dict(self) -> dict:
         values = {key: getattr(self, key) for key in POLICY_KEYS}
@@ -86,10 +91,6 @@ class NormalizationPolicy:
 # The normalization keys, in report order; each is also a flag dest.
 POLICY_KEYS = tuple(f.name for f in fields(NormalizationPolicy))
 DEFAULT_POLICY = NormalizationPolicy()
-
-
-def _strip_invisibles(s: str, keep_joiners: bool) -> str:
-    return (_NON_JOINER_INVISIBLES if keep_joiners else _INVISIBLES).sub("", s)
 
 
 def _ascii_digit(m: re.Match) -> str:
@@ -121,8 +122,10 @@ def normalize_text(s: str, policy: NormalizationPolicy = DEFAULT_POLICY) -> str:
     compositions on a second pass; the whole function is idempotent for any
     policy.
     """
-    if policy.strip_invisibles:
-        s = _strip_invisibles(s, policy.keep_joiners)
+    if policy.invisibles_policy is InvisiblesPolicy.STRIP:
+        s = _INVISIBLES.sub("", s)
+    elif policy.invisibles_policy is InvisiblesPolicy.KEEP_JOINERS:
+        s = _NON_JOINER_INVISIBLES.sub("", s)
     s = unicodedata.normalize("NFKC", s)
     if policy.danda_policy is DandaPolicy.MAP_DANDA_TO_PERIOD:
         s = s.replace(DANDA, ".")

@@ -29,7 +29,7 @@ from gec_forge import (
     profile_for,
 )
 from gec_forge.cli import run
-from gec_forge.textnorm import DandaPolicy, DigitPolicy, NormalizationPolicy
+from gec_forge.textnorm import DandaPolicy, DigitPolicy, InvisiblesPolicy, NormalizationPolicy
 
 from _gen import random_pairs
 from _oracles import (
@@ -253,12 +253,11 @@ _CHAR_POOL = (
 
 def _random_policies(rng):
     return NormalizationPolicy(
-        strip_invisibles=rng.random() < 0.5,
+        invisibles_policy=rng.choice(list(InvisiblesPolicy)),
         collapse_whitespace=rng.random() < 0.5,
         unify_terminal_punct=rng.random() < 0.5,
         danda_policy=rng.choice(list(DandaPolicy)),
         digit_policy=rng.choice(list(DigitPolicy)),
-        keep_joiners=rng.random() < 0.5,
     )
 
 

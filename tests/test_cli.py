@@ -197,14 +197,15 @@ def test_normalize_policy_flags(tmp_path):
 @pytest.mark.parametrize("flags, key, value", [
     ([], None, None),
     (["--danda-policy", "map_danda_to_period"], "danda_policy", "map_danda_to_period"),
-    (["--no-strip-invisibles"], "strip_invisibles", False),
+    (["--invisibles-policy", "keep"], "invisibles_policy", "keep"),
     (["--digit-policy", "to_ascii"], "digit_policy", "to_ascii"),
     (["--no-collapse-whitespace"], "collapse_whitespace", False),
     (["--unify-terminal-punct"], "unify_terminal_punct", True),
-    (["--keep-joiners"], "keep_joiners", True),
+    (["--invisibles-policy", "keep_joiners"], "invisibles_policy", "keep_joiners"),
     (["--danda-policy", "map_period_to_danda"], "danda_policy", "map_period_to_danda"),
     (["--digit-policy", "keep_native"], "digit_policy", "keep_native"),
     (["--danda-policy", "keep_danda"], "danda_policy", "keep_danda"),
+    (["--invisibles-policy", "strip"], "invisibles_policy", "strip"),
 ])
 def test_each_policy_flag_sets_exactly_its_key(tmp_path, flags, key, value):
     report_path = tmp_path / "dist.json"
@@ -408,7 +409,7 @@ def test_each_subcommand_takes_exactly_the_values_it_reads():
         for name, sub in subs.choices.items()
     }
     assert dests == _SUBCOMMAND_DESTS
-    assert sum(map(len, dests.values())) == 59
+    assert sum(map(len, dests.values())) == 54
 
 
 def _base_commands(tmp):
@@ -448,6 +449,9 @@ def _base_commands(tmp):
     ("normalize", "--strip-invisibles", None),
     ("classify", "--collapse-whitespace", None),
     ("score", "--collapse-whitespace", None),
+    # Replaced by --invisibles-policy.
+    ("normalize", "--no-strip-invisibles", None),
+    ("analyze", "--keep-joiners", None),
 ])
 def test_removed_flag_exits_1_with_usage(tmp_path, capsys, command, flag, value):
     base = _base_commands(tmp_path)[command]
@@ -461,8 +465,8 @@ def test_removed_flag_exits_1_with_usage(tmp_path, capsys, command, flag, value)
 
 
 NORMALIZATION_FLAGS = [
-    ["--no-strip-invisibles"], ["--no-collapse-whitespace"], ["--unify-terminal-punct"],
-    ["--keep-joiners"], ["--danda-policy", "keep_danda"], ["--digit-policy", "keep_native"],
+    ["--invisibles-policy", "keep"], ["--no-collapse-whitespace"], ["--unify-terminal-punct"],
+    ["--danda-policy", "keep_danda"], ["--digit-policy", "keep_native"],
 ]
 
 

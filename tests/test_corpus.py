@@ -19,6 +19,7 @@ from gec_forge import (
     synthesize_prompt,
 )
 from gec_forge.corpus import CONSTRAINT_CLAUSES, DEPRIORITIZED, DistributionReport
+from gec_forge.textnorm import InvisiblesPolicy
 
 C = ErrorCategory
 FIXTURE = Path(__file__).parent / "fixtures" / "hi_fixture.csv"
@@ -100,7 +101,7 @@ def test_invalid_utf8_offset_counts_from_start_of_file(tmp_path):
 
 
 # Leaves the cells below as they are: NFKC does not change these characters.
-_RAW = NormalizationPolicy(strip_invisibles=False, collapse_whitespace=False,
+_RAW = NormalizationPolicy(invisibles_policy=InvisiblesPolicy.KEEP, collapse_whitespace=False,
                            digit_policy=DigitPolicy.KEEP_NATIVE)
 
 
@@ -133,9 +134,11 @@ def test_normalization_applied(tmp_path):
     assert pairs == [("कख ग", "12")]
 
 
-def test_distribution_reports_are_frozen(tmp_path, hi):
+def test_pairs_and_reports_are_frozen(tmp_path, hi):
     pairs = load_pairs(_write_csv(tmp_path / "t.csv", ["क,ख"]))
     report = analyze(pairs, hi, "train")
+    with pytest.raises(TypeError):  # a pair is a tuple
+        pairs[0][1] = "क"
     with pytest.raises(dataclasses.FrozenInstanceError):
         report.total = 2
 

@@ -16,7 +16,7 @@ from gec_forge import (
     postprocess_hypothesis,
 )
 from gec_forge import textnorm
-from gec_forge.textnorm import DEFAULT_POLICY, INVISIBLE_CHARS, JOINER_CHARS
+from gec_forge.textnorm import DEFAULT_POLICY, INVISIBLE_CHARS, JOINER_CHARS, InvisiblesPolicy
 
 from _oracles import (
     invisible_filter,
@@ -40,12 +40,11 @@ def assert_same(got, want):
 
 policies = st.builds(
     NormalizationPolicy,
-    strip_invisibles=st.booleans(),
+    invisibles_policy=st.sampled_from(InvisiblesPolicy),
     collapse_whitespace=st.booleans(),
     unify_terminal_punct=st.booleans(),
     danda_policy=st.sampled_from(DandaPolicy),
     digit_policy=st.sampled_from(DigitPolicy),
-    keep_joiners=st.booleans(),
 )
 
 
@@ -62,8 +61,9 @@ def test_invisible_removal():
 
 @pytest.mark.parametrize("keep_joiners", [False, True])
 def test_strip_invisibles_matches_oracle_on_every_code_point(keep_joiners):
+    pattern = textnorm._NON_JOINER_INVISIBLES if keep_joiners else textnorm._INVISIBLES
     assert_same(
-        textnorm._strip_invisibles(EVERY_CODE_POINT, keep_joiners),
+        pattern.sub("", EVERY_CODE_POINT),
         invisible_filter(EVERY_CODE_POINT, keep_joiners),
     )
 
@@ -86,11 +86,11 @@ def test_projection_matches_character_filter_on_every_code_point():
 
 def test_policy_is_frozen():
     with pytest.raises(FrozenInstanceError):
-        NormalizationPolicy().keep_joiners = True
+        NormalizationPolicy().invisibles_policy = InvisiblesPolicy.KEEP
 
 
 def test_keep_joiners_retains_zwj_zwnj():
-    policy = NormalizationPolicy(keep_joiners=True)
+    policy = NormalizationPolicy(invisibles_policy=InvisiblesPolicy.KEEP_JOINERS)
     out = normalize_text("क‍ख​", policy)
     assert "‍" in out and "​" not in out
     assert JOINER_CHARS == {"‌", "‍"}
