@@ -128,7 +128,7 @@ def mutate(source: str, index: int) -> str:
 
 
 def _copy_repo(dest: Path) -> None:
-    for name in ("src", "tests", "bench", "pyproject.toml"):
+    for name in ("src", "tests", "bench", "pyproject.toml", "README.md"):
         path = ROOT / name
         if path.is_dir():
             shutil.copytree(path, dest / name, ignore=shutil.ignore_patterns(

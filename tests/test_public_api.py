@@ -10,6 +10,8 @@ import pytest
 
 import gec_forge
 
+ROOT = Path(__file__).parents[1]
+
 PUBLIC_NAMES = [
     "CATEGORY_ORDER", "Classification", "DEFAULT_POLICY", "DandaPolicy", "DigitPolicy",
     "DistributionReport", "EditAudit", "ErrorCategory", "InputError", "LanguageProfile",
@@ -29,7 +31,7 @@ def test_public_names_are_pinned_and_resolve():
 
 
 def _traced_layers():
-    path = Path(__file__).parents[1] / "bench" / "tracing.py"
+    path = ROOT / "bench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("_bench_tracing", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -47,7 +49,6 @@ def test_every_traced_layer_resolves(layer):
     assert callable(getattr(importlib.import_module(module_name), attr))
 
 
-ROOT = Path(__file__).parents[1]
 README_BLOCKS = re.findall(r"^```python\n(.*?)^```",
                            (ROOT / "README.md").read_text(encoding="utf-8"),
                            re.MULTILINE | re.DOTALL)
@@ -62,12 +63,12 @@ def test_readme_has_python_blocks():
 @pytest.mark.parametrize("block", README_BLOCKS,
                          ids=[f"block{i}" for i in range(len(README_BLOCKS))])
 def test_readme_python_block_runs(block, tmp_path, monkeypatch):
-    shutil.copy(ROOT / "tests" / "fixtures" / "hi_fixture.csv", tmp_path / "train.csv")
+    fixtures = ROOT / "tests" / "fixtures"
+    shutil.copy(fixtures / "hi_fixture.csv", tmp_path / "train.csv")
     monkeypatch.chdir(tmp_path)
     names = {
-        "sources": ["राम ने कल सेब खाया ।", "वह घर जाता हो ।"],
-        "hypotheses": ["राम ने कल आम खाया ।", "वह घर जाता हो ।"],
-        "references": ["राम ने कल आम खाया ।", "वह घर जाता है ।"],
+        name: (fixtures / f"toy_{side}.txt").read_text(encoding="utf-8").splitlines()
+        for name, side in [("sources", "src"), ("hypotheses", "hyp"), ("references", "ref")]
     }
     with contextlib.redirect_stdout(io.StringIO()):
         exec(compile(block, "README.md", "exec"), names)
