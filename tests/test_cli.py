@@ -337,6 +337,8 @@ def test_audit_negative_cap_rejected_before_reading_rows(tmp_path, capsys):
     ("normalize", ["--danda-policy", "bogus", "--out", "{tmp}/n.txt"], "--danda-policy"),
     ("analyze", ["--lang", "hi", "--split", "train", "--digit-policy", "roman",
                  "--report", "{tmp}/d.json"], "--digit-policy"),
+    ("classify", ["--lang", "hi", "--invisibles-policy", "true", "--out", "{tmp}/l.csv"],
+     "--invisibles-policy"),
 ])
 def test_bad_flag_exits_1_naming_it_before_reading_files(tmp_path, capsys, command, argv,
                                                          flag):
