@@ -470,21 +470,30 @@ NORMALIZATION_FLAGS = [
     ["--invisibles-policy", "keep"], ["--no-collapse-whitespace"], ["--unify-terminal-punct"],
     ["--danda-policy", "keep_danda"], ["--digit-policy", "keep_native"],
 ]
+# The two flags that --invisibles-policy replaced. Beside --post or --raw they
+# are rejected as unrecognized, as they are alone.
+REPLACED_NORMALIZATION_FLAGS = [["--no-strip-invisibles"], ["--keep-joiners"]]
 
 
 @pytest.mark.parametrize("command, skipper", [("normalize", "--post"), ("score", "--raw")])
-@pytest.mark.parametrize("unread", NORMALIZATION_FLAGS, ids=lambda flag: flag[0])
+@pytest.mark.parametrize("unread", NORMALIZATION_FLAGS + REPLACED_NORMALIZATION_FLAGS,
+                         ids=lambda flag: flag[0])
 def test_normalization_flag_that_would_be_skipped_exits_1_with_usage(
         tmp_path, capsys, command, skipper, unread):
     # --post and --raw skip normalization, so a normalization flag beside
     # them would be taken and never read.
+    replaced = unread in REPLACED_NORMALIZATION_FLAGS
     base = _base_commands(tmp_path)[command]
     assert run([*base, skipper, *unread]) == 1
     err = capsys.readouterr().err
     assert "usage:" in err
-    assert f"error: argument {unread[0]}: not allowed with argument {skipper}" in err
+    if replaced:
+        assert f"error: unrecognized arguments: {unread[0]}" in err
+    else:
+        assert f"error: argument {unread[0]}: not allowed with argument {skipper}" in err
     assert [p.name for p in tmp_path.iterdir()] == ["line.txt"]
-    assert run([*base, skipper]) == 0 and run([*base, *unread]) == 0  # each alone is valid
+    assert run([*base, skipper]) == 0
+    assert run([*base, *unread]) == (1 if replaced else 0)  # a current flag alone is valid
 
 
 def test_skipped_flag_cases_cover_every_normalization_option():
