@@ -21,8 +21,6 @@ from .errors import InputError
 from .gleu import gleu_corpus
 from .textnorm import (
     DEFAULT_POLICY,
-    DandaPolicy,
-    DigitPolicy,
     NormalizationPolicy,
     alnum_projection,
     normalize_text,
@@ -44,7 +42,7 @@ __all__ = [
     "DistributionReport", "analyze", "load_pairs", "synthesize_prompt",
     "InputError",
     "gleu_corpus",
-    "DEFAULT_POLICY", "DandaPolicy", "DigitPolicy", "NormalizationPolicy",
-    "alnum_projection", "normalize_text", "postprocess_hypothesis",
+    "DEFAULT_POLICY", "NormalizationPolicy", "alnum_projection", "normalize_text",
+    "postprocess_hypothesis",
     "LanguageProfile", "load_lexicon", "profile_for", "same_script", "tokenize",
 ]

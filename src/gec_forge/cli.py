@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import traceback
+from dataclasses import asdict
 
 from . import __version__
 from .audit import DEFAULT_DISTANCE_CAP, Stratum, audit_pair, dual_report
@@ -22,8 +23,8 @@ from .corpus import SPLITS, DistributionReport, analyze, load_pairs, synthesize_
 from .errors import InputError
 from .gleu import DEFAULT_MAX_N, MAX_N_LIMIT, gleu_corpus
 from .reports import read_text, write_report, write_text_atomic
-from .textnorm import (DEFAULT_POLICY, POLICY_KEYS, NormalizationPolicy, normalize_text,
-                       postprocess_hypothesis)
+from .textnorm import (DEFAULT_POLICY, POLICY_CHOICES, POLICY_KEYS, NormalizationPolicy,
+                       normalize_text, postprocess_hypothesis)
 from .tokenizer import SYNTAX_LABELS, profile_for
 
 
@@ -80,7 +81,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _flag(key: str) -> str:
     """The one option that sets a normalization key: a bool option flips
-    the key's default, an enum option takes a value."""
+    the key's default, a named policy's option takes a value."""
     name = key.replace("_", "-")
     return f"--no-{name}" if getattr(DEFAULT_POLICY, key) is True else f"--{name}"
 
@@ -89,14 +90,11 @@ def _add_normalization(sub):
     # Only a flag given sets its key, so a command can tell that one was.
     group = sub.add_argument_group("normalization", argument_default=argparse.SUPPRESS)
     for key in POLICY_KEYS:
-        default = getattr(DEFAULT_POLICY, key)
-        if isinstance(default, bool):
-            group.add_argument(_flag(key), dest=key,
-                               action="store_false" if default else "store_true")
+        if key in POLICY_CHOICES:
+            group.add_argument(_flag(key), choices=POLICY_CHOICES[key])
         else:
-            enum = type(default)
-            group.add_argument(_flag(key), type=enum,
-                               metavar="{" + ",".join(member.value for member in enum) + "}")
+            action = "store_false" if getattr(DEFAULT_POLICY, key) else "store_true"
+            group.add_argument(_flag(key), dest=key, action=action)
 
 
 def _given_policy(args) -> dict:
@@ -235,7 +233,7 @@ def cmd_analyze(args) -> int:
         pairs = kept
     report = analyze(pairs, profile, args.split)
     body = report.to_dict()
-    body["normalization"] = policy.to_dict()
+    body["normalization"] = asdict(policy)
     body["classifier_constants"] = {"SPELL_THR": SPELL_THRESHOLD}
     write_report(args.report, "distribution", body)
     print(f"analyzed {report.total} pairs{dropped} -> {args.report}")
@@ -251,7 +249,7 @@ def cmd_score(args) -> int:
         ref = [normalize_text(line, policy) for line in ref]
     body = gleu_corpus(src, hyp, ref, args.max_n)
     if args.report:
-        body["normalization"] = None if args.raw else policy.to_dict()
+        body["normalization"] = None if args.raw else asdict(policy)
         write_report(args.report, "gleu", body)
     score = body["corpus_score"]
     print(f"GLEU: {score:.6f} ({score * 100:.2f})")

@@ -13,8 +13,8 @@ import os
 import re
 import unicodedata
 from dataclasses import dataclass, fields
-from enum import Enum
 
+from .errors import InputError
 from .reports import DATA_DIR, read_text
 from .tokenizer import _NONPUNCT_RUN, DEVANAGARI_DIGITS, MALAYALAM_DIGITS
 
@@ -52,40 +52,41 @@ _PERIOD_OUTSIDE_NUMBER = re.compile(r"(?<!\d)\.|\.(?!\d)")
 _WHITESPACE_RUN = re.compile(r"\s*")
 
 
-class DandaPolicy(Enum):
-    KEEP_DANDA = "keep_danda"
-    MAP_DANDA_TO_PERIOD = "map_danda_to_period"
-    MAP_PERIOD_TO_DANDA = "map_period_to_danda"
-
-
-class DigitPolicy(Enum):
-    TO_ASCII = "to_ascii"
-    KEEP_NATIVE = "keep_native"
-
-
-class InvisiblesPolicy(Enum):
-    STRIP = "strip"
+# The values of each named policy: the strings its flag takes and the
+# reports write.
+POLICY_CHOICES = {
     # ZWJ/ZWNJ are orthographically meaningful in some ligature contexts;
     # keep_joiners retains them while still stripping the other invisibles.
-    KEEP_JOINERS = "keep_joiners"
-    KEEP = "keep"
+    "invisibles_policy": ("strip", "keep_joiners", "keep"),
+    "danda_policy": ("keep_danda", "map_danda_to_period", "map_period_to_danda"),
+    "digit_policy": ("to_ascii", "keep_native"),
+}
 
 
 @dataclass(frozen=True)
 class NormalizationPolicy:
     """Switches for normalize_text; the defaults reproduce the ingestion
     pipeline (NFKC, invisibles stripped, whitespace collapsed, ASCII digits,
-    danda kept as-is)."""
+    danda kept as-is). A named policy is one of its POLICY_CHOICES strings
+    and every other key is a bool; any other value raises InputError."""
 
-    invisibles_policy: InvisiblesPolicy = InvisiblesPolicy.STRIP
+    invisibles_policy: str = "strip"
     collapse_whitespace: bool = True
     unify_terminal_punct: bool = False
-    danda_policy: DandaPolicy = DandaPolicy.KEEP_DANDA
-    digit_policy: DigitPolicy = DigitPolicy.TO_ASCII
+    danda_policy: str = "keep_danda"
+    digit_policy: str = "to_ascii"
 
-    def to_dict(self) -> dict:
-        values = {key: getattr(self, key) for key in POLICY_KEYS}
-        return {key: v.value if isinstance(v, Enum) else v for key, v in values.items()}
+    def __post_init__(self):
+        for key in POLICY_KEYS:
+            value = getattr(self, key)
+            choices = POLICY_CHOICES.get(key)
+            if choices is None:
+                if type(value) is not bool:  # 1 == True, but 1 is no switch
+                    raise InputError(f"normalization {key} must be a bool, got {value!r}")
+            elif value not in choices:
+                raise InputError(
+                    f"normalization {key} must be one of {', '.join(choices)}, got {value!r}"
+                )
 
 
 # The normalization keys, in report order; each is also a flag dest.
@@ -122,16 +123,16 @@ def normalize_text(s: str, policy: NormalizationPolicy = DEFAULT_POLICY) -> str:
     compositions on a second pass; the whole function is idempotent for any
     policy.
     """
-    if policy.invisibles_policy is InvisiblesPolicy.STRIP:
+    if policy.invisibles_policy == "strip":
         s = _INVISIBLES.sub("", s)
-    elif policy.invisibles_policy is InvisiblesPolicy.KEEP_JOINERS:
+    elif policy.invisibles_policy == "keep_joiners":
         s = _NON_JOINER_INVISIBLES.sub("", s)
     s = unicodedata.normalize("NFKC", s)
-    if policy.danda_policy is DandaPolicy.MAP_DANDA_TO_PERIOD:
+    if policy.danda_policy == "map_danda_to_period":
         s = s.replace(DANDA, ".")
-    elif policy.danda_policy is DandaPolicy.MAP_PERIOD_TO_DANDA:
+    elif policy.danda_policy == "map_period_to_danda":
         s = _PERIOD_OUTSIDE_NUMBER.sub(DANDA, s)
-    if policy.digit_policy is DigitPolicy.TO_ASCII:
+    if policy.digit_policy == "to_ascii":
         s = _digits_to_ascii(s)
     if policy.collapse_whitespace:
         s = _collapse_whitespace(s)

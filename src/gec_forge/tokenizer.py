@@ -36,7 +36,7 @@ SYNTAX_LABELS = {"hi": "Syntax/Case/Agreement", "ml": "Syntax/Agreement"}
 
 def _check_lang(lang: str) -> None:
     if lang not in SYNTAX_LABELS:
-        raise InputError(f"unknown language: {lang!r} (expected hi or ml)")
+        raise InputError(f"unknown language: {lang!r} (expected one of {sorted(SYNTAX_LABELS)})")
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from gec_forge import (
     profile_for,
 )
 from gec_forge.cli import run
-from gec_forge.textnorm import DandaPolicy, DigitPolicy, InvisiblesPolicy, NormalizationPolicy
+from gec_forge.textnorm import POLICY_CHOICES, NormalizationPolicy
 
 from _gen import random_pairs
 from _oracles import (
@@ -253,11 +253,11 @@ _CHAR_POOL = (
 
 def _random_policies(rng):
     return NormalizationPolicy(
-        invisibles_policy=rng.choice(list(InvisiblesPolicy)),
+        invisibles_policy=rng.choice(POLICY_CHOICES["invisibles_policy"]),
         collapse_whitespace=rng.random() < 0.5,
         unify_terminal_punct=rng.random() < 0.5,
-        danda_policy=rng.choice(list(DandaPolicy)),
-        digit_policy=rng.choice(list(DigitPolicy)),
+        danda_policy=rng.choice(POLICY_CHOICES["danda_policy"]),
+        digit_policy=rng.choice(POLICY_CHOICES["digit_policy"]),
     )
 
 

@@ -6,6 +6,7 @@ import json
 import subprocess
 import sys
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -211,7 +212,7 @@ def test_each_policy_flag_sets_exactly_its_key(tmp_path, flags, key, value):
     report_path = tmp_path / "dist.json"
     assert run(["analyze", "--lang", "hi", "--split", "train", "--in", str(FIXTURE_CSV),
                 "--report", str(report_path), *flags]) == 0
-    expected = DEFAULT_POLICY.to_dict()
+    expected = asdict(DEFAULT_POLICY)
     if key is not None:
         expected[key] = value
     assert json.loads(report_path.read_text(encoding="utf-8"))["normalization"] == expected

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gec_forge import (
-    DigitPolicy,
     ErrorCategory,
     InputError,
     NormalizationPolicy,
@@ -19,7 +18,6 @@ from gec_forge import (
     synthesize_prompt,
 )
 from gec_forge.corpus import CONSTRAINT_CLAUSES, DEPRIORITIZED, DistributionReport
-from gec_forge.textnorm import InvisiblesPolicy
 
 C = ErrorCategory
 FIXTURE = Path(__file__).parent / "fixtures" / "hi_fixture.csv"
@@ -101,8 +99,8 @@ def test_invalid_utf8_offset_counts_from_start_of_file(tmp_path):
 
 
 # Leaves the cells below as they are: NFKC does not change these characters.
-_RAW = NormalizationPolicy(invisibles_policy=InvisiblesPolicy.KEEP, collapse_whitespace=False,
-                           digit_policy=DigitPolicy.KEEP_NATIVE)
+_RAW = NormalizationPolicy(invisibles_policy="keep", collapse_whitespace=False,
+                           digit_policy="keep_native")
 
 
 @settings(max_examples=300)

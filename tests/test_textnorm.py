@@ -1,22 +1,23 @@
+import json
 import os
 import time
 import unicodedata
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, asdict, replace
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from gec_forge import (
-    DandaPolicy,
-    DigitPolicy,
+    InputError,
     NormalizationPolicy,
     alnum_projection,
     normalize_text,
     postprocess_hypothesis,
 )
 from gec_forge import textnorm
-from gec_forge.textnorm import DEFAULT_POLICY, INVISIBLE_CHARS, JOINER_CHARS, InvisiblesPolicy
+from gec_forge.textnorm import DEFAULT_POLICY, INVISIBLE_CHARS, JOINER_CHARS, POLICY_CHOICES
 
 from _oracles import (
     invisible_filter,
@@ -40,11 +41,11 @@ def assert_same(got, want):
 
 policies = st.builds(
     NormalizationPolicy,
-    invisibles_policy=st.sampled_from(InvisiblesPolicy),
+    invisibles_policy=st.sampled_from(POLICY_CHOICES["invisibles_policy"]),
     collapse_whitespace=st.booleans(),
     unify_terminal_punct=st.booleans(),
-    danda_policy=st.sampled_from(DandaPolicy),
-    digit_policy=st.sampled_from(DigitPolicy),
+    danda_policy=st.sampled_from(POLICY_CHOICES["danda_policy"]),
+    digit_policy=st.sampled_from(POLICY_CHOICES["digit_policy"]),
 )
 
 
@@ -86,11 +87,40 @@ def test_projection_matches_character_filter_on_every_code_point():
 
 def test_policy_is_frozen():
     with pytest.raises(FrozenInstanceError):
-        NormalizationPolicy().invisibles_policy = InvisiblesPolicy.KEEP
+        NormalizationPolicy().invisibles_policy = "keep"
+
+
+def _report_block(golden: str) -> dict:
+    path = Path(__file__).parent / "golden" / golden
+    return json.loads(path.read_text(encoding="utf-8"))["normalization"]
+
+
+# A report's normalization block rebuilds the policy it ran under; any other
+# value raises naming its key, from the constructor and from replace.
+@pytest.mark.parametrize("block, bad_key", [
+    (_report_block("dist_hi_fixture.json"), None),
+    (_report_block("gleu_toy.json"), None),
+    ({"danda_policy": "bogus"}, "danda_policy"),
+    ({"danda_policy": "x"}, "danda_policy"),
+    ({"digit_policy": None}, "digit_policy"),
+    ({"collapse_whitespace": "no"}, "collapse_whitespace"),
+    ({"unify_terminal_punct": 1}, "unify_terminal_punct"),  # 1 == True
+])
+def test_policy_builds_from_report_strings_only(block, bad_key):
+    if bad_key is not None:
+        with pytest.raises(InputError, match=bad_key):
+            NormalizationPolicy(**block)
+        with pytest.raises(InputError, match=bad_key):
+            replace(DEFAULT_POLICY, **block)
+        return
+    policy = NormalizationPolicy(**block)
+    text = "राम\u200b  घर १२"
+    assert normalize_text(text, policy) == normalize_text(text) == "राम घर 12"
+    assert asdict(policy) == block
 
 
 def test_keep_joiners_retains_zwj_zwnj():
-    policy = NormalizationPolicy(invisibles_policy=InvisiblesPolicy.KEEP_JOINERS)
+    policy = NormalizationPolicy(invisibles_policy="keep_joiners")
     out = normalize_text("क‍ख​", policy)
     assert "‍" in out and "​" not in out
     assert JOINER_CHARS == {"‌", "‍"}
@@ -107,7 +137,7 @@ def test_native_digit_table_to_ascii():
 
 
 def test_keep_native_digits():
-    policy = NormalizationPolicy(digit_policy=DigitPolicy.KEEP_NATIVE)
+    policy = NormalizationPolicy(digit_policy="keep_native")
     assert normalize_text("१२३", policy) == "१२३"
 
 
@@ -117,16 +147,16 @@ def test_digit_mapping_touches_nothing_else():
 
 
 def test_danda_policies():
-    keep = NormalizationPolicy(danda_policy=DandaPolicy.KEEP_DANDA)
-    to_period = NormalizationPolicy(danda_policy=DandaPolicy.MAP_DANDA_TO_PERIOD)
-    to_danda = NormalizationPolicy(danda_policy=DandaPolicy.MAP_PERIOD_TO_DANDA)
+    keep = NormalizationPolicy(danda_policy="keep_danda")
+    to_period = NormalizationPolicy(danda_policy="map_danda_to_period")
+    to_danda = NormalizationPolicy(danda_policy="map_period_to_danda")
     assert normalize_text("क।", keep) == "क।"
     assert normalize_text("क।", to_period) == "क."
     assert normalize_text("क.", to_danda) == "क।"
     # A period between two decimal digits is part of a number and stays.
     assert normalize_text("मूल्य 3.5 किलो है.", to_danda) == "मूल्य 3.5 किलो है।"
     assert normalize_text("३.५", to_danda) == "3.5"
-    assert normalize_text("३.५", replace(to_danda, digit_policy=DigitPolicy.KEEP_NATIVE)) == "३.५"
+    assert normalize_text("३.५", replace(to_danda, digit_policy="keep_native")) == "३.५"
     assert normalize_text("1.2.3", to_danda) == "1.2.3"
     assert normalize_text(".5 3. v1.x", to_danda) == "।5 3। v1।x"
     assert normalize_text("3.5", to_period) == "3.5"
