@@ -2,9 +2,13 @@
 comparators (Levenshtein distance, common-prefix suffix-tail test) consumed
 by the error classifier.
 
-align() is difflib's Ratcliff/Obershelp matcher with autojunk off: it
-anchors on the longest common contiguous block (earliest in `a`, then in `b`,
-on ties) and recurses on both sides, with no item ever treated as junk.
+align() returns the opcodes of difflib's SequenceMatcher with no junk
+(autojunk=False, no isjunk), from the same Ratcliff/Obershelp recursion run
+on plain tuples. difflib's longest-block scan costs about wa*wb/V steps on a
+window of wa by wb items over a vocabulary of V, so on long pairs over a
+small vocabulary the wide windows use a suffix automaton (Blumer et al.,
+"The smallest automaton recognizing the subwords of a text", 1985) at about
+wa+wb steps.
 
 levenshtein() is the bit-parallel unit-cost edit distance of Myers (1999),
 in the global-distance form of Hyyrö (2003), on Python ints: one column of
@@ -14,21 +18,176 @@ keys, so they must be hashable.
 """
 from __future__ import annotations
 
-from difflib import SequenceMatcher
 from typing import Sequence
 
 from .tokenizer import LanguageProfile
 
 Opcode = tuple[str, int, int, int, int]  # (tag, i1, i2, j1, j2), as difflib
 
+# The scan takes about one step per equal pair a[i] == b[j] of a window, the
+# automaton about one per item. On a pair of more than this many cells with
+# more than 2*(la+lb) equal pairs, windows of more than this many cells use
+# the automaton. Both give the same block; the switch only picks the speed.
+_AUTOMATON_CELLS = 4096
+
 
 def align(a: Sequence, b: Sequence) -> list[Opcode]:
     """Align two sequences of hashable items (token texts, strings, ints)
-    into difflib opcodes whose spans tile both sequences in order."""
-    # autojunk=False: with the default, a side of 200 or more items treats
-    # items that occur in over 1% of it as junk, which would change the
-    # opcodes of long pairs.
-    return SequenceMatcher(None, a, b, autojunk=False).get_opcodes()
+    into difflib opcodes whose spans tile both sequences in order.
+
+    The opcodes equal SequenceMatcher(None, a, b, autojunk=False)
+    .get_opcodes(). Each window of `a` against `b` gives up its longest
+    common contiguous block, earliest in `a` and then in `b` on ties, and
+    the parts left and right of the block become windows in turn. No item
+    is junk: with difflib's default autojunk, a side of 200 or more items
+    would treat items that occur in over 1% of it as junk, which changes
+    the opcodes of long pairs.
+
+    Wide windows of a pair with many matching positions are searched with a
+    suffix automaton, the others with difflib's scan; both give the same
+    block. The common prefix and suffix are not trimmed first: on
+    a=[x, y], b=[x, q, x, y] the longest block is [x, y], while trimming
+    would keep the leading x and insert [q, x].
+    """
+    la, lb = len(a), len(b)
+    b2j: dict = {}
+    for j, x in enumerate(b):
+        b2j.setdefault(x, []).append(j)
+    dense = (la * lb > _AUTOMATON_CELLS
+             and sum([len(b2j[x]) for x in a if x in b2j]) > 2 * (la + lb))
+    blocks = []
+    windows = [(0, la, 0, lb)]
+    while windows:
+        alo, ahi, blo, bhi = windows.pop()
+        if dense and (ahi - alo) * (bhi - blo) > _AUTOMATON_CELLS:
+            i, j, k = _longest_by_automaton(a, b, alo, ahi, blo, bhi)
+        else:
+            i, j, k = _longest_by_scan(a, b2j, alo, ahi, blo, bhi)
+        if k:
+            blocks.append((i, j, k))
+            if alo < i and blo < j:
+                windows.append((alo, i, blo, j))
+            if i + k < ahi and j + k < bhi:
+                windows.append((i + k, ahi, j + k, bhi))
+    # difflib merges blocks that touch; without junk no two do. Each block is
+    # the longest in its window, so it cannot be extended within the window,
+    # and two blocks from windows that do not nest have the block that split
+    # them in between.
+    blocks.sort()
+    blocks.append((la, lb, 0))
+    ops: list[Opcode] = []
+    i = j = 0
+    for ai, bj, size in blocks:
+        if i < ai:
+            ops.append(("replace" if j < bj else "delete", i, ai, j, bj))
+        elif j < bj:
+            ops.append(("insert", i, ai, j, bj))
+        i, j = ai + size, bj + size
+        if size:
+            ops.append(("equal", ai, i, bj, j))
+    return ops
+
+
+def _longest_by_scan(a, b2j, alo, ahi, blo, bhi):
+    """difflib's find_longest_match without junk: j2len[j] is the length of
+    the common run ending at a[i-1] and b[j]. A run beats the best only when
+    strictly longer, so ties keep the earliest i, then the earliest j."""
+    besti, bestj, bestsize = alo, blo, 0
+    j2len: dict = {}
+    for i in range(alo, ahi):
+        get = j2len.get
+        j2len = {}
+        for j in b2j.get(a[i], ()):
+            if j < blo:
+                continue
+            if j >= bhi:
+                break
+            k = j2len[j] = get(j - 1, 0) + 1
+            if k > bestsize:
+                besti, bestj, bestsize = i - k + 1, j - k + 1, k
+    return besti, bestj, bestsize
+
+
+def _longest_by_automaton(a, b, alo, ahi, blo, bhi):
+    """The block _longest_by_scan finds, from a suffix automaton of the
+    shorter side's window walked along the other side's window.
+
+    The walk keeps the longest suffix of the walked prefix that occurs in
+    the automaton's window, and the state's first end gives that suffix's
+    earliest occurrence there. Walking `a`, the first i where the suffix
+    beats the best is difflib's earliest i, with its earliest j. Walking
+    `b`, a suffix as long as the best also wins when it starts earlier in `a`.
+    """
+    besti, bestj, bestsize = alo, blo, 0
+    s = k = 0
+    if bhi - blo <= ahi - alo:
+        trans, link, length, first_end = _suffix_automaton(b, blo, bhi)
+        for i in range(alo, ahi):
+            x = a[i]
+            while s and x not in trans[s]:
+                s = link[s]
+                k = length[s]
+            s = trans[s].get(x, 0)
+            if s:
+                k += 1
+                if k > bestsize:
+                    besti, bestj, bestsize = i - k + 1, first_end[s] - k + 1, k
+            else:
+                k = 0
+        return besti, bestj, bestsize
+    trans, link, length, first_end = _suffix_automaton(a, alo, ahi)
+    for j in range(blo, bhi):
+        x = b[j]
+        while s and x not in trans[s]:
+            s = link[s]
+            k = length[s]
+        s = trans[s].get(x, 0)
+        if s:
+            k += 1
+            i = first_end[s] - k + 1
+            if k > bestsize or k == bestsize and i < besti:
+                besti, bestj, bestsize = i, j - k + 1, k
+        else:
+            k = 0
+    return besti, bestj, bestsize
+
+
+def _suffix_automaton(seq, lo, hi):
+    """The suffix automaton of seq[lo:hi] (Blumer et al. 1985), as parallel
+    lists indexed by state: transitions, suffix links, the length of the
+    longest string of the state, and the end of that string's first
+    occurrence in seq (a clone copies it from the state it splits). State 0
+    is the empty string, which has no end and no suffix link."""
+    trans: list[dict] = [{}]
+    link, length, first_end = [-1], [0], [None]
+    last = 0
+    for p in range(lo, hi):
+        x = seq[p]
+        cur = len(length)
+        trans.append({})
+        link.append(0)
+        length.append(length[last] + 1)
+        first_end.append(p)
+        s = last
+        while s != -1 and x not in trans[s]:
+            trans[s][x] = cur
+            s = link[s]
+        if s != -1:
+            q = trans[s][x]
+            if length[q] == length[s] + 1:
+                link[cur] = q
+            else:
+                clone = len(length)
+                trans.append(trans[q].copy())
+                link.append(link[q])
+                length.append(length[s] + 1)
+                first_end.append(first_end[q])
+                while s != -1 and trans[s].get(x) == q:
+                    trans[s][x] = clone
+                    s = link[s]
+                link[q] = link[cur] = clone
+        last = cur
+    return trans, link, length, first_end
 
 
 def levenshtein(a: Sequence, b: Sequence) -> int:

@@ -41,6 +41,15 @@ _FLIP = {
     ast.Is: ast.IsNot, ast.IsNot: ast.Is,
 }
 
+_SWITCH = (
+    "the switch only picks which of the two block searches runs on a window, "
+    "and both give the same block; the property tests run both"
+)
+_EMPTY_WINDOW = (
+    "the extra window has an empty side, so its search finds no block and "
+    "it adds nothing"
+)
+
 # (module, source line of the mutated node, mutant as "before -> after") ->
 # why no input tells the mutant from the original. The line is stripped of
 # its indentation, so the key holds while the code around it moves.
@@ -73,6 +82,51 @@ EQUIVALENT = {
     ("alignment", "if len(a) < len(b):", "len(a) < len(b) -> len(a) <= len(b)"):
         "with equal lengths the swap only makes the other side the shorter "
         "one, and the distance is exact and symmetric, so it is the same",
+    ("alignment", "_AUTOMATON_CELLS = 4096", "4096 -> 4097"):
+        _SWITCH,
+    ("alignment", "dense = (la * lb > _AUTOMATON_CELLS",
+     "la * lb > _AUTOMATON_CELLS and sum([len(b2j[x]) for x in a if x in b2j]) > 2 * (la + lb) -> "
+     "la * lb > _AUTOMATON_CELLS or sum([len(b2j[x]) for x in a if x in b2j]) > 2 * (la + lb)"):
+        _SWITCH,
+    ("alignment", "dense = (la * lb > _AUTOMATON_CELLS",
+     "la * lb > _AUTOMATON_CELLS -> la * lb >= _AUTOMATON_CELLS"):
+        _SWITCH,
+    ("alignment", "and sum([len(b2j[x]) for x in a if x in b2j]) > 2 * (la + lb))",
+     "sum([len(b2j[x]) for x in a if x in b2j]) > 2 * (la + lb) -> sum([len(b2j[x]) for x in a if x in b2j]) >= 2 * (la + lb)"):
+        _SWITCH,
+    ("alignment", "and sum([len(b2j[x]) for x in a if x in b2j]) > 2 * (la + lb))", "2 -> 3"):
+        _SWITCH,
+    ("alignment", "if dense and (ahi - alo) * (bhi - blo) > _AUTOMATON_CELLS:",
+     "(ahi - alo) * (bhi - blo) > _AUTOMATON_CELLS -> "
+     "(ahi - alo) * (bhi - blo) >= _AUTOMATON_CELLS"):
+        _SWITCH,
+    ("alignment", "if bhi - blo <= ahi - alo:",
+     "bhi - blo <= ahi - alo -> bhi - blo < ahi - alo"):
+        "on a square window the automaton is built on the other side, and "
+        "both walks give the block with the earliest i, then the earliest j",
+    ("alignment", "if alo < i and blo < j:", "alo < i and blo < j -> alo < i or blo < j"):
+        _EMPTY_WINDOW,
+    ("alignment", "if alo < i and blo < j:", "alo < i -> alo <= i"):
+        _EMPTY_WINDOW,
+    ("alignment", "if alo < i and blo < j:", "blo < j -> blo <= j"):
+        _EMPTY_WINDOW,
+    ("alignment", "if i + k < ahi and j + k < bhi:",
+     "i + k < ahi and j + k < bhi -> i + k < ahi or j + k < bhi"):
+        _EMPTY_WINDOW,
+    ("alignment", "if i + k < ahi and j + k < bhi:", "i + k < ahi -> i + k <= ahi"):
+        _EMPTY_WINDOW,
+    ("alignment", "if i + k < ahi and j + k < bhi:", "j + k < bhi -> j + k <= bhi"):
+        _EMPTY_WINDOW,
+    ("alignment", "length.append(length[last] + 1)", "1 -> 2"):
+        "the test length[q] == length[s] + 1 then never holds for a state "
+        "made from a new item, so each such state is split: a clone of a "
+        "state that needed no split recognizes the same strings with the "
+        "same first end, and every state the walk reads a length from is "
+        "then a clone or the root, whose lengths stay exact",
+    ("alignment", "while s != -1 and trans[s].get(x) == q:", "1 -> 2"):
+        "past the root, s is -1 and trans[-1] is the clone just appended, "
+        "whose transitions are copied from q; no state has a transition to "
+        "itself, so the loop stops there as it does at -1",
     ("tokenizer", '"mlym": (0x0D00, 0x0D7F),', "3455 -> 3456"):
         "U+0D80 is unassigned (category Cn) in the Unicode tables of every "
         "supported Python, so the block gains no letter or mark",

@@ -1,14 +1,17 @@
 import random
+import time
 from difflib import SequenceMatcher
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gec_forge import alignment
 from gec_forge import (
     ErrorCategory,
     LanguageProfile,
     align,
+    audit_pair,
     classify_pair,
     levenshtein,
     profile_for,
@@ -144,6 +147,68 @@ def test_align_long_alternating_input(hi):
     b = [w + "z" if i % 2 else w for i, w in enumerate(a)]
     assert align(a, b) == SequenceMatcher(None, a, b, autojunk=False).get_opcodes()
     assert classify_pair(" ".join(a), " ".join(b), hi).category is ErrorCategory.SPELLING
+
+
+@settings(max_examples=150)
+@given(_sequence_pairs())
+def test_align_matches_sequence_matcher_on_long_pairs(pair):
+    # Most of these pairs pass the density switch, so their wide windows
+    # take the suffix automaton and their narrow ones the scan.
+    a, b = pair
+    assert align(a, b) == SequenceMatcher(None, a, b, autojunk=False).get_opcodes()
+
+
+def _random_ab(seed, len_a, len_b):
+    rng = random.Random(seed)
+    return ("".join(rng.choice("ab") for _ in range(len_a)),
+            "".join(rng.choice("ab") for _ in range(len_b)))
+
+
+@pytest.mark.parametrize("a,b", [
+    _random_ab(150, 150, 100),
+    _random_ab(100, 100, 150),
+    # Every common block has one item, and the first is not at the window's
+    # first cell.
+    (["क"] * 100, ["ख", "क"] * 60),
+    (["ख", "क"] * 60, ["क"] * 100),
+], ids=["random-a-longer", "random-b-longer", "single-items-b-longer", "single-items-a-longer"])
+def test_dense_pair_takes_both_searches(monkeypatch, a, b):
+    # The two block searches must agree wherever the switch sends a window;
+    # these pairs send some windows to each, and the automaton is built on
+    # the shorter side of each window it searches.
+    calls = {"scan": 0, "automaton": 0}
+
+    def counted(name, search):
+        def wrapper(*args):
+            calls[name] += 1
+            return search(*args)
+        return wrapper
+
+    monkeypatch.setattr(alignment, "_longest_by_scan",
+                        counted("scan", alignment._longest_by_scan))
+    monkeypatch.setattr(alignment, "_longest_by_automaton",
+                        counted("automaton", alignment._longest_by_automaton))
+    assert align(a, b) == SequenceMatcher(None, a, b, autojunk=False).get_opcodes()
+    assert calls["scan"] and calls["automaton"]
+
+
+def test_align_does_not_trim_the_common_prefix():
+    # The longest block is [x, y]; trimming the common prefix x first would
+    # give equal, insert [q, x], equal instead.
+    assert align(["x", "y"], ["x", "q", "x", "y"]) == [
+        ("insert", 0, 0, 0, 2), ("equal", 0, 2, 2, 4)]
+
+
+def test_single_symbol_against_alternation_finishes_in_bounded_time(hi):
+    # Every common block has size 1, so each window gives up one block: the
+    # scan grew as n**3 on this pair (about 11 s per call at n = 1,000).
+    inp, out = " ".join(["क"] * 1000), " ".join(["क", "ख"] * 500)
+    for call in (classify_pair, audit_pair):
+        started = time.perf_counter()
+        result = call(inp, out, hi)
+        elapsed = time.perf_counter() - started
+        assert elapsed < 2.0, f"{call.__name__} took {elapsed:.3f}s"
+        assert result.category.value == "missing_extra_word"
 
 
 def test_suffix_tail_change_hand_example(hi):
