@@ -3,20 +3,15 @@
 __version__ = "0.1.0"
 
 from .alignment import align, levenshtein, suffix_tail_change, touches_syntax
-from .audit import EditAudit, Stratum, audit_pair, dual_report, reconcile
+from .audit import EditAudit, audit_pair, dual_report, reconcile
 from .classifier import (
     CATEGORY_ORDER,
     Classification,
-    ErrorCategory,
     classify_pair,
+    display_label,
     nullish,
 )
-from .corpus import (
-    DistributionReport,
-    analyze,
-    load_pairs,
-    synthesize_prompt,
-)
+from .corpus import analyze, load_pairs, synthesize_prompt
 from .errors import InputError
 from .gleu import gleu_corpus
 from .textnorm import (
@@ -37,9 +32,9 @@ from .tokenizer import (
 __all__ = [
     "__version__",
     "align", "levenshtein", "suffix_tail_change", "touches_syntax",
-    "EditAudit", "Stratum", "audit_pair", "dual_report", "reconcile",
-    "CATEGORY_ORDER", "Classification", "ErrorCategory", "classify_pair", "nullish",
-    "DistributionReport", "analyze", "load_pairs", "synthesize_prompt",
+    "EditAudit", "audit_pair", "dual_report", "reconcile",
+    "CATEGORY_ORDER", "Classification", "classify_pair", "display_label", "nullish",
+    "analyze", "load_pairs", "synthesize_prompt",
     "InputError",
     "gleu_corpus",
     "DEFAULT_POLICY", "NormalizationPolicy", "alnum_projection", "normalize_text",

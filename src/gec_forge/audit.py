@@ -6,51 +6,30 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from enum import Enum
 
 from .alignment import levenshtein
-from .classifier import CATEGORY_ORDER, NON_EDITS, ErrorCategory, _classify, _Pair
+from .classifier import CATEGORY_ORDER, NON_EDITS, _classify, _Pair
 from .errors import InputError
 from .tokenizer import LanguageProfile
 
 DEFAULT_DISTANCE_CAP = 5  # tokens; beyond this an edit counts as drift
 
 
-class Stratum(Enum):
-    REDUNDANT = "redundant"
-    RECTIFYING = "rectifying"
-    RISKY = "risky"
-    NONE = "none"
-
-
-STRATA_ORDER = (Stratum.REDUNDANT, Stratum.RECTIFYING, Stratum.RISKY)
+# The strata of a pair with an edit; a pair with none gets "none".
+STRATA = ("redundant", "rectifying", "risky")
 
 # reconcile prefers substantive local fixes, then surface fixes, then
 # anything over nothing.
-_PREFERENCE = {
-    Stratum.RECTIFYING: 0,
-    Stratum.REDUNDANT: 1,
-    Stratum.RISKY: 2,
-    Stratum.NONE: 3,
-}
+_PREFERENCE = {"rectifying": 0, "redundant": 1, "risky": 2, "none": 3}
 
 
 @dataclass(frozen=True)
 class EditAudit:
-    category: ErrorCategory
-    stratum: Stratum
+    category: str
+    stratum: str
     edit_distance: int  # token-level, over all tokens
     multiset_preserving_reorder: bool
     distance_cap_exceeded: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "category": self.category.value,
-            "stratum": self.stratum.value,
-            "edit_distance": self.edit_distance,
-            "multiset_preserving_reorder": self.multiset_preserving_reorder,
-            "distance_cap_exceeded": self.distance_cap_exceeded,
-        }
 
 
 def audit_pair(
@@ -70,20 +49,20 @@ def _audit(pair: _Pair, cap: int) -> EditAudit:
     category = _classify(pair).category
     distance = levenshtein(*pair.texts())
     if category in NON_EDITS:
-        stratum = Stratum.NONE
-    elif category is ErrorCategory.PUNCT_WHITESPACE:
-        stratum = Stratum.REDUNDANT
-    elif category is ErrorCategory.WORD_ORDER:
-        stratum = Stratum.RISKY
+        stratum = "none"
+    elif category == "punct_whitespace":
+        stratum = "redundant"
+    elif category == "word_order":
+        stratum = "risky"
     elif distance <= cap:
-        stratum = Stratum.RECTIFYING
+        stratum = "rectifying"
     else:
-        stratum = Stratum.RISKY
+        stratum = "risky"
     return EditAudit(
         category=category,
         stratum=stratum,
         edit_distance=distance,
-        multiset_preserving_reorder=category is ErrorCategory.WORD_ORDER,
+        multiset_preserving_reorder=category == "word_order",
         distance_cap_exceeded=distance > cap,
     )
 
@@ -116,8 +95,7 @@ def _reconcile_audited(input, cand_a, cand_b, profile, cap):
     pref_a, pref_b = _PREFERENCE[audit_a.stratum], _PREFERENCE[audit_b.stratum]
     if pref_a != pref_b:
         winner = "a" if pref_a < pref_b else "b"
-        strata = (audit_a.stratum.value, audit_b.stratum.value)
-        reason = f"stratum:{strata[0] if winner == 'a' else strata[1]}"
+        reason = f"stratum:{audit_a.stratum if winner == 'a' else audit_b.stratum}"
     elif audit_a.edit_distance != audit_b.edit_distance:
         winner = "a" if audit_a.edit_distance < audit_b.edit_distance else "b"
         reason = "edit_distance"
@@ -156,9 +134,9 @@ def dual_report(triples, profile: LanguageProfile, cap: int = DEFAULT_DISTANCE_C
     if not triples:
         raise InputError("dual_report needs at least one (input, cand_a, cand_b) triple")
     cat_index = {cat: i for i, cat in enumerate(CATEGORY_ORDER)}
-    stratum_index = {s: i for i, s in enumerate(STRATA_ORDER)}
+    stratum_index = {s: i for i, s in enumerate(STRATA)}
     agreement = [[0] * len(CATEGORY_ORDER) for _ in CATEGORY_ORDER]
-    strata_cross = [[0] * len(STRATA_ORDER) for _ in STRATA_ORDER]
+    strata_cross = [[0] * len(STRATA) for _ in STRATA]
     union = intersection = conflict = 0
     resolutions = []
     for row, (input, cand_a, cand_b) in enumerate(triples):
@@ -173,15 +151,15 @@ def dual_report(triples, profile: LanguageProfile, cap: int = DEFAULT_DISTANCE_C
         if edits_a or edits_b:
             union += 1
         if edits_a and edits_b:
-            if audit_a.category is audit_b.category:
+            if audit_a.category == audit_b.category:
                 intersection += 1
             else:
                 conflict += 1
         resolutions.append({"row": row, "chosen": side, "text": chosen, "reason": reason})
     return {
-        "categories": [cat.value for cat in CATEGORY_ORDER],
+        "categories": list(CATEGORY_ORDER),
         "agreement": agreement,
-        "strata": [s.value for s in STRATA_ORDER],
+        "strata": list(STRATA),
         "strata_cross": strata_cross,
         "union_count": union,
         "intersection_count": intersection,

@@ -19,9 +19,9 @@ stage-5 label.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 
 from .alignment import Opcode, align, levenshtein, suffix_tail_change, touches_syntax
+from .errors import InputError
 from .textnorm import alnum_projection
 from .tokenizer import (
     _NONPUNCT_RUN, SYNTAX_LABELS, LanguageProfile, _check_lang, same_script, tokenize,
@@ -32,55 +32,45 @@ SPELL_THRESHOLD = 2  # max Levenshtein distance still counted as a spelling slip
 _NULL_SENTINELS = {"nan", "null", "none"}
 
 
-class ErrorCategory(Enum):
-    NULL_EMPTY = "null_empty"
-    NO_ERROR = "no_error"
-    PUNCT_WHITESPACE = "punct_whitespace"
-    WORD_ORDER = "word_order"
-    MISSING_EXTRA_WORD = "missing_extra_word"
-    SYNTAX_AGREEMENT = "syntax_agreement"
-    MORPHOLOGY = "morphology"
-    SPELLING = "spelling"
-    GRAMMAR_SYNTAX = "grammar_syntax"
+# The axis order of the counts and of the dual audit.
+CATEGORY_ORDER: tuple[str, ...] = (
+    "null_empty", "no_error", "punct_whitespace", "word_order",
+    "missing_extra_word", "syntax_agreement", "morphology", "spelling", "grammar_syntax",
+)
 
-    def display_label(self, lang: str) -> str:
-        _check_lang(lang)
-        if self is ErrorCategory.SYNTAX_AGREEMENT:
-            return SYNTAX_LABELS[lang]
-        return _DISPLAY_LABELS[self]
-
+# The categories in the order _classify tests them: stages 1-4, then
+# stage 5. The report's precedence_order and the prompt's tie-break follow it.
+PRECEDENCE: tuple[str, ...] = (
+    "null_empty", "no_error", "punct_whitespace", "word_order",
+    "syntax_agreement", "missing_extra_word", "morphology", "spelling", "grammar_syntax",
+)
 
 _DISPLAY_LABELS = {
-    ErrorCategory.NULL_EMPTY: "Null/Empty Pair",
-    ErrorCategory.NO_ERROR: "No Error",
-    ErrorCategory.PUNCT_WHITESPACE: "Punctuation/Whitespace",
-    ErrorCategory.WORD_ORDER: "Word Order",
-    ErrorCategory.MISSING_EXTRA_WORD: "Missing/Extra Word",
-    ErrorCategory.MORPHOLOGY: "Morphology (Inflection/Affix)",
-    ErrorCategory.SPELLING: "Spelling/Orthography",
-    ErrorCategory.GRAMMAR_SYNTAX: "Grammar/Syntax",
+    "null_empty": "Null/Empty Pair",
+    "no_error": "No Error",
+    "punct_whitespace": "Punctuation/Whitespace",
+    "word_order": "Word Order",
+    "missing_extra_word": "Missing/Extra Word",
+    "morphology": "Morphology (Inflection/Affix)",
+    "spelling": "Spelling/Orthography",
+    "grammar_syntax": "Grammar/Syntax",
 }
-
-CATEGORY_ORDER: tuple[ErrorCategory, ...] = tuple(ErrorCategory)
-
-# The categories in the order _classify tests them; the report's
-# precedence_order and the prompt's tie-break follow it. CATEGORY_ORDER
-# stays the axis order of the counts and of the dual audit.
-PRECEDENCE: tuple[ErrorCategory, ...] = (
-    ErrorCategory.NULL_EMPTY,
-    ErrorCategory.NO_ERROR,
-    ErrorCategory.PUNCT_WHITESPACE,
-    ErrorCategory.WORD_ORDER,
-    ErrorCategory.SYNTAX_AGREEMENT,
-    ErrorCategory.MISSING_EXTRA_WORD,
-    ErrorCategory.MORPHOLOGY,
-    ErrorCategory.SPELLING,
-    ErrorCategory.GRAMMAR_SYNTAX,
-)
 
 # Categories of pairs that carry no edit to type: the audit gives them no
 # stratum and the prompt gives them no priority.
-NON_EDITS = frozenset({ErrorCategory.NO_ERROR, ErrorCategory.NULL_EMPTY})
+NON_EDITS = frozenset({"no_error", "null_empty"})
+
+
+def display_label(category: str, lang: str) -> str:
+    """The category's label for the language; the syntax label depends on
+    it. Raises InputError on an unknown language code, then on an unknown
+    category."""
+    _check_lang(lang)
+    if category not in CATEGORY_ORDER:
+        raise InputError(f"unknown category: {category!r} (expected one of {list(CATEGORY_ORDER)})")
+    if category == "syntax_agreement":
+        return SYNTAX_LABELS[lang]
+    return _DISPLAY_LABELS[category]
 
 
 @dataclass(frozen=True)
@@ -88,7 +78,7 @@ class Classification:
     """The category, and which rule of its precedence stage fired and why;
     the rule and detail never alter the category."""
 
-    category: ErrorCategory
+    category: str
     rule: str
     detail: dict = field(default_factory=dict)
 
@@ -134,16 +124,16 @@ def classify_pair(inp, out, profile: LanguageProfile) -> Classification:
 def _classify(pair: _Pair) -> Classification:
     inp, out, profile = pair.inp, pair.out, pair.profile
     if nullish(inp) or nullish(out):
-        return Classification(ErrorCategory.NULL_EMPTY, "nullish")
+        return Classification("null_empty", "nullish")
 
     if inp == out:
-        return Classification(ErrorCategory.NO_ERROR, "identical")
+        return Classification("no_error", "identical")
 
     if alnum_projection(inp) == alnum_projection(out):
-        return Classification(ErrorCategory.PUNCT_WHITESPACE, "equal_projection")
+        return Classification("punct_whitespace", "equal_projection")
 
     if sorted(_NONPUNCT_RUN.findall(inp)) == sorted(_NONPUNCT_RUN.findall(out)):
-        return Classification(ErrorCategory.WORD_ORDER, "permuted_multiset")
+        return Classification("word_order", "permuted_multiset")
 
     a, b = pair.texts()
 
@@ -170,13 +160,12 @@ def _classify(pair: _Pair) -> Classification:
     # Syntax outranks the rest; then insert/delete outranks replace.
     if syntax_hits:
         rule = "insert_delete_syntax" if saw_insdel else "replace_syntax"
-        return Classification(ErrorCategory.SYNTAX_AGREEMENT, rule, {"hits": syntax_hits})
+        return Classification("syntax_agreement", rule, {"hits": syntax_hits})
     if saw_insdel:
-        return Classification(ErrorCategory.MISSING_EXTRA_WORD, "insert_delete")
+        return Classification("missing_extra_word", "insert_delete")
     if morph_hits:
-        return Classification(ErrorCategory.MORPHOLOGY, "replace_suffix_tail",
-                              {"pairs": morph_hits})
+        return Classification("morphology", "replace_suffix_tail", {"pairs": morph_hits})
     if saw_spell:
-        return Classification(ErrorCategory.SPELLING, "replace_small_distance",
+        return Classification("spelling", "replace_small_distance",
                               {"threshold": SPELL_THRESHOLD})
-    return Classification(ErrorCategory.GRAMMAR_SYNTAX, "replace_other")
+    return Classification("grammar_syntax", "replace_other")

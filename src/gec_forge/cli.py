@@ -17,9 +17,9 @@ import traceback
 from dataclasses import asdict
 
 from . import __version__
-from .audit import DEFAULT_DISTANCE_CAP, Stratum, audit_pair, dual_report
-from .classifier import CATEGORY_ORDER, SPELL_THRESHOLD, classify_pair
-from .corpus import SPLITS, DistributionReport, analyze, load_pairs, synthesize_prompt
+from .audit import DEFAULT_DISTANCE_CAP, STRATA, audit_pair, dual_report
+from .classifier import CATEGORY_ORDER, SPELL_THRESHOLD, classify_pair, display_label
+from .corpus import SPLITS, analyze, load_pairs, synthesize_prompt
 from .errors import InputError
 from .gleu import DEFAULT_MAX_N, MAX_N_LIMIT, gleu_corpus
 from .reports import read_text, write_report, write_text_atomic
@@ -211,7 +211,7 @@ def cmd_classify(args) -> int:
     writer.writerow(header)
     for row, (inp, out) in enumerate(pairs):
         result = classify_pair(inp, out, profile)
-        record = [row, result.category.value, result.category.display_label(args.lang)]
+        record = [row, result.category, display_label(result.category, args.lang)]
         if args.evidence:
             record.append(json.dumps(
                 {"stage": result.stage, "rule": result.rule, "detail": result.detail},
@@ -231,12 +231,11 @@ def cmd_analyze(args) -> int:
         kept = list(dict.fromkeys(pairs))
         dropped = f" ({len(pairs) - len(kept)} exact duplicates dropped)"
         pairs = kept
-    report = analyze(pairs, profile, args.split)
-    body = report.to_dict()
+    body = analyze(pairs, profile, args.split)
     body["normalization"] = asdict(policy)
     body["classifier_constants"] = {"SPELL_THR": SPELL_THRESHOLD}
     write_report(args.report, "distribution", body)
-    print(f"analyzed {report.total} pairs{dropped} -> {args.report}")
+    print(f"analyzed {body['total']} pairs{dropped} -> {args.report}")
     return 0
 
 
@@ -269,15 +268,16 @@ def cmd_normalize(args) -> int:
 
 
 def cmd_synth_prompt(args) -> int:
+    # ValueError: bad JSON, or an integer past int_max_str_digits;
+    # RecursionError: arrays or objects nested past the recursion limit.
     try:
-        data = json.loads(read_text(args.dist))
-    except ValueError as exc:  # bad JSON, or an integer past int_max_str_digits
+        report = json.loads(read_text(args.dist))
+    except (ValueError, RecursionError) as exc:
         raise InputError(f"{args.dist}: invalid JSON distribution report: {exc}") from exc
     try:
-        report = DistributionReport.from_dict(data)
+        prompt = synthesize_prompt(report)
     except InputError as exc:
         raise InputError(f"{args.dist}: {exc}") from exc
-    prompt = synthesize_prompt(report)
     write_text_atomic(args.outfile, prompt)
     digest = hashlib.sha256(prompt.encode("utf-8")).hexdigest()
     write_text_atomic(args.outfile + ".sha256",
@@ -308,19 +308,18 @@ def cmd_audit(args) -> int:
         return 0
     pairs = load_pairs(args.infile, policy)
     audits = [audit_pair(inp, out, profile, args.cap) for inp, out in pairs]
-    strata_counts = {s.value: 0 for s in Stratum}
+    strata_counts = dict.fromkeys((*STRATA, "none"), 0)
+    category_counts = dict.fromkeys(CATEGORY_ORDER, 0)
     for a in audits:
-        strata_counts[a.stratum.value] += 1
-    category_counts = {cat.value: 0 for cat in CATEGORY_ORDER}
-    for a in audits:
-        category_counts[a.category.value] += 1
+        strata_counts[a.stratum] += 1
+        category_counts[a.category] += 1
     body = {
         "lang": args.lang,
         "cap": args.cap,
         "total": len(audits),
         "strata_counts": strata_counts,
         "category_counts": category_counts,
-        "pairs": [dict(row=row, **a.to_dict()) for row, a in enumerate(audits)],
+        "pairs": [dict(row=row, **vars(a)) for row, a in enumerate(audits)],
     }
     write_report(args.report, "audit", body)
     print(f"audited {len(audits)} pairs -> {args.report}")

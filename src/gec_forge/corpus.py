@@ -5,9 +5,8 @@ from __future__ import annotations
 
 import csv
 import re
-from dataclasses import dataclass
 
-from .classifier import CATEGORY_ORDER, NON_EDITS, PRECEDENCE, ErrorCategory, classify_pair
+from .classifier import CATEGORY_ORDER, NON_EDITS, PRECEDENCE, classify_pair, display_label
 from .errors import InputError
 from .reports import read_text
 from .textnorm import DEFAULT_POLICY, NormalizationPolicy, normalize_text
@@ -23,69 +22,6 @@ OUTPUT_HEADERS = {"output sentence", "output"}
 # what csv.reader expects. A StringIO over the whole text would cost four
 # bytes per character.
 _FILE_LINE = re.compile(r"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+")
-
-
-@dataclass(frozen=True)
-class DistributionReport:
-    lang: str
-    split: str
-    total: int
-    counts: dict  # ErrorCategory -> int, every category present
-
-    def to_dict(self) -> dict:
-        return {
-            "lang": self.lang,
-            "split": self.split,
-            "total": self.total,
-            "counts": {cat.value: self.counts[cat] for cat in CATEGORY_ORDER},
-            "display_labels": {
-                cat.value: cat.display_label(self.lang) for cat in CATEGORY_ORDER
-            },
-            "precedence_order": [cat.value for cat in PRECEDENCE],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "DistributionReport":
-        """Read a report as to_dict writes it, rejecting any report that
-        analyze could not have written."""
-        if not isinstance(data, dict) or not isinstance(data.get("counts"), dict):
-            raise InputError("bad distribution report: 'counts' must be a JSON object")
-        lang, split, total = data.get("lang"), data.get("split"), data.get("total")
-        if not isinstance(lang, str) or lang not in SYNTAX_LABELS:
-            raise InputError(
-                f"bad distribution report: 'lang' must be one of {sorted(SYNTAX_LABELS)}, "
-                f"got {lang!r}"
-            )
-        if split not in SPLITS:
-            raise InputError(
-                f"bad distribution report: 'split' must be one of {list(SPLITS)}, got {split!r}"
-            )
-        numbers = {"total": total} | {
-            f"counts[{name!r}]": count for name, count in data["counts"].items()
-        }
-        for key, value in numbers.items():
-            if type(value) is not int:  # not a float, bool, string or null
-                raise InputError(
-                    f"bad distribution report: {key} must be an integer, got {value!r}"
-                )
-            if value < 0:
-                raise InputError(f"bad distribution report: {key} must be >= 0, got {value}")
-        if total == 0:  # analyze raises on an empty corpus instead
-            raise InputError("bad distribution report: 'total' must be >= 1, got 0")
-        try:
-            counts = {ErrorCategory(name): count for name, count in data["counts"].items()}
-        except ValueError as exc:
-            raise InputError(
-                f"bad distribution report: 'counts': {exc} "
-                f"(expected keys among {[cat.value for cat in CATEGORY_ORDER]})"
-            ) from exc
-        counted = sum(counts.values())
-        if counted != total:
-            raise InputError(
-                f"bad distribution report: 'counts' sum to {counted}, but 'total' is {total}"
-            )
-        return cls(lang=lang, split=split, total=total,
-                   counts={cat: counts.get(cat, 0) for cat in CATEGORY_ORDER})
 
 
 def _resolve_columns(header: list[str], path) -> tuple[int, int]:
@@ -133,24 +69,69 @@ def load_pairs(path, policy: NormalizationPolicy = DEFAULT_POLICY) -> list[tuple
     return pairs
 
 
-def analyze(
-    pairs: list[tuple[str, str]], profile: LanguageProfile, split: str
-) -> DistributionReport:
-    """Classify every pair of one split and tally categories; totals include
-    Null/Empty so they equal the ingested pair count."""
+def analyze(pairs: list[tuple[str, str]], profile: LanguageProfile, split: str) -> dict:
+    """Classify every pair of one split and tally categories into the
+    distribution report body; totals include Null/Empty so they equal the
+    ingested pair count."""
     if split not in SPLITS:
         raise InputError(f"unknown split: {split!r} (expected one of {SPLITS})")
     if not pairs:
         raise InputError("no pairs to analyze")
-    counts = {cat: 0 for cat in CATEGORY_ORDER}
+    counts = dict.fromkeys(CATEGORY_ORDER, 0)
     for inp, out in pairs:
         counts[classify_pair(inp, out, profile).category] += 1
-    return DistributionReport(lang=profile.name, split=split, total=len(pairs), counts=counts)
+    return {
+        "lang": profile.name,
+        "split": split,
+        "total": len(pairs),
+        "counts": counts,
+        "display_labels": {cat: display_label(cat, profile.name) for cat in CATEGORY_ORDER},
+        "precedence_order": list(PRECEDENCE),
+    }
+
+
+def _check_report(report) -> None:
+    """Reject any report body that analyze could not have written."""
+    if not isinstance(report, dict) or not isinstance(report.get("counts"), dict):
+        raise InputError("bad distribution report: 'counts' must be a JSON object")
+    lang, split, total = report.get("lang"), report.get("split"), report.get("total")
+    if not isinstance(lang, str) or lang not in SYNTAX_LABELS:
+        raise InputError(
+            f"bad distribution report: 'lang' must be one of {sorted(SYNTAX_LABELS)}, "
+            f"got {lang!r}"
+        )
+    if split not in SPLITS:
+        raise InputError(
+            f"bad distribution report: 'split' must be one of {list(SPLITS)}, got {split!r}"
+        )
+    numbers = {"total": total} | {
+        f"counts[{name!r}]": count for name, count in report["counts"].items()
+    }
+    for key, value in numbers.items():
+        if type(value) is not int:  # not a float, bool, string or null
+            raise InputError(
+                f"bad distribution report: {key} must be an integer, got {value!r}"
+            )
+        if value < 0:
+            raise InputError(f"bad distribution report: {key} must be >= 0, got {value}")
+    if total == 0:  # analyze raises on an empty corpus instead
+        raise InputError("bad distribution report: 'total' must be >= 1, got 0")
+    for name in report["counts"]:
+        if name not in CATEGORY_ORDER:
+            raise InputError(
+                f"bad distribution report: 'counts': {name!r} is not a category "
+                f"(expected keys among {list(CATEGORY_ORDER)})"
+            )
+    counted = sum(report["counts"].values())
+    if counted != total:
+        raise InputError(
+            f"bad distribution report: 'counts' sum to {counted}, but 'total' is {total}"
+        )
 
 
 # Error categories a correction prompt can meaningfully emphasize.
-_PROMOTED = (ErrorCategory.PUNCT_WHITESPACE, ErrorCategory.MORPHOLOGY)
-DEPRIORITIZED = (ErrorCategory.WORD_ORDER, ErrorCategory.MISSING_EXTRA_WORD)
+_PROMOTED = ("punct_whitespace", "morphology")
+DEPRIORITIZED = ("word_order", "missing_extra_word")
 
 CONSTRAINT_CLAUSES = (
     "Make the fewest possible edits.",
@@ -162,8 +143,8 @@ CONSTRAINT_CLAUSES = (
 _LANGUAGE_NAMES = {"hi": "Hindi", "ml": "Malayalam"}
 
 _DEPRIORITIZED_NOTES = {
-    ErrorCategory.WORD_ORDER: "do not reorder words unless the sentence is ungrammatical as written",
-    ErrorCategory.MISSING_EXTRA_WORD: "do not add or delete words unless strictly required",
+    "word_order": "do not reorder words unless the sentence is ungrammatical as written",
+    "missing_extra_word": "do not add or delete words unless strictly required",
 }
 
 _PROMPT_TEMPLATE = """\
@@ -183,8 +164,11 @@ Return only the corrected sentence, nothing else.
 """
 
 
-def synthesize_prompt(report: DistributionReport) -> str:
-    """Render a distribution report as the fixed correction prompt text.
+def synthesize_prompt(report: dict) -> str:
+    """Render a distribution report body, as analyze returns it or as read
+    back from its file, as the fixed correction prompt text. A report that
+    analyze could not have written raises InputError; a category missing
+    from its counts reads as 0.
 
     Categories are ordered by descending count, ties broken by the order
     the classifier tests them (PRECEDENCE), with Punctuation/Whitespace and
@@ -192,24 +176,23 @@ def synthesize_prompt(report: DistributionReport) -> str:
     additions/deletions are always listed as deprioritized. The text is a
     pure function of the report.
     """
-    if report.total <= 0:
-        raise InputError("cannot synthesize a prompt from an empty report")
+    _check_report(report)
+    lang, counts = report["lang"], report["counts"]
     by_count = sorted(  # stable, so ties keep PRECEDENCE order
-        (cat for cat in PRECEDENCE if cat not in NON_EDITS and report.counts[cat] > 0),
-        key=lambda cat: -report.counts[cat],
+        (cat for cat in PRECEDENCE if cat not in NON_EDITS and counts.get(cat, 0) > 0),
+        key=lambda cat: -counts[cat],
     )
-    promoted = [cat for cat in _PROMOTED if report.counts[cat] > 0]
+    promoted = [cat for cat in _PROMOTED if counts.get(cat, 0) > 0]
     prioritized = promoted + [cat for cat in by_count if cat not in promoted]
-    labels = {cat: cat.display_label(report.lang) for cat in CATEGORY_ORDER}
     priorities = "\n".join(
-        f"  {i}. {labels[cat]}" for i, cat in enumerate(prioritized, start=1)
+        f"  {i}. {display_label(cat, lang)}" for i, cat in enumerate(prioritized, start=1)
     ) or "  (no category emphasis)"
     cautions = "\n".join(
-        f"  - {labels[cat]}: {_DEPRIORITIZED_NOTES[cat]}" for cat in DEPRIORITIZED
+        f"  - {display_label(cat, lang)}: {_DEPRIORITIZED_NOTES[cat]}" for cat in DEPRIORITIZED
     )
     rules = "\n".join(f"  - {clause}" for clause in CONSTRAINT_CLAUSES)
     return _PROMPT_TEMPLATE.format(
-        language=_LANGUAGE_NAMES[report.lang],
+        language=_LANGUAGE_NAMES[lang],
         priorities=priorities,
         cautions=cautions,
         rules=rules,

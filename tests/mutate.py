@@ -14,9 +14,11 @@ The mutated module is written with ast.unparse into a temporary copy of the
 repository, and pytest -x runs there, the module's own test file first.
 One copy is tested per CPU this process may run on.
 A mutant that passes every test survives. Survivors listed in EQUIVALENT
-are reported apart: no input tells them from the original. The exit code
-is 1 when a survivor is not listed there. The repository itself is never
-written. pytest does not collect this file.
+are reported apart: no input tells them from the original. An entry of
+EQUIVALENT for MODULE that matches none of its mutants is reported as
+stale. The exit code is 1 when a survivor is not listed there, or when an
+entry is stale. The repository itself is never written. pytest does not
+collect this file.
 """
 from __future__ import annotations
 
@@ -29,6 +31,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -50,87 +53,90 @@ _EMPTY_WINDOW = (
     "it adds nothing"
 )
 
-# (module, source line of the mutated node, mutant as "before -> after") ->
-# why no input tells the mutant from the original. The line is stripped of
-# its indentation, so the key holds while the code around it moves.
+# (module, source line of the mutated node, index of the mutant among that
+# line's mutants, mutant as "before -> after") -> why no input tells the
+# mutant from the original. The line is stripped of its indentation, so the
+# key holds while the code around it moves; the index tells apart two
+# mutants of one line that print the same change.
 EQUIVALENT = {
-    ("cli", "return int(exc.code or 0)", "exc.code or 0 -> exc.code and 0"):
+    ("cli", "return int(exc.code or 0)", 0, "exc.code or 0 -> exc.code and 0"):
         "argparse raises SystemExit only for --help and --version, with code 0 "
         "(its usage errors raise InputError), so both forms return 0",
-    ("gleu", "net = [0] * (max_n + 1)", "1 -> 2"):
+    ("gleu", "net = [0] * (max_n + 1)", 1, "1 -> 2"):
         "n-gram orders run from 1 to max_n, so the added last slot is never "
         "written or read",
-    ("gleu", "overlap = h if h < r else r", "h < r -> h <= r"):
+    ("gleu", "overlap = h if h < r else r", 0, "h < r -> h <= r"):
         "the two branches are equal when h == r, so the minimum is the same",
-    ("gleu", "penalty = (h if h < extra else extra) if extra > 0 else 0",
+    ("gleu", "penalty = (h if h < extra else extra) if extra > 0 else 0", 0,
      "extra > 0 -> extra >= 0"):
         "when extra == 0 the inner expression gives min(h, 0), which is 0 for "
         "a hypothesis count h >= 1, as the else branch does",
-    ("gleu", "penalty = (h if h < extra else extra) if extra > 0 else 0",
+    ("gleu", "penalty = (h if h < extra else extra) if extra > 0 else 0", 2,
      "h < extra -> h <= extra"):
         "the two branches are equal when h == extra, so the minimum is the same",
-    ("audit", "Stratum.NONE: 3,", "3 -> 4"):
-        "reconcile only compares preferences, and NONE stays the largest",
-    ("audit", 'winner = "a" if pref_a < pref_b else "b"', "pref_a < pref_b -> pref_a <= pref_b"):
+    ("audit", '_PREFERENCE = {"rectifying": 0, "redundant": 1, "risky": 2, "none": 3}', 3,
+     "3 -> 4"):
+        'reconcile only compares preferences, and "none" stays the largest',
+    ("audit", 'winner = "a" if pref_a < pref_b else "b"', 0, "pref_a < pref_b -> pref_a <= pref_b"):
         "the branch runs only when pref_a != pref_b, so < and <= agree",
-    ("audit", 'winner = "a" if audit_a.edit_distance < audit_b.edit_distance else "b"',
+    ("audit", 'winner = "a" if audit_a.edit_distance < audit_b.edit_distance else "b"', 0,
      "audit_a.edit_distance < audit_b.edit_distance -> "
      "audit_a.edit_distance <= audit_b.edit_distance"):
         "the branch runs only when the two distances differ, so < and <= agree",
-    ("audit", 'winner = "a" if moves_a < moves_b else "b"', "moves_a < moves_b -> moves_a <= moves_b"):
+    ("audit", 'winner = "a" if moves_a < moves_b else "b"', 0, "moves_a < moves_b -> moves_a <= moves_b"):
         "the branch runs only when moves_a != moves_b, so < and <= agree",
-    ("alignment", "if len(a) < len(b):", "len(a) < len(b) -> len(a) <= len(b)"):
+    ("alignment", "if len(a) < len(b):", 0, "len(a) < len(b) -> len(a) <= len(b)"):
         "with equal lengths the swap only makes the other side the shorter "
         "one, and the distance is exact and symmetric, so it is the same",
-    ("alignment", "_AUTOMATON_CELLS = 4096", "4096 -> 4097"):
+    ("alignment", "_AUTOMATON_CELLS = 4096", 0, "4096 -> 4097"):
         _SWITCH,
-    ("alignment", "dense = (la * lb > _AUTOMATON_CELLS",
+    ("alignment", "dense = (la * lb > _AUTOMATON_CELLS", 0,
      "la * lb > _AUTOMATON_CELLS and sum([len(b2j[x]) for x in a if x in b2j]) > 2 * (la + lb) -> "
      "la * lb > _AUTOMATON_CELLS or sum([len(b2j[x]) for x in a if x in b2j]) > 2 * (la + lb)"):
         _SWITCH,
-    ("alignment", "dense = (la * lb > _AUTOMATON_CELLS",
+    ("alignment", "dense = (la * lb > _AUTOMATON_CELLS", 1,
      "la * lb > _AUTOMATON_CELLS -> la * lb >= _AUTOMATON_CELLS"):
         _SWITCH,
-    ("alignment", "and sum([len(b2j[x]) for x in a if x in b2j]) > 2 * (la + lb))",
+    ("alignment", "and sum([len(b2j[x]) for x in a if x in b2j]) > 2 * (la + lb))", 0,
      "sum([len(b2j[x]) for x in a if x in b2j]) > 2 * (la + lb) -> sum([len(b2j[x]) for x in a if x in b2j]) >= 2 * (la + lb)"):
         _SWITCH,
-    ("alignment", "and sum([len(b2j[x]) for x in a if x in b2j]) > 2 * (la + lb))", "2 -> 3"):
+    ("alignment", "and sum([len(b2j[x]) for x in a if x in b2j]) > 2 * (la + lb))", 2, "2 -> 3"):
         _SWITCH,
-    ("alignment", "if dense and (ahi - alo) * (bhi - blo) > _AUTOMATON_CELLS:",
+    ("alignment", "if dense and (ahi - alo) * (bhi - blo) > _AUTOMATON_CELLS:", 1,
      "(ahi - alo) * (bhi - blo) > _AUTOMATON_CELLS -> "
      "(ahi - alo) * (bhi - blo) >= _AUTOMATON_CELLS"):
         _SWITCH,
-    ("alignment", "if bhi - blo <= ahi - alo:",
+    ("alignment", "if bhi - blo <= ahi - alo:", 0,
      "bhi - blo <= ahi - alo -> bhi - blo < ahi - alo"):
         "on a square window the automaton is built on the other side, and "
         "both walks give the block with the earliest i, then the earliest j",
-    ("alignment", "if alo < i and blo < j:", "alo < i and blo < j -> alo < i or blo < j"):
+    ("alignment", "if alo < i and blo < j:", 0, "alo < i and blo < j -> alo < i or blo < j"):
         _EMPTY_WINDOW,
-    ("alignment", "if alo < i and blo < j:", "alo < i -> alo <= i"):
+    ("alignment", "if alo < i and blo < j:", 1, "alo < i -> alo <= i"):
         _EMPTY_WINDOW,
-    ("alignment", "if alo < i and blo < j:", "blo < j -> blo <= j"):
+    ("alignment", "if alo < i and blo < j:", 2, "blo < j -> blo <= j"):
         _EMPTY_WINDOW,
-    ("alignment", "if i + k < ahi and j + k < bhi:",
+    ("alignment", "if i + k < ahi and j + k < bhi:", 0,
      "i + k < ahi and j + k < bhi -> i + k < ahi or j + k < bhi"):
         _EMPTY_WINDOW,
-    ("alignment", "if i + k < ahi and j + k < bhi:", "i + k < ahi -> i + k <= ahi"):
+    ("alignment", "if i + k < ahi and j + k < bhi:", 1, "i + k < ahi -> i + k <= ahi"):
         _EMPTY_WINDOW,
-    ("alignment", "if i + k < ahi and j + k < bhi:", "j + k < bhi -> j + k <= bhi"):
+    ("alignment", "if i + k < ahi and j + k < bhi:", 2, "j + k < bhi -> j + k <= bhi"):
         _EMPTY_WINDOW,
-    ("alignment", "length.append(length[last] + 1)", "1 -> 2"):
+    ("alignment", "length.append(length[last] + 1)", 0, "1 -> 2"):
         "the test length[q] == length[s] + 1 then never holds for a state "
         "made from a new item, so each such state is split: a clone of a "
         "state that needed no split recognizes the same strings with the "
         "same first end, and every state the walk reads a length from is "
         "then a clone or the root, whose lengths stay exact",
-    ("alignment", "while s != -1 and trans[s].get(x) == q:", "1 -> 2"):
+    ("alignment", "while s != -1 and trans[s].get(x) == q:", 2, "1 -> 2"):
         "past the root, s is -1 and trans[-1] is the clone just appended, "
         "whose transitions are copied from q; no state has a transition to "
         "itself, so the loop stops there as it does at -1",
-    ("tokenizer", '"mlym": (0x0D00, 0x0D7F),', "3455 -> 3456"):
+    ("tokenizer", '"mlym": (0x0D00, 0x0D7F),', 1, "3455 -> 3456"):
         "U+0D80 is unassigned (category Cn) in the Unicode tables of every "
         "supported Python, so the block gains no letter or mark",
-    ("tokenizer", 'line = raw.split("#", 1)[0].strip()', "1 -> 2"):
+    ("tokenizer", 'line = raw.split("#", 1)[0].strip()', 0, "1 -> 2"):
         "the text before the first '#' is the same whatever the split limit",
 }
 
@@ -169,11 +175,17 @@ class _Site(ast.NodeTransformer):
         return self.generic_visit(node)
 
 
-def mutants(source: str) -> list[tuple[int, str]]:
-    """(line number, "before -> after") for each mutant."""
+def mutants(source: str) -> list[tuple[int, int, str]]:
+    """(line number, index among that line's mutants, "before -> after")
+    for each mutant."""
     site = _Site()
     site.visit(ast.parse(source))
-    return site.found
+    per_line: Counter = Counter()
+    found = []
+    for line, change in site.found:
+        found.append((line, per_line[line], change))
+        per_line[line] += 1
+    return found
 
 
 def mutate(source: str, index: int) -> str:
@@ -246,21 +258,26 @@ def main(argv=None) -> int:
 
     survivors = equivalent = 0
     lines = source.splitlines()
-    for (line, change), result in zip(found, results):
+    keys = [(module, lines[line - 1].strip(), index, change) for line, index, change in found]
+    for (line, _, change), key, result in zip(found, keys, results):
         if result != "survived":
             continue
-        text = lines[line - 1].strip()
-        reason = EQUIVALENT.get((module, text, change))
+        reason = EQUIVALENT.get(key)
         if reason:
             equivalent += 1
-            print(f"equivalent {module}.py:{line} {text}: {change}  ({reason})")
+            print(f"equivalent {module}.py:{line} {key[1]}: {change}  ({reason})")
         else:
             survivors += 1
-            print(f"SURVIVED   {module}.py:{line} {text}: {change}")
+            print(f"SURVIVED   {module}.py:{line} {key[1]}: {change}")
+    known = set(keys)
+    stale = [key for key in EQUIVALENT if key[0] == module and key not in known]
+    for key in stale:
+        print(f"STALE      EQUIVALENT entry {key!r} matches no mutant")
     timeouts = results.count("timeout")
     print(f"{module}: {len(found)} mutants, {len(found) - survivors - equivalent} killed "
-          f"({timeouts} by timeout), {equivalent} equivalent, {survivors} survived")
-    return 1 if survivors else 0
+          f"({timeouts} by timeout), {equivalent} equivalent, {survivors} survived, "
+          f"{len(stale)} stale")
+    return 1 if survivors or stale else 0
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from gec_forge import (
-    ErrorCategory,
+    CATEGORY_ORDER,
     align,
     alnum_projection,
     analyze,
@@ -42,7 +42,6 @@ from _oracles import (
 )
 from _oracles import classify_evidence as straightline_evidence
 
-C = ErrorCategory
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -54,59 +53,59 @@ def _announce(name):
 # --- Criterion 1: classifier precedence suite -------------------------------
 
 CATEGORY_FIXTURES_HI = [
-    ("", "कुछ नहीं", C.NULL_EMPTY),
-    ("वाक्य", "NaN", C.NULL_EMPTY),
-    ("वही वाक्य।", "वही वाक्य।", C.NO_ERROR),
-    ("12 km", "12 km", C.NO_ERROR),
-    ("नमस्ते ।", "नमस्ते.", C.PUNCT_WHITESPACE),
-    ("क  ख", "क ख", C.PUNCT_WHITESPACE),
-    ("शब्द एक दो", "दो शब्द एक", C.WORD_ORDER),
-    ("एक दो तीन ।", "तीन एक दो ।", C.WORD_ORDER),
-    ("राम खाता", "राम फल खाता", C.MISSING_EXTRA_WORD),
-    ("वह घर गया", "वह गया", C.MISSING_EXTRA_WORD),
-    ("राम खाता", "राम खाता है", C.SYNTAX_AGREEMENT),
-    ("राम ने खाया", "राम को खाया", C.SYNTAX_AGREEMENT),
-    ("लड़का सोता", "लड़के सोता", C.MORPHOLOGY),
-    ("मेरा कमरा", "मेरे कमरे", C.MORPHOLOGY),
-    ("कमल गर", "कमल घर", C.SPELLING),
-    ("राम पुसतक", "राम पुस्तक", C.SPELLING),
-    ("राम पुस्तकालय", "राम विद्यालय", C.GRAMMAR_SYNTAX),
-    ("वह अत्यधिक", "वह बिल्कुल", C.GRAMMAR_SYNTAX),
+    ("", "कुछ नहीं", "null_empty"),
+    ("वाक्य", "NaN", "null_empty"),
+    ("वही वाक्य।", "वही वाक्य।", "no_error"),
+    ("12 km", "12 km", "no_error"),
+    ("नमस्ते ।", "नमस्ते.", "punct_whitespace"),
+    ("क  ख", "क ख", "punct_whitespace"),
+    ("शब्द एक दो", "दो शब्द एक", "word_order"),
+    ("एक दो तीन ।", "तीन एक दो ।", "word_order"),
+    ("राम खाता", "राम फल खाता", "missing_extra_word"),
+    ("वह घर गया", "वह गया", "missing_extra_word"),
+    ("राम खाता", "राम खाता है", "syntax_agreement"),
+    ("राम ने खाया", "राम को खाया", "syntax_agreement"),
+    ("लड़का सोता", "लड़के सोता", "morphology"),
+    ("मेरा कमरा", "मेरे कमरे", "morphology"),
+    ("कमल गर", "कमल घर", "spelling"),
+    ("राम पुसतक", "राम पुस्तक", "spelling"),
+    ("राम पुस्तकालय", "राम विद्यालय", "grammar_syntax"),
+    ("वह अत्यधिक", "वह बिल्कुल", "grammar_syntax"),
 ]
 
 CATEGORY_FIXTURES_ML = [
-    ("", "കുറച്ച്", C.NULL_EMPTY),
-    ("അതേ വാക്യം.", "അതേ വാക്യം.", C.NO_ERROR),
-    ("നന്ദി .", "നന്ദി.", C.PUNCT_WHITESPACE),
-    ("അവൻ വീട്ടിൽ പോയി", "വീട്ടിൽ അവൻ പോയി", C.WORD_ORDER),
-    ("അവൻ പോയി", "അവൻ വീട്ടിൽ പോയി", C.MISSING_EXTRA_WORD),
-    ("അവൻ വന്നു", "അവൻ വന്നു ഇല്ല", C.SYNTAX_AGREEMENT),
-    ("വീടിൽ നിന്നു", "വീട്ടിൽ നിന്നു", C.MORPHOLOGY),
-    ("അവൻ പോയ", "അവൻ പോയി", C.SPELLING),
-    ("അവൻ പുസ്തകം", "അവൻ മാമ്പഴം", C.GRAMMAR_SYNTAX),
+    ("", "കുറച്ച്", "null_empty"),
+    ("അതേ വാക്യം.", "അതേ വാക്യം.", "no_error"),
+    ("നന്ദി .", "നന്ദി.", "punct_whitespace"),
+    ("അവൻ വീട്ടിൽ പോയി", "വീട്ടിൽ അവൻ പോയി", "word_order"),
+    ("അവൻ പോയി", "അവൻ വീട്ടിൽ പോയി", "missing_extra_word"),
+    ("അവൻ വന്നു", "അവൻ വന്നു ഇല്ല", "syntax_agreement"),
+    ("വീടിൽ നിന്നു", "വീട്ടിൽ നിന്നു", "morphology"),
+    ("അവൻ പോയ", "അവൻ പോയി", "spelling"),
+    ("അവൻ പുസ്തകം", "അവൻ മാമ്പഴം", "grammar_syntax"),
 ]
 
 # One constructed conflict per dominance edge; the earlier/stronger rule must
 # win each time.
 CONFLICT_FIXTURES_HI = [
     # Null/Empty beats No Error even on identical sentinel strings.
-    ("nan", "nan", C.NULL_EMPTY),
-    ("", "", C.NULL_EMPTY),
+    ("nan", "nan", "null_empty"),
+    ("", "", "null_empty"),
     # Punct/WS beats Word Order when a duplicate-token sentence only gains
     # punctuation (the non-punct multiset is unchanged and reordered-equal).
-    ("एक एक", "एक एक ।", C.PUNCT_WHITESPACE),
+    ("एक एक", "एक एक ।", "punct_whitespace"),
     # Word Order beats alignment typing even when an auxiliary moves.
-    ("राम है", "है राम", C.WORD_ORDER),
+    ("राम है", "है राम", "word_order"),
     # Insert/Delete beats Replace (a morphology-cued replace is present).
-    ("लड़का घर", "लड़के घर फल", C.MISSING_EXTRA_WORD),
+    ("लड़का घर", "लड़के घर फल", "missing_extra_word"),
     # Syntax beats Missing/Extra within insert/delete.
-    ("राम खाता", "राम फल खाता है", C.SYNTAX_AGREEMENT),
+    ("राम खाता", "राम फल खाता है", "syntax_agreement"),
     # Syntax beats Morphology within replace.
-    ("लड़का है", "लड़के था", C.SYNTAX_AGREEMENT),
+    ("लड़का है", "लड़के था", "syntax_agreement"),
     # Morphology beats Spelling across replace segments.
-    ("लड़का घर कल", "लड़के घर कम", C.MORPHOLOGY),
+    ("लड़का घर कल", "लड़के घर कम", "morphology"),
     # Spelling beats Grammar across replace segments.
-    ("कमल गर पुस्तकालय", "कमल घर विद्यालय", C.SPELLING),
+    ("कमल गर पुस्तकालय", "कमल घर विद्यालय", "spelling"),
 ]
 
 
@@ -115,16 +114,16 @@ def test_criterion_classifier_precedence_suite(hi, ml):
     failures = []
     for inp, out, expected in CATEGORY_FIXTURES_HI + CONFLICT_FIXTURES_HI:
         got = classify_pair(inp, out, hi).category
-        if got is not expected:
+        if got != expected:
             failures.append((inp, out, expected, got))
     for inp, out, expected in CATEGORY_FIXTURES_ML:
         got = classify_pair(inp, out, ml).category
-        if got is not expected:
+        if got != expected:
             failures.append((inp, out, expected, got))
     elapsed = time.perf_counter() - started
     assert not failures, failures
     assert elapsed < 1.0, f"precedence suite took {elapsed:.3f}s"
-    per_category = {c: 0 for c in C}
+    per_category = dict.fromkeys(CATEGORY_ORDER, 0)
     for _, _, expected in CATEGORY_FIXTURES_HI + CATEGORY_FIXTURES_ML:
         per_category[expected] += 1
     assert all(n >= 2 for n in per_category.values())
@@ -146,7 +145,7 @@ def test_criterion_classifier_oracle_equivalence(hi, ml):
         for inp, out in random_pairs(seed, 500, lang):
             total += 1
             result = classify_pair(inp, out, profile)
-            main = (result.category.value, result.stage, result.rule, result.detail)
+            main = (result.category, result.stage, result.rule, result.detail)
             if main != straightline_evidence(inp, out, prof):
                 disagreements += 1
     assert total == 1000
@@ -290,9 +289,9 @@ def test_criterion_normalizer_property_suites():
 # --- Criterion 7: distribution reproduction ----------------------------------
 
 EXPECTED_FIXTURE_TALLY = {
-    C.NULL_EMPTY: 1, C.NO_ERROR: 1, C.PUNCT_WHITESPACE: 2, C.WORD_ORDER: 1,
-    C.MISSING_EXTRA_WORD: 1, C.SYNTAX_AGREEMENT: 1, C.MORPHOLOGY: 1,
-    C.SPELLING: 1, C.GRAMMAR_SYNTAX: 1,
+    "null_empty": 1, "no_error": 1, "punct_whitespace": 2, "word_order": 1,
+    "missing_extra_word": 1, "syntax_agreement": 1, "morphology": 1,
+    "spelling": 1, "grammar_syntax": 1,
 }
 
 # Published reference distributions for the official datasets (with-null
@@ -300,24 +299,24 @@ EXPECTED_FIXTURE_TALLY = {
 # informationally because they depend on unpublished lexica.
 OFFICIAL_SPLITS = {
     ("hi", "train"): (600, {
-        C.NULL_EMPTY: 1, C.PUNCT_WHITESPACE: 199, C.WORD_ORDER: 15,
-        C.MISSING_EXTRA_WORD: 129, C.SYNTAX_AGREEMENT: 130, C.MORPHOLOGY: 43,
-        C.SPELLING: 22, C.GRAMMAR_SYNTAX: 8, C.NO_ERROR: 53,
+        "null_empty": 1, "punct_whitespace": 199, "word_order": 15,
+        "missing_extra_word": 129, "syntax_agreement": 130, "morphology": 43,
+        "spelling": 22, "grammar_syntax": 8, "no_error": 53,
     }),
     ("hi", "dev"): (107, {
-        C.NULL_EMPTY: 0, C.PUNCT_WHITESPACE: 41, C.WORD_ORDER: 1,
-        C.MISSING_EXTRA_WORD: 17, C.SYNTAX_AGREEMENT: 19, C.MORPHOLOGY: 3,
-        C.SPELLING: 2, C.GRAMMAR_SYNTAX: 2, C.NO_ERROR: 22,
+        "null_empty": 0, "punct_whitespace": 41, "word_order": 1,
+        "missing_extra_word": 17, "syntax_agreement": 19, "morphology": 3,
+        "spelling": 2, "grammar_syntax": 2, "no_error": 22,
     }),
     ("ml", "train"): (300, {
-        C.NULL_EMPTY: 4, C.PUNCT_WHITESPACE: 151, C.WORD_ORDER: 84,
-        C.MISSING_EXTRA_WORD: 20, C.SYNTAX_AGREEMENT: 1, C.MORPHOLOGY: 14,
-        C.SPELLING: 8, C.GRAMMAR_SYNTAX: 16, C.NO_ERROR: 2,
+        "null_empty": 4, "punct_whitespace": 151, "word_order": 84,
+        "missing_extra_word": 20, "syntax_agreement": 1, "morphology": 14,
+        "spelling": 8, "grammar_syntax": 16, "no_error": 2,
     }),
     ("ml", "dev"): (50, {
-        C.NULL_EMPTY: 0, C.PUNCT_WHITESPACE: 18, C.WORD_ORDER: 15,
-        C.MISSING_EXTRA_WORD: 2, C.SYNTAX_AGREEMENT: 0, C.MORPHOLOGY: 8,
-        C.SPELLING: 4, C.GRAMMAR_SYNTAX: 3, C.NO_ERROR: 0,
+        "null_empty": 0, "punct_whitespace": 18, "word_order": 15,
+        "missing_extra_word": 2, "syntax_agreement": 0, "morphology": 8,
+        "spelling": 4, "grammar_syntax": 3, "no_error": 0,
     }),
 }
 
@@ -340,22 +339,22 @@ def test_criterion_distribution_reproduction(hi, ml):
     if not available:
         pairs = load_pairs(FIXTURES / "hi_fixture.csv")
         report = analyze(pairs, hi, "train")
-        assert report.total == 10
-        assert report.counts == EXPECTED_FIXTURE_TALLY
+        assert report["total"] == 10
+        assert report["counts"] == EXPECTED_FIXTURE_TALLY
         _announce("distribution reproduction (synthetic 10-pair fixture, exact tally; "
                   "official CSVs not present)")
         return
     for (lang, split), path in sorted(available.items()):
         expected_total, reference_counts = OFFICIAL_SPLITS[(lang, split)]
         report = analyze(load_pairs(path), profiles[lang], split)
-        assert report.total == expected_total, (
-            f"{lang}/{split}: ingested {report.total} pairs, expected {expected_total}"
+        assert report["total"] == expected_total, (
+            f"{lang}/{split}: ingested {report['total']} pairs, expected {expected_total}"
         )
-        assert sum(report.counts.values()) == report.total
+        assert sum(report["counts"].values()) == report["total"]
         diffs = {
-            cat.value: (report.counts[cat], reference_counts[cat])
-            for cat in C
-            if report.counts[cat] != reference_counts[cat]
+            cat: (report["counts"][cat], reference_counts[cat])
+            for cat in CATEGORY_ORDER
+            if report["counts"][cat] != reference_counts[cat]
         }
         if diffs:
             print(f"NOTE {lang}/{split}: per-category differences vs reference "

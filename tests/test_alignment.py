@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from gec_forge import alignment
 from gec_forge import (
-    ErrorCategory,
     LanguageProfile,
     align,
     audit_pair,
@@ -146,7 +145,7 @@ def test_align_long_alternating_input(hi):
     a = [word(i) for i in range(2200)]
     b = [w + "z" if i % 2 else w for i, w in enumerate(a)]
     assert align(a, b) == SequenceMatcher(None, a, b, autojunk=False).get_opcodes()
-    assert classify_pair(" ".join(a), " ".join(b), hi).category is ErrorCategory.SPELLING
+    assert classify_pair(" ".join(a), " ".join(b), hi).category == "spelling"
 
 
 @settings(max_examples=150)
@@ -208,7 +207,7 @@ def test_single_symbol_against_alternation_finishes_in_bounded_time(hi):
         result = call(inp, out, hi)
         elapsed = time.perf_counter() - started
         assert elapsed < 2.0, f"{call.__name__} took {elapsed:.3f}s"
-        assert result.category.value == "missing_extra_word"
+        assert result.category == "missing_extra_word"
 
 
 def test_suffix_tail_change_hand_example(hi):

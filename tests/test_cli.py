@@ -649,6 +649,15 @@ def _unknown_category_dist(tmp_path):
     return (*_synth_prompt_with_dist(tmp_path, body), "'counts'", "'bogus'", "'spelling'")
 
 
+def _deep_array_dist(tmp_path):
+    return _synth_prompt_with_dist(tmp_path, "[" * 100_000 + "]" * 100_000)
+
+
+def _deep_object_dist(tmp_path):
+    body = '{"counts": ' + '{"a": ' * 100_000 + "{}" + "}" * 100_000 + "}"
+    return _synth_prompt_with_dist(tmp_path, body)
+
+
 def _postpositions_lexicon_under_ml(tmp_path):
     path = str(HI_LEXICON)
     return ["classify", "--lang", "ml", "--lexicon", path, "--in", str(FIXTURE_CSV),
@@ -727,7 +736,8 @@ def _nul_in_path(flag):
                                   _non_utf8_score_ref, _non_utf8_normalize_in,
                                   _negative_count_dist, _counts_not_summing_to_total_dist,
                                   _unknown_lang_dist, _unknown_split_dist, _empty_dist,
-                                  _unknown_category_dist, _postpositions_lexicon_under_ml,
+                                  _unknown_category_dist, _deep_array_dist, _deep_object_dist,
+                                  _postpositions_lexicon_under_ml,
                                   *map(_nul_in_path, ["--in", "--out", "--report", "--lexicon",
                                                       "--src", "--hyp", "--ref", "--dist",
                                                       "--dual"])])
@@ -798,7 +808,7 @@ def test_fuzzed_flag_value_exits_0_or_1(flag, text):
 @settings(max_examples=200)
 @given(
     lang=st.sampled_from(["hi", "ml"]),
-    counts=st.dictionaries(st.sampled_from([c.value for c in CATEGORY_ORDER]),
+    counts=st.dictionaries(st.sampled_from(CATEGORY_ORDER),
                            st.integers(0, 5), max_size=4),
     field=st.sampled_from(["lang", "total", "counts", "counts.spelling"]),
     value=_JSON,

@@ -1,5 +1,5 @@
 import csv
-import dataclasses
+import json
 import random
 import re
 import tempfile
@@ -10,28 +10,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gec_forge import (
-    ErrorCategory,
+    CATEGORY_ORDER,
     InputError,
     NormalizationPolicy,
     analyze,
+    display_label,
     load_pairs,
     synthesize_prompt,
 )
-from gec_forge.corpus import CONSTRAINT_CLAUSES, DEPRIORITIZED, DistributionReport
+from gec_forge.corpus import CONSTRAINT_CLAUSES, DEPRIORITIZED
 
-C = ErrorCategory
 FIXTURE = Path(__file__).parent / "fixtures" / "hi_fixture.csv"
 
 FIXTURE_TALLY = {
-    C.NULL_EMPTY: 1,
-    C.NO_ERROR: 1,
-    C.PUNCT_WHITESPACE: 2,
-    C.WORD_ORDER: 1,
-    C.MISSING_EXTRA_WORD: 1,
-    C.SYNTAX_AGREEMENT: 1,
-    C.MORPHOLOGY: 1,
-    C.SPELLING: 1,
-    C.GRAMMAR_SYNTAX: 1,
+    "null_empty": 1,
+    "no_error": 1,
+    "punct_whitespace": 2,
+    "word_order": 1,
+    "missing_extra_word": 1,
+    "syntax_agreement": 1,
+    "morphology": 1,
+    "spelling": 1,
+    "grammar_syntax": 1,
 }
 
 
@@ -132,13 +132,10 @@ def test_normalization_applied(tmp_path):
     assert pairs == [("कख ग", "12")]
 
 
-def test_pairs_and_reports_are_frozen(tmp_path, hi):
+def test_pairs_are_frozen(tmp_path):
     pairs = load_pairs(_write_csv(tmp_path / "t.csv", ["क,ख"]))
-    report = analyze(pairs, hi, "train")
     with pytest.raises(TypeError):  # a pair is a tuple
         pairs[0][1] = "क"
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        report.total = 2
 
 
 def test_unknown_split_rejected(tmp_path, hi):
@@ -150,16 +147,16 @@ def test_unknown_split_rejected(tmp_path, hi):
 def test_analyze_fixture_tally(hi):
     pairs = load_pairs(FIXTURE)
     report = analyze(pairs, hi, "train")
-    assert report.total == 10
-    assert report.counts == FIXTURE_TALLY
-    assert sum(report.counts.values()) == report.total
+    assert report["total"] == 10
+    assert report["counts"] == FIXTURE_TALLY
+    assert sum(report["counts"].values()) == report["total"]
 
 
 def test_analyze_order_invariant(hi):
     pairs = load_pairs(FIXTURE)
     shuffled = pairs[:]
     random.Random(5).shuffle(shuffled)
-    assert analyze(shuffled, hi, "train").counts == analyze(pairs, hi, "train").counts
+    assert analyze(shuffled, hi, "train")["counts"] == analyze(pairs, hi, "train")["counts"]
 
 
 def test_analyze_rejects_empty(hi):
@@ -167,25 +164,22 @@ def test_analyze_rejects_empty(hi):
         analyze([], hi, "train")
 
 
-def test_report_dict_round_trip(hi):
+def test_prompt_from_the_body_equals_the_prompt_from_its_file_form(hi):
     report = analyze(load_pairs(FIXTURE), hi, "train")
-    again = DistributionReport.from_dict(report.to_dict())
-    assert again.counts == report.counts
-    assert again.total == report.total
-    assert again.lang == "hi" and again.split == "train"
+    assert (report["lang"], report["split"]) == ("hi", "train")
+    assert synthesize_prompt(json.loads(json.dumps(report))) == synthesize_prompt(report)
 
 
 def test_report_missing_category_reads_zero():
-    report = DistributionReport.from_dict(
-        {"lang": "hi", "split": "train", "total": 2, "counts": {"spelling": 2}}
-    )
-    assert report.counts == {cat: 2 if cat is C.SPELLING else 0 for cat in C}
+    sparse = {"lang": "hi", "split": "train", "total": 2, "counts": {"spelling": 2}}
+    full = dict(sparse, counts={cat: 2 if cat == "spelling" else 0 for cat in CATEGORY_ORDER})
+    assert synthesize_prompt(sparse) == synthesize_prompt(full)
+    assert _priorities(synthesize_prompt(sparse)) == ["Spelling/Orthography"]
 
 
 def _report(counts, lang="hi", split="train"):
-    full = {cat: 0 for cat in C}
-    full.update(counts)
-    return DistributionReport(lang=lang, split=split, total=sum(full.values()), counts=full)
+    full = dict.fromkeys(CATEGORY_ORDER, 0) | counts
+    return {"lang": lang, "split": split, "total": sum(full.values()), "counts": full}
 
 
 def _priorities(prompt):
@@ -197,23 +191,23 @@ def _priorities(prompt):
 
 
 def _labels(categories, lang):
-    return [cat.display_label(lang) for cat in categories]
+    return [display_label(cat, lang) for cat in categories]
 
 
 def test_prompt_priorities_sorted_with_promotion():
     # Distribution shaped like a real Hindi training split: punctuation and
     # morphology promoted, everything else by descending count.
     report = _report({
-        C.NULL_EMPTY: 1, C.PUNCT_WHITESPACE: 199, C.WORD_ORDER: 15,
-        C.MISSING_EXTRA_WORD: 129, C.SYNTAX_AGREEMENT: 130, C.MORPHOLOGY: 43,
-        C.SPELLING: 22, C.GRAMMAR_SYNTAX: 8, C.NO_ERROR: 53,
+        "null_empty": 1, "punct_whitespace": 199, "word_order": 15,
+        "missing_extra_word": 129, "syntax_agreement": 130, "morphology": 43,
+        "spelling": 22, "grammar_syntax": 8, "no_error": 53,
     })
     prompt = synthesize_prompt(report)
     assert _priorities(prompt) == _labels((
-        C.PUNCT_WHITESPACE, C.MORPHOLOGY, C.SYNTAX_AGREEMENT,
-        C.MISSING_EXTRA_WORD, C.SPELLING, C.WORD_ORDER, C.GRAMMAR_SYNTAX,
+        "punct_whitespace", "morphology", "syntax_agreement",
+        "missing_extra_word", "spelling", "word_order", "grammar_syntax",
     ), "hi")
-    assert DEPRIORITIZED == (C.WORD_ORDER, C.MISSING_EXTRA_WORD)
+    assert DEPRIORITIZED == ("word_order", "missing_extra_word")
     cautions = prompt.split("Handle with caution:\n", 1)[1].split("\n\n", 1)[0]
     assert re.findall(r"^  - ([^:]+):", cautions, flags=re.MULTILINE) == _labels(
         DEPRIORITIZED, "hi"
@@ -223,16 +217,16 @@ def test_prompt_priorities_sorted_with_promotion():
 
 
 def test_prompt_ties_break_by_precedence_order():
-    report = _report({C.SPELLING: 5, C.WORD_ORDER: 5, C.GRAMMAR_SYNTAX: 5})
+    report = _report({"spelling": 5, "word_order": 5, "grammar_syntax": 5})
     prompt = synthesize_prompt(report)
-    assert _priorities(prompt) == _labels((C.WORD_ORDER, C.SPELLING, C.GRAMMAR_SYNTAX), "hi")
+    assert _priorities(prompt) == _labels(("word_order", "spelling", "grammar_syntax"), "hi")
     # The classifier tests syntax before missing/extra word, unlike enum order.
-    prompt = synthesize_prompt(_report({C.MISSING_EXTRA_WORD: 3, C.SYNTAX_AGREEMENT: 3}))
-    assert _priorities(prompt) == _labels((C.SYNTAX_AGREEMENT, C.MISSING_EXTRA_WORD), "hi")
+    prompt = synthesize_prompt(_report({"missing_extra_word": 3, "syntax_agreement": 3}))
+    assert _priorities(prompt) == _labels(("syntax_agreement", "missing_extra_word"), "hi")
 
 
 def test_prompt_degenerate_distribution():
-    report = _report({C.NO_ERROR: 7})
+    report = _report({"no_error": 7})
     prompt = synthesize_prompt(report)
     assert _priorities(prompt) == []
     assert "(no category emphasis)" in prompt
@@ -240,21 +234,21 @@ def test_prompt_degenerate_distribution():
 
 
 def test_prompt_rendering_deterministic():
-    report = _report({C.PUNCT_WHITESPACE: 18, C.WORD_ORDER: 15, C.MORPHOLOGY: 8,
-                      C.SPELLING: 4, C.GRAMMAR_SYNTAX: 3, C.MISSING_EXTRA_WORD: 2},
+    report = _report({"punct_whitespace": 18, "word_order": 15, "morphology": 8,
+                      "spelling": 4, "grammar_syntax": 3, "missing_extra_word": 2},
                      lang="ml", split="dev")
     first = synthesize_prompt(report)
     assert first == synthesize_prompt(report)
     assert _priorities(first) == _labels((
-        C.PUNCT_WHITESPACE, C.MORPHOLOGY, C.WORD_ORDER, C.SPELLING,
-        C.GRAMMAR_SYNTAX, C.MISSING_EXTRA_WORD,
+        "punct_whitespace", "morphology", "word_order", "spelling",
+        "grammar_syntax", "missing_extra_word",
     ), "ml")
     assert "Malayalam" in first
 
 
 def test_prompt_of_a_one_pair_report():
-    prompt = synthesize_prompt(_report({C.SPELLING: 1}))
-    assert _priorities(prompt) == _labels((C.SPELLING,), "hi")
+    prompt = synthesize_prompt(_report({"spelling": 1}))
+    assert _priorities(prompt) == _labels(("spelling",), "hi")
 
 
 def test_prompt_empty_report_rejected():
