@@ -3,14 +3,8 @@
 __version__ = "0.1.0"
 
 from .alignment import align, levenshtein, suffix_tail_change, touches_syntax
-from .audit import EditAudit, audit_pair, dual_report, reconcile
-from .classifier import (
-    CATEGORY_ORDER,
-    Classification,
-    classify_pair,
-    display_label,
-    nullish,
-)
+from .audit import audit_pair, dual_report, reconcile
+from .classifier import CATEGORY_ORDER, classify_pair, display_label, nullish
 from .corpus import analyze, load_pairs, synthesize_prompt
 from .errors import InputError
 from .gleu import gleu_corpus
@@ -32,8 +26,8 @@ from .tokenizer import (
 __all__ = [
     "__version__",
     "align", "levenshtein", "suffix_tail_change", "touches_syntax",
-    "EditAudit", "audit_pair", "dual_report", "reconcile",
-    "CATEGORY_ORDER", "Classification", "classify_pair", "display_label", "nullish",
+    "audit_pair", "dual_report", "reconcile",
+    "CATEGORY_ORDER", "classify_pair", "display_label", "nullish",
     "analyze", "load_pairs", "synthesize_prompt",
     "InputError",
     "gleu_corpus",

@@ -1,11 +1,14 @@
 """Auditing of model outputs against their inputs: functional strata
 (redundant / rectifying / risky), guardrail flags, and dual-candidate
 reconciliation.
+
+audit_pair returns the pair's row of the audit report as a plain dict,
+without its row index: category, stratum, edit_distance,
+multiset_preserving_reorder and distance_cap_exceeded.
 """
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
 from .alignment import levenshtein
 from .classifier import CATEGORY_ORDER, NON_EDITS, _classify, _Pair
@@ -23,18 +26,9 @@ STRATA = ("redundant", "rectifying", "risky")
 _PREFERENCE = {"rectifying": 0, "redundant": 1, "risky": 2, "none": 3}
 
 
-@dataclass(frozen=True)
-class EditAudit:
-    category: str
-    stratum: str
-    edit_distance: int  # token-level, over all tokens
-    multiset_preserving_reorder: bool
-    distance_cap_exceeded: bool
-
-
 def audit_pair(
     input, prediction, profile: LanguageProfile, cap: int = DEFAULT_DISTANCE_CAP
-) -> EditAudit:
+) -> dict:
     """Classify input→prediction and bind the result to a functional stratum."""
     _check_cap(cap)
     return _audit(_Pair(input, prediction, profile), cap)
@@ -45,8 +39,8 @@ def _check_cap(cap: int) -> None:
         raise InputError(f"cap must be >= 0, got {cap}")
 
 
-def _audit(pair: _Pair, cap: int) -> EditAudit:
-    category = _classify(pair).category
+def _audit(pair: _Pair, cap: int) -> dict:
+    category = _classify(pair)[0]
     distance = levenshtein(*pair.texts())
     if category in NON_EDITS:
         stratum = "none"
@@ -58,13 +52,13 @@ def _audit(pair: _Pair, cap: int) -> EditAudit:
         stratum = "rectifying"
     else:
         stratum = "risky"
-    return EditAudit(
-        category=category,
-        stratum=stratum,
-        edit_distance=distance,
-        multiset_preserving_reorder=category == "word_order",
-        distance_cap_exceeded=distance > cap,
-    )
+    return {
+        "category": category,
+        "stratum": stratum,
+        "edit_distance": distance,  # token-level, over all tokens
+        "multiset_preserving_reorder": category == "word_order",
+        "distance_cap_exceeded": distance > cap,
+    }
 
 
 def reordered_token_count(input, prediction, profile: LanguageProfile) -> int:
@@ -92,12 +86,12 @@ def _reconcile_audited(input, cand_a, cand_b, profile, cap):
     audit_a, audit_b = _audit(pair_a, cap), _audit(pair_b, cap)
     if pair_a.out == pair_b.out:
         return "a", pair_a.out, "identical", audit_a, audit_b
-    pref_a, pref_b = _PREFERENCE[audit_a.stratum], _PREFERENCE[audit_b.stratum]
+    pref_a, pref_b = _PREFERENCE[audit_a["stratum"]], _PREFERENCE[audit_b["stratum"]]
     if pref_a != pref_b:
         winner = "a" if pref_a < pref_b else "b"
-        reason = f"stratum:{audit_a.stratum if winner == 'a' else audit_b.stratum}"
-    elif audit_a.edit_distance != audit_b.edit_distance:
-        winner = "a" if audit_a.edit_distance < audit_b.edit_distance else "b"
+        reason = "stratum:" + (audit_a if winner == "a" else audit_b)["stratum"]
+    elif audit_a["edit_distance"] != audit_b["edit_distance"]:
+        winner = "a" if audit_a["edit_distance"] < audit_b["edit_distance"] else "b"
         reason = "edit_distance"
     else:
         moves_a, moves_b = _moved_tokens(pair_a), _moved_tokens(pair_b)
@@ -143,15 +137,17 @@ def dual_report(triples, profile: LanguageProfile, cap: int = DEFAULT_DISTANCE_C
         side, chosen, reason, audit_a, audit_b = _reconcile_audited(
             input, cand_a, cand_b, profile, cap
         )
-        agreement[cat_index[audit_a.category]][cat_index[audit_b.category]] += 1
-        if audit_a.stratum in stratum_index and audit_b.stratum in stratum_index:
-            strata_cross[stratum_index[audit_a.stratum]][stratum_index[audit_b.stratum]] += 1
-        edits_a = audit_a.category not in NON_EDITS
-        edits_b = audit_b.category not in NON_EDITS
+        cat_a, cat_b = audit_a["category"], audit_b["category"]
+        stratum_a, stratum_b = audit_a["stratum"], audit_b["stratum"]
+        agreement[cat_index[cat_a]][cat_index[cat_b]] += 1
+        if stratum_a in stratum_index and stratum_b in stratum_index:
+            strata_cross[stratum_index[stratum_a]][stratum_index[stratum_b]] += 1
+        edits_a = cat_a not in NON_EDITS
+        edits_b = cat_b not in NON_EDITS
         if edits_a or edits_b:
             union += 1
         if edits_a and edits_b:
-            if audit_a.category == audit_b.category:
+            if cat_a == cat_b:
                 intersection += 1
             else:
                 conflict += 1

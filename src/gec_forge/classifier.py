@@ -10,6 +10,9 @@ Precedence (earlier stages short-circuit later ones):
   5. Alignment typing over the non-equal opcodes: syntax > missing/extra
      word > morphology > spelling > grammar, the last resort
 
+classify_pair returns the plain tuple (category, stage, rule, detail); each
+stage's return writes its own stage number.
+
 Equal sequences of non-punct runs give equal projections, so a pair past
 stage 3 has different run sequences: stage 4 fires only on a true
 permutation. Those runs are the pair's non-punct tokens in order, so the
@@ -17,8 +20,6 @@ pair also has different token lists, at least one non-equal opcode, and a
 stage-5 label.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 from .alignment import Opcode, align, levenshtein, suffix_tail_change, touches_syntax
 from .errors import InputError
@@ -73,21 +74,6 @@ def display_label(category: str, lang: str) -> str:
     return _DISPLAY_LABELS[category]
 
 
-@dataclass(frozen=True)
-class Classification:
-    """The category, and which rule of its precedence stage fired and why;
-    the rule and detail never alter the category."""
-
-    category: str
-    rule: str
-    detail: dict = field(default_factory=dict)
-
-    @property
-    def stage(self) -> int:
-        # Stages 1-4 test one category each; stage 5 types the rest.
-        return min(PRECEDENCE.index(self.category), 4) + 1
-
-
 def nullish(x) -> bool:
     """Blank after trim, or one of the nan/null/none sentinels (any case)."""
     s = "" if x is None else str(x).strip()
@@ -116,24 +102,29 @@ class _Pair:
         return self._ops
 
 
-def classify_pair(inp, out, profile: LanguageProfile) -> Classification:
-    """Assign exactly one category to the pair; total on any input."""
+def classify_pair(inp, out, profile: LanguageProfile) -> tuple[str, int, str, dict]:
+    """Assign exactly one category to the pair; total on any input.
+
+    Returns (category, stage, rule, detail): the category, the precedence
+    stage (1-5) and rule that fired, and the rule's detail (a dict, empty
+    for most rules). The stage, rule and detail never alter the category.
+    """
     return _classify(_Pair(inp, out, profile))
 
 
-def _classify(pair: _Pair) -> Classification:
+def _classify(pair: _Pair) -> tuple[str, int, str, dict]:
     inp, out, profile = pair.inp, pair.out, pair.profile
     if nullish(inp) or nullish(out):
-        return Classification("null_empty", "nullish")
+        return "null_empty", 1, "nullish", {}
 
     if inp == out:
-        return Classification("no_error", "identical")
+        return "no_error", 2, "identical", {}
 
     if alnum_projection(inp) == alnum_projection(out):
-        return Classification("punct_whitespace", "equal_projection")
+        return "punct_whitespace", 3, "equal_projection", {}
 
     if sorted(_NONPUNCT_RUN.findall(inp)) == sorted(_NONPUNCT_RUN.findall(out)):
-        return Classification("word_order", "permuted_multiset")
+        return "word_order", 4, "permuted_multiset", {}
 
     a, b = pair.texts()
 
@@ -160,12 +151,11 @@ def _classify(pair: _Pair) -> Classification:
     # Syntax outranks the rest; then insert/delete outranks replace.
     if syntax_hits:
         rule = "insert_delete_syntax" if saw_insdel else "replace_syntax"
-        return Classification("syntax_agreement", rule, {"hits": syntax_hits})
+        return "syntax_agreement", 5, rule, {"hits": syntax_hits}
     if saw_insdel:
-        return Classification("missing_extra_word", "insert_delete")
+        return "missing_extra_word", 5, "insert_delete", {}
     if morph_hits:
-        return Classification("morphology", "replace_suffix_tail", {"pairs": morph_hits})
+        return "morphology", 5, "replace_suffix_tail", {"pairs": morph_hits}
     if saw_spell:
-        return Classification("spelling", "replace_small_distance",
-                              {"threshold": SPELL_THRESHOLD})
-    return Classification("grammar_syntax", "replace_other")
+        return "spelling", 5, "replace_small_distance", {"threshold": SPELL_THRESHOLD}
+    return "grammar_syntax", 5, "replace_other", {}

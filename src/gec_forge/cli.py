@@ -7,6 +7,7 @@ identical arguments and inputs produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import io
@@ -36,6 +37,15 @@ def _read_lines(path) -> list[str]:
     if lines[-1] == "":
         lines.pop()
     return lines
+
+
+@contextlib.contextmanager
+def _naming(*paths):
+    """Prefix an InputError raised inside with the files its input came from."""
+    try:
+        yield
+    except InputError as exc:
+        raise InputError(f"{', '.join(paths)}: {exc}") from exc
 
 
 # argparse types: a bad value exits 1 naming the flag, before any file is read.
@@ -210,12 +220,11 @@ def cmd_classify(args) -> int:
     header = ["row", "category", "label"] + (["evidence"] if args.evidence else [])
     writer.writerow(header)
     for row, (inp, out) in enumerate(pairs):
-        result = classify_pair(inp, out, profile)
-        record = [row, result.category, display_label(result.category, args.lang)]
+        category, stage, rule, detail = classify_pair(inp, out, profile)
+        record = [row, category, display_label(category, args.lang)]
         if args.evidence:
-            record.append(json.dumps(
-                {"stage": result.stage, "rule": result.rule, "detail": result.detail},
-                ensure_ascii=False, sort_keys=True))
+            record.append(json.dumps({"stage": stage, "rule": rule, "detail": detail},
+                                     ensure_ascii=False, sort_keys=True))
         writer.writerow(record)
     write_text_atomic(args.outfile, buf.getvalue())
     print(f"classified {len(pairs)} pairs -> {args.outfile}")
@@ -231,7 +240,8 @@ def cmd_analyze(args) -> int:
         kept = list(dict.fromkeys(pairs))
         dropped = f" ({len(pairs) - len(kept)} exact duplicates dropped)"
         pairs = kept
-    body = analyze(pairs, profile, args.split)
+    with _naming(args.infile):
+        body = analyze(pairs, profile, args.split)
     body["normalization"] = asdict(policy)
     body["classifier_constants"] = {"SPELL_THR": SPELL_THRESHOLD}
     write_report(args.report, "distribution", body)
@@ -246,7 +256,8 @@ def cmd_score(args) -> int:
         src = [normalize_text(line, policy) for line in src]
         hyp = [normalize_text(line, policy) for line in hyp]
         ref = [normalize_text(line, policy) for line in ref]
-    body = gleu_corpus(src, hyp, ref, args.max_n)
+    with _naming(args.src, args.hyp, args.ref):
+        body = gleu_corpus(src, hyp, ref, args.max_n)
     if args.report:
         body["normalization"] = None if args.raw else asdict(policy)
         write_report(args.report, "gleu", body)
@@ -274,10 +285,8 @@ def cmd_synth_prompt(args) -> int:
         report = json.loads(read_text(args.dist))
     except (ValueError, RecursionError) as exc:
         raise InputError(f"{args.dist}: invalid JSON distribution report: {exc}") from exc
-    try:
+    with _naming(args.dist):
         prompt = synthesize_prompt(report)
-    except InputError as exc:
-        raise InputError(f"{args.dist}: {exc}") from exc
     write_text_atomic(args.outfile, prompt)
     digest = hashlib.sha256(prompt.encode("utf-8")).hexdigest()
     write_text_atomic(args.outfile + ".sha256",
@@ -292,16 +301,17 @@ def cmd_audit(args) -> int:
     if args.dual:
         pairs_a = load_pairs(args.dual[0], policy)
         pairs_b = load_pairs(args.dual[1], policy)
-        if len(pairs_a) != len(pairs_b):
-            raise InputError(
-                f"candidate files differ in length: {len(pairs_a)} vs {len(pairs_b)}"
-            )
-        triples = []
-        for row, ((inp, out_a), (inp_b, out_b)) in enumerate(zip(pairs_a, pairs_b)):
-            if inp != inp_b:
-                raise InputError(f"row {row}: candidate files disagree on the input sentence")
-            triples.append((inp, out_a, out_b))
-        body = dual_report(triples, profile, args.cap)
+        with _naming(*args.dual):
+            if len(pairs_a) != len(pairs_b):
+                raise InputError(
+                    f"candidate files differ in length: {len(pairs_a)} vs {len(pairs_b)}"
+                )
+            triples = []
+            for row, ((inp, out_a), (inp_b, out_b)) in enumerate(zip(pairs_a, pairs_b)):
+                if inp != inp_b:
+                    raise InputError(f"row {row}: candidate files disagree on the input sentence")
+                triples.append((inp, out_a, out_b))
+            body = dual_report(triples, profile, args.cap)
         body.update({"lang": args.lang, "cap": args.cap, "total": len(triples)})
         write_report(args.report, "dual_audit", body)
         print(f"dual-audited {len(triples)} triples -> {args.report}")
@@ -311,15 +321,15 @@ def cmd_audit(args) -> int:
     strata_counts = dict.fromkeys((*STRATA, "none"), 0)
     category_counts = dict.fromkeys(CATEGORY_ORDER, 0)
     for a in audits:
-        strata_counts[a.stratum] += 1
-        category_counts[a.category] += 1
+        strata_counts[a["stratum"]] += 1
+        category_counts[a["category"]] += 1
     body = {
         "lang": args.lang,
         "cap": args.cap,
         "total": len(audits),
         "strata_counts": strata_counts,
         "category_counts": category_counts,
-        "pairs": [dict(row=row, **vars(a)) for row, a in enumerate(audits)],
+        "pairs": [{"row": row, **a} for row, a in enumerate(audits)],
     }
     write_report(args.report, "audit", body)
     print(f"audited {len(audits)} pairs -> {args.report}")

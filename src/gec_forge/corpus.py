@@ -79,7 +79,7 @@ def analyze(pairs: list[tuple[str, str]], profile: LanguageProfile, split: str) 
         raise InputError("no pairs to analyze")
     counts = dict.fromkeys(CATEGORY_ORDER, 0)
     for inp, out in pairs:
-        counts[classify_pair(inp, out, profile).category] += 1
+        counts[classify_pair(inp, out, profile)[0]] += 1
     return {
         "lang": profile.name,
         "split": split,

@@ -17,8 +17,9 @@ A mutant that passes every test survives. Survivors listed in EQUIVALENT
 are reported apart: no input tells them from the original. An entry of
 EQUIVALENT for MODULE that matches none of its mutants is reported as
 stale. The exit code is 1 when a survivor is not listed there, or when an
-entry is stale. The repository itself is never written. pytest does not
-collect this file.
+entry is stale; tests/test_mutate.py checks for stale entries without a
+sweep. The repository itself is never written. pytest does not collect
+this file.
 """
 from __future__ import annotations
 
@@ -79,9 +80,9 @@ EQUIVALENT = {
         'reconcile only compares preferences, and "none" stays the largest',
     ("audit", 'winner = "a" if pref_a < pref_b else "b"', 0, "pref_a < pref_b -> pref_a <= pref_b"):
         "the branch runs only when pref_a != pref_b, so < and <= agree",
-    ("audit", 'winner = "a" if audit_a.edit_distance < audit_b.edit_distance else "b"', 0,
-     "audit_a.edit_distance < audit_b.edit_distance -> "
-     "audit_a.edit_distance <= audit_b.edit_distance"):
+    ("audit", 'winner = "a" if audit_a["edit_distance"] < audit_b["edit_distance"] else "b"', 0,
+     "audit_a['edit_distance'] < audit_b['edit_distance'] -> "
+     "audit_a['edit_distance'] <= audit_b['edit_distance']"):
         "the branch runs only when the two distances differ, so < and <= agree",
     ("audit", 'winner = "a" if moves_a < moves_b else "b"', 0, "moves_a < moves_b -> moves_a <= moves_b"):
         "the branch runs only when moves_a != moves_b, so < and <= agree",
@@ -188,6 +189,19 @@ def mutants(source: str) -> list[tuple[int, int, str]]:
     return found
 
 
+def mutant_keys(module: str, source: str) -> list[tuple[str, str, int, str]]:
+    """The EQUIVALENT key of each mutant of the module's source, in order."""
+    lines = source.splitlines()
+    return [(module, lines[line - 1].strip(), index, change)
+            for line, index, change in mutants(source)]
+
+
+def stale_entries(module: str, keys: list[tuple[str, str, int, str]]) -> list[tuple]:
+    """The EQUIVALENT entries for module that match none of its mutant keys."""
+    known = set(keys)
+    return [key for key in EQUIVALENT if key[0] == module and key not in known]
+
+
 def mutate(source: str, index: int) -> str:
     tree = _Site(index).visit(ast.parse(source))
     return ast.unparse(ast.fix_missing_locations(tree)) + "\n"
@@ -207,10 +221,12 @@ def _run_tests(copy: Path, module: str, timeout: float) -> str:
     """'killed', 'survived' or 'timeout' for the module text now in copy."""
     first = [f"tests/test_{module}.py"] if (copy / f"tests/test_{module}.py").exists() else []
     env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
+    # test_mutate.py checks EQUIVALENT against the source text, which the
+    # copy holds only as ast.unparse gives it back; main checks it instead.
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-             *first, "tests"],
+             "--ignore=tests/test_mutate.py", *first, "tests"],
             cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
             timeout=timeout,
         )
@@ -225,6 +241,7 @@ def main(argv=None) -> int:
     module = parser.parse_args(argv).module.removesuffix(".py")
     source = (PACKAGE / f"{module}.py").read_text(encoding="utf-8")
     found = mutants(source)
+    keys = mutant_keys(module, source)
     jobs = len(os.sched_getaffinity(0))
 
     with tempfile.TemporaryDirectory(prefix="gec-forge-mutate-") as tmp:
@@ -257,8 +274,6 @@ def main(argv=None) -> int:
             results = list(pool.map(test_one, range(len(found))))
 
     survivors = equivalent = 0
-    lines = source.splitlines()
-    keys = [(module, lines[line - 1].strip(), index, change) for line, index, change in found]
     for (line, _, change), key, result in zip(found, keys, results):
         if result != "survived":
             continue
@@ -269,8 +284,7 @@ def main(argv=None) -> int:
         else:
             survivors += 1
             print(f"SURVIVED   {module}.py:{line} {key[1]}: {change}")
-    known = set(keys)
-    stale = [key for key in EQUIVALENT if key[0] == module and key not in known]
+    stale = stale_entries(module, keys)
     for key in stale:
         print(f"STALE      EQUIVALENT entry {key!r} matches no mutant")
     timeouts = results.count("timeout")

@@ -113,11 +113,11 @@ def test_criterion_classifier_precedence_suite(hi, ml):
     started = time.perf_counter()
     failures = []
     for inp, out, expected in CATEGORY_FIXTURES_HI + CONFLICT_FIXTURES_HI:
-        got = classify_pair(inp, out, hi).category
+        got = classify_pair(inp, out, hi)[0]
         if got != expected:
             failures.append((inp, out, expected, got))
     for inp, out, expected in CATEGORY_FIXTURES_ML:
-        got = classify_pair(inp, out, ml).category
+        got = classify_pair(inp, out, ml)[0]
         if got != expected:
             failures.append((inp, out, expected, got))
     elapsed = time.perf_counter() - started
@@ -144,9 +144,7 @@ def test_criterion_classifier_oracle_equivalence(hi, ml):
         prof = profile_dict(profile)
         for inp, out in random_pairs(seed, 500, lang):
             total += 1
-            result = classify_pair(inp, out, profile)
-            main = (result.category, result.stage, result.rule, result.detail)
-            if main != straightline_evidence(inp, out, prof):
+            if classify_pair(inp, out, profile) != straightline_evidence(inp, out, prof):
                 disagreements += 1
     assert total == 1000
     assert disagreements == 0

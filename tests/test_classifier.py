@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import re
 
@@ -11,11 +10,11 @@ from gec_forge import (CATEGORY_ORDER, InputError, alnum_projection, classify_pa
 from gec_forge.classifier import PRECEDENCE, SPELL_THRESHOLD
 
 from _gen import HI_WORDS, PUNCT_TOKENS, make_sentence, random_pairs
-from _oracles import classify_pair as straightline_classify, profile_dict, tokens_by_class
+from _oracles import classify_evidence as straightline_evidence, profile_dict, tokens_by_class
 
 
 def cat(inp, out, profile):
-    return classify_pair(inp, out, profile).category
+    return classify_pair(inp, out, profile)[0]
 
 
 @pytest.mark.parametrize(
@@ -103,11 +102,15 @@ def test_evidence_stage_matches_category(hi):
     }
     for (inp, out), (expected_cat, stage) in expectations.items():
         result = classify_pair(inp, out, hi)
-        assert result.category is expected_cat
-        assert result.stage == stage
+        assert result[:2] == (expected_cat, stage)
     # A result is a value: its category cannot be rewritten after the fact.
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        result.category = "no_error"
+    with pytest.raises(TypeError):
+        result[0] = "no_error"
+    # Each stage's return writes its own number: stages 1-4 test one
+    # PRECEDENCE category each, and stage 5 types the rest.
+    for inp, out in random_pairs(7, 300, "hi"):
+        category, stage, _, _ = classify_pair(inp, out, hi)
+        assert stage == min(PRECEDENCE.index(category), 4) + 1
 
 
 # One pair per stage-5 category that meets that category's condition and no
@@ -125,8 +128,8 @@ def test_precedence_is_the_order_classify_applies(hi):
     # Stages 1-4 come in stage order.
     early = [classify_pair(inp, out, hi)
              for inp, out in (("", "क"), ("क", "क"), ("क ।", "क."), ("क ख ग", "ग क ख"))]
-    assert [r.stage for r in early] == [1, 2, 3, 4]
-    assert PRECEDENCE[:4] == tuple(r.category for r in early)
+    assert [r[1] for r in early] == [1, 2, 3, 4]
+    assert PRECEDENCE[:4] == tuple(r[0] for r in early)
     # A joined pair meets the conditions of both its parts, so the category
     # it gets is the one tested first; package and oracle agree on it.
     prof = profile_dict(hi)
@@ -138,7 +141,7 @@ def test_precedence_is_the_order_classify_applies(hi):
         for inp, out in ((f"{ax} {ay}", f"{bx} {by}"), (f"{ay} {ax}", f"{by} {bx}")):
             winner = cat(inp, out, hi)
             assert winner in (x, y)
-            assert straightline_classify(inp, out, prof) == winner
+            assert classify_pair(inp, out, hi) == straightline_evidence(inp, out, prof)
             wins[winner] += 1
     # Each category beats every later one, in both join orders.
     assert sorted(wins.values()) == [0, 2, 4, 6, 8]
@@ -200,7 +203,7 @@ def test_matches_straightline_oracle_sample(hi, ml):
     for profile, lang, seed in ((hi, "hi", 101), (ml, "ml", 202)):
         prof = profile_dict(profile)
         for inp, out in random_pairs(seed, 300, lang):
-            assert cat(inp, out, profile) == straightline_classify(inp, out, prof)
+            assert classify_pair(inp, out, profile) == straightline_evidence(inp, out, prof)
 
 
 # Every character matched by \s, over all code points. Together with the
@@ -234,8 +237,7 @@ OUT_OF_CLASS_EDITS = [("राम α", "राम β"), ("राम Zo\u00eb", "
 
 @pytest.mark.parametrize("inp,out", OUT_OF_CLASS_EDITS)
 def test_edit_outside_the_word_classes_is_punct_whitespace(hi, inp, out):
-    result = classify_pair(inp, out, hi)
-    assert (result.category, result.rule) == ("punct_whitespace", "equal_projection")
+    assert classify_pair(inp, out, hi) == ("punct_whitespace", 3, "equal_projection", {})
 
 
 def _nonpunct_runs(s):

@@ -705,6 +705,50 @@ def _non_utf8_normalize_in(tmp_path):
     return ["normalize", "--in", path, "--out", str(tmp_path / "o.txt")], path
 
 
+def _score_files(tmp_path, src, hyp, ref):
+    """A score run over the three texts; it names the first file, and the
+    other two as fields."""
+    paths = [_write(tmp_path / f"{name}.txt", text)
+             for name, text in (("src", src), ("hyp", hyp), ("ref", ref))]
+    argv = ["score", "--src", paths[0], "--hyp", paths[1], "--ref", paths[2]]
+    return argv, *paths
+
+
+def _score_lengths_differ(tmp_path):
+    return (*_score_files(tmp_path, "क\nख\n", "क\n", "क\nख\n"), "lengths differ")
+
+
+def _score_empty_corpus(tmp_path):
+    return (*_score_files(tmp_path, "", "", ""), "empty corpus")
+
+
+def _analyze_header_only(tmp_path):
+    path = _write(tmp_path / "pairs.csv", "input,output\n")
+    return ["analyze", "--lang", "hi", "--split", "train", "--in", path,
+            "--report", str(tmp_path / "r.json")], path, "no pairs"
+
+
+def _dual_files(tmp_path, rows_a, rows_b):
+    """An audit --dual run over two CSVs; it names the first file, and the
+    second as a field."""
+    paths = [_write(tmp_path / f"{name}.csv", "input,output\n" + "".join(rows))
+             for name, rows in (("a", rows_a), ("b", rows_b))]
+    argv = ["audit", "--lang", "hi", "--dual", *paths, "--report", str(tmp_path / "r.json")]
+    return argv, *paths
+
+
+def _dual_lengths_differ(tmp_path):
+    return (*_dual_files(tmp_path, ["क,ख\n"], ["क,ख\n", "ग,घ\n"]), "differ in length")
+
+
+def _dual_inputs_differ(tmp_path):
+    return (*_dual_files(tmp_path, ["क,ख\n"], ["ग,ख\n"]), "row 0", "input sentence")
+
+
+def _dual_header_only(tmp_path):
+    return (*_dual_files(tmp_path, [], []), "at least one")
+
+
 def _nul_in_path(flag):
     """A case whose `flag` names a path with a NUL byte in it."""
     def case(tmp_path):
@@ -738,6 +782,9 @@ def _nul_in_path(flag):
                                   _unknown_lang_dist, _unknown_split_dist, _empty_dist,
                                   _unknown_category_dist, _deep_array_dist, _deep_object_dist,
                                   _postpositions_lexicon_under_ml,
+                                  _score_lengths_differ, _score_empty_corpus,
+                                  _analyze_header_only, _dual_lengths_differ,
+                                  _dual_inputs_differ, _dual_header_only,
                                   *map(_nul_in_path, ["--in", "--out", "--report", "--lexicon",
                                                       "--src", "--hyp", "--ref", "--dist",
                                                       "--dual"])])

@@ -13,18 +13,17 @@ import gec_forge
 ROOT = Path(__file__).parents[1]
 
 PUBLIC_NAMES = [
-    "CATEGORY_ORDER", "Classification", "DEFAULT_POLICY", "EditAudit", "InputError",
-    "LanguageProfile", "NormalizationPolicy", "__version__", "align", "alnum_projection",
-    "analyze", "audit_pair", "classify_pair", "display_label", "dual_report", "gleu_corpus",
-    "levenshtein", "load_lexicon", "load_pairs", "normalize_text", "nullish",
-    "postprocess_hypothesis", "profile_for", "reconcile", "same_script", "suffix_tail_change",
-    "synthesize_prompt", "tokenize", "touches_syntax",
+    "CATEGORY_ORDER", "DEFAULT_POLICY", "InputError", "LanguageProfile", "NormalizationPolicy",
+    "__version__", "align", "alnum_projection", "analyze", "audit_pair", "classify_pair",
+    "display_label", "dual_report", "gleu_corpus", "levenshtein", "load_lexicon", "load_pairs",
+    "normalize_text", "nullish", "postprocess_hypothesis", "profile_for", "reconcile",
+    "same_script", "suffix_tail_change", "synthesize_prompt", "tokenize", "touches_syntax",
 ]
 
 
 def test_public_names_are_pinned_and_resolve():
     assert sorted(gec_forge.__all__) == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 29
+    assert len(PUBLIC_NAMES) == 27
     for name in PUBLIC_NAMES:
         assert hasattr(gec_forge, name), name
 
