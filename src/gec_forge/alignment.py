@@ -114,42 +114,34 @@ def _longest_by_automaton(a, b, alo, ahi, blo, bhi):
 
     The walk keeps the longest suffix of the walked prefix that occurs in
     the automaton's window, and the state's first end gives that suffix's
-    earliest occurrence there. Walking `a`, the first i where the suffix
-    beats the best is difflib's earliest i, with its earliest j. Walking
-    `b`, a suffix as long as the best also wins when it starts earlier in `a`.
+    earliest occurrence there. The best block is kept as its starts p in
+    the walked window and q in the automaton's, and returned as (i, j). A
+    block wins when it is longer than the best, or as long and starting
+    earlier in `a`: walking `a` that is the first i to reach the size,
+    walking `b` the earliest i and then its first j.
     """
-    besti, bestj, bestsize = alo, blo, 0
+    walk_a = bhi - blo <= ahi - alo
+    walked, lo, hi = (a, alo, ahi) if walk_a else (b, blo, bhi)
+    trans, link, length, first_end = (
+        _suffix_automaton(b, blo, bhi) if walk_a else _suffix_automaton(a, alo, ahi))
+    bestp, bestq, bestsize = lo, blo if walk_a else alo, 0
     s = k = 0
-    if bhi - blo <= ahi - alo:
-        trans, link, length, first_end = _suffix_automaton(b, blo, bhi)
-        for i in range(alo, ahi):
-            x = a[i]
-            while s and x not in trans[s]:
-                s = link[s]
-                k = length[s]
-            s = trans[s].get(x, 0)
-            if s:
-                k += 1
-                if k > bestsize:
-                    besti, bestj, bestsize = i - k + 1, first_end[s] - k + 1, k
-            else:
-                k = 0
-        return besti, bestj, bestsize
-    trans, link, length, first_end = _suffix_automaton(a, alo, ahi)
-    for j in range(blo, bhi):
-        x = b[j]
+    for p in range(lo, hi):
+        x = walked[p]
         while s and x not in trans[s]:
             s = link[s]
             k = length[s]
         s = trans[s].get(x, 0)
         if s:
             k += 1
-            i = first_end[s] - k + 1
-            if k > bestsize or k == bestsize and i < besti:
-                besti, bestj, bestsize = i, j - k + 1, k
+            # Walking `a`, a block as long as the best starts later in `a`.
+            if k >= bestsize + walk_a:
+                q = first_end[s] - k + 1
+                if k > bestsize or q < bestq:
+                    bestp, bestq, bestsize = p - k + 1, q, k
         else:
             k = 0
-    return besti, bestj, bestsize
+    return (bestp, bestq, bestsize) if walk_a else (bestq, bestp, bestsize)
 
 
 def _suffix_automaton(seq, lo, hi):

@@ -215,6 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_classify(args) -> int:
     profile = profile_for(args.lang, args.lexicon)
     pairs = load_pairs(args.infile, _policy(args))
+    if not pairs:
+        raise InputError(f"{args.infile}: no pairs to classify")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     header = ["row", "category", "label"] + (["evidence"] if args.evidence else [])
@@ -317,6 +319,8 @@ def cmd_audit(args) -> int:
         print(f"dual-audited {len(triples)} triples -> {args.report}")
         return 0
     pairs = load_pairs(args.infile, policy)
+    if not pairs:
+        raise InputError(f"{args.infile}: no pairs to audit")
     audits = [audit_pair(inp, out, profile, args.cap) for inp, out in pairs]
     strata_counts = dict.fromkeys((*STRATA, "none"), 0)
     category_counts = dict.fromkeys(CATEGORY_ORDER, 0)

@@ -28,7 +28,8 @@ def read_text(path, newline: str | None = None) -> str:
 
 
 def write_text_atomic(path, text: str) -> None:
-    """Write via a temp file in the target directory, then rename."""
+    """Write via a temp file in the target directory, then rename. An OSError
+    names the target path, not the temp file."""
     directory = os.path.dirname(os.path.abspath(path))
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
@@ -40,6 +41,8 @@ def write_text_atomic(path, text: str) -> None:
             if os.path.exists(tmp):
                 os.unlink(tmp)
             raise
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from exc
     except ValueError as exc:  # a NUL byte in the path
         raise InputError(f"{path}: invalid path: {exc}") from exc
 

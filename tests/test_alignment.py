@@ -157,38 +157,58 @@ def test_align_matches_sequence_matcher_on_long_pairs(pair):
     assert align(a, b) == SequenceMatcher(None, a, b, autojunk=False).get_opcodes()
 
 
-def _random_ab(seed, len_a, len_b):
+def _random_pair(seed, len_a, len_b, symbols="ab"):
     rng = random.Random(seed)
-    return ("".join(rng.choice("ab") for _ in range(len_a)),
-            "".join(rng.choice("ab") for _ in range(len_b)))
+    return ("".join(rng.choice(symbols) for _ in range(len_a)),
+            "".join(rng.choice(symbols) for _ in range(len_b)))
 
 
-@pytest.mark.parametrize("a,b", [
-    _random_ab(150, 150, 100),
-    _random_ab(100, 100, 150),
+@pytest.mark.parametrize("a,b,built_on", [
+    (*_random_pair(150, 150, 100), "b"),
+    (*_random_pair(100, 100, 150), "a"),
     # Every common block has one item, and the first is not at the window's
     # first cell.
-    (["क"] * 100, ["ख", "क"] * 60),
-    (["ख", "क"] * 60, ["क"] * 100),
-], ids=["random-a-longer", "random-b-longer", "single-items-b-longer", "single-items-a-longer"])
-def test_dense_pair_takes_both_searches(monkeypatch, a, b):
+    (["क"] * 100, ["ख", "क"] * 60, "a"),
+    (["ख", "क"] * 60, ["क"] * 100, "b"),
+    # A short input against a runaway output, and the other way round.
+    (*_random_pair(20, 20, 5000, "abcd"), "a"),
+    (*_random_pair(20, 5000, 20, "abcd"), "b"),
+], ids=["random-a-longer", "random-b-longer", "single-items-b-longer", "single-items-a-longer",
+        "lopsided-b-longer", "lopsided-a-longer"])
+def test_dense_pair_takes_both_searches(monkeypatch, a, b, built_on):
     # The two block searches must agree wherever the switch sends a window;
-    # these pairs send some windows to each, and the automaton is built on
-    # the shorter side of each window it searches.
+    # these pairs send some windows to each. The automaton is built on the
+    # shorter side of each window it searches: the other side gives the same
+    # block, only slower. The cases build the root window's automaton on
+    # `a` and on `b`.
     calls = {"scan": 0, "automaton": 0}
+    windows, sides = [], []
 
     def counted(name, search):
         def wrapper(*args):
             calls[name] += 1
+            windows.append(args[-4:])
             return search(*args)
         return wrapper
+
+    def built(seq, lo, hi, build=alignment._suffix_automaton):
+        alo, ahi, blo, bhi = windows[-1]
+        if seq is a:
+            assert (lo, hi) == (alo, ahi) and ahi - alo <= bhi - blo
+            sides.append("a")
+        else:
+            assert (lo, hi) == (blo, bhi) and bhi - blo <= ahi - alo
+            sides.append("b")
+        return build(seq, lo, hi)
 
     monkeypatch.setattr(alignment, "_longest_by_scan",
                         counted("scan", alignment._longest_by_scan))
     monkeypatch.setattr(alignment, "_longest_by_automaton",
                         counted("automaton", alignment._longest_by_automaton))
+    monkeypatch.setattr(alignment, "_suffix_automaton", built)
     assert align(a, b) == SequenceMatcher(None, a, b, autojunk=False).get_opcodes()
     assert calls["scan"] and calls["automaton"]
+    assert len(sides) == calls["automaton"] and sides[0] == built_on
 
 
 def test_align_does_not_trim_the_common_prefix():

@@ -432,6 +432,20 @@ def _base_commands(tmp):
     }
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("classify", "--out"), ("normalize", "--out"), ("synth-prompt", "--out"),
+    ("analyze", "--report"), ("score", "--report"), ("audit", "--report"),
+])
+def test_output_in_missing_directory_exits_1_naming_the_path(tmp_path, capsys, command, flag):
+    argv = _base_commands(tmp_path)[command]
+    path = str(tmp_path / "nodir" / "out")
+    argv[argv.index(flag) + 1] = path
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert path in err
+    assert ".tmp-" not in err
+
+
 @pytest.mark.parametrize("command, flag, value", [
     ("classify", "--split", "dev"),
     ("audit", "--split", "test"),
@@ -728,6 +742,18 @@ def _analyze_header_only(tmp_path):
             "--report", str(tmp_path / "r.json")], path, "no pairs"
 
 
+def _classify_header_only(tmp_path):
+    path = _write(tmp_path / "pairs.csv", "input,output\n")
+    return ["classify", "--lang", "hi", "--in", path,
+            "--out", str(tmp_path / "l.csv")], path, "no pairs"
+
+
+def _audit_header_only(tmp_path):
+    path = _write(tmp_path / "pairs.csv", "input,output\n")
+    return ["audit", "--lang", "hi", "--in", path,
+            "--report", str(tmp_path / "r.json")], path, "no pairs"
+
+
 def _dual_files(tmp_path, rows_a, rows_b):
     """An audit --dual run over two CSVs; it names the first file, and the
     second as a field."""
@@ -783,7 +809,8 @@ def _nul_in_path(flag):
                                   _unknown_category_dist, _deep_array_dist, _deep_object_dist,
                                   _postpositions_lexicon_under_ml,
                                   _score_lengths_differ, _score_empty_corpus,
-                                  _analyze_header_only, _dual_lengths_differ,
+                                  _analyze_header_only, _classify_header_only,
+                                  _audit_header_only, _dual_lengths_differ,
                                   _dual_inputs_differ, _dual_header_only,
                                   *map(_nul_in_path, ["--in", "--out", "--report", "--lexicon",
                                                       "--src", "--hyp", "--ref", "--dist",
