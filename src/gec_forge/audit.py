@@ -83,9 +83,10 @@ def _reconcile_audited(input, cand_a, cand_b, profile, cap):
     """Returns (side, chosen_text, reason, audit_a, audit_b); the text is
     the chosen candidate as audited, with None read as ""."""
     pair_a, pair_b = _Pair(input, cand_a, profile), _Pair(input, cand_b, profile)
-    audit_a, audit_b = _audit(pair_a, cap), _audit(pair_b, cap)
-    if pair_a.out == pair_b.out:
-        return "a", pair_a.out, "identical", audit_a, audit_b
+    audit_a = _audit(pair_a, cap)
+    if pair_a.out == pair_b.out:  # one text, so one audit for both sides
+        return "a", pair_a.out, "identical", audit_a, audit_a
+    audit_b = _audit(pair_b, cap)
     pref_a, pref_b = _PREFERENCE[audit_a["stratum"]], _PREFERENCE[audit_b["stratum"]]
     if pref_a != pref_b:
         winner = "a" if pref_a < pref_b else "b"

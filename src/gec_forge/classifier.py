@@ -4,9 +4,9 @@
 Precedence (earlier stages short-circuit later ones):
   1. Null/Empty: either side blank or a nan/null/none sentinel
   2. No Error: strings bit-identical
-  3. Punct/WS: alphanumeric projections (the non-punct runs, joined) equal
-  4. Word Order: same multiset of non-punct runs (the non-punct tokens,
-     read straight from the two strings), different sequence
+  3. Punct/WS: equal alphanumeric projections: alnum_projection gives each
+     side's non-punct runs once, and their joins are equal
+  4. Word Order: same multiset of those runs, different sequence
   5. Alignment typing over the non-equal opcodes: syntax > missing/extra
      word > morphology > spelling > grammar, the last resort
 
@@ -24,9 +24,7 @@ from __future__ import annotations
 from .alignment import Opcode, align, levenshtein, suffix_tail_change, touches_syntax
 from .errors import InputError
 from .textnorm import alnum_projection
-from .tokenizer import (
-    _NONPUNCT_RUN, SYNTAX_LABELS, LanguageProfile, _check_lang, same_script, tokenize,
-)
+from .tokenizer import SYNTAX_LABELS, LanguageProfile, _check_lang, same_script, tokenize
 
 SPELL_THRESHOLD = 2  # max Levenshtein distance still counted as a spelling slip
 
@@ -120,10 +118,11 @@ def _classify(pair: _Pair) -> tuple[str, int, str, dict]:
     if inp == out:
         return "no_error", 2, "identical", {}
 
-    if alnum_projection(inp) == alnum_projection(out):
+    runs_in, runs_out = alnum_projection(inp), alnum_projection(out)
+    if "".join(runs_in) == "".join(runs_out):
         return "punct_whitespace", 3, "equal_projection", {}
 
-    if sorted(_NONPUNCT_RUN.findall(inp)) == sorted(_NONPUNCT_RUN.findall(out)):
+    if sorted(runs_in) == sorted(runs_out):
         return "word_order", 4, "permuted_multiset", {}
 
     a, b = pair.texts()

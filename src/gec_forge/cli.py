@@ -260,7 +260,7 @@ def cmd_score(args) -> int:
         ref = [normalize_text(line, policy) for line in ref]
     with _naming(args.src, args.hyp, args.ref):
         body = gleu_corpus(src, hyp, ref, args.max_n)
-    if args.report:
+    if args.report is not None:
         body["normalization"] = None if args.raw else asdict(policy)
         write_report(args.report, "gleu", body)
     score = body["corpus_score"]

@@ -1,10 +1,10 @@
 """Script-aware Unicode normalization for Hindi/Malayalam GEC text.
 
 Three layers live here: ingestion normalization (NFKC, invisible-character
-removal, whitespace collapse, digit and danda mapping), the alphanumeric
-projection used to detect punctuation/whitespace-only edits, which keeps
-exactly the tokenizer's non-punctuation classes, and the surface-level
-post-processor applied to model hypotheses.
+removal, whitespace collapse, digit and danda mapping), the word-material
+runs whose join is the alphanumeric projection that detects punctuation/
+whitespace-only edits (exactly the tokenizer's non-punctuation classes), and
+the surface-level post-processor applied to model hypotheses.
 """
 from __future__ import annotations
 
@@ -141,9 +141,9 @@ def normalize_text(s: str, policy: NormalizationPolicy = DEFAULT_POLICY) -> str:
     return s
 
 
-def alnum_projection(s: str) -> str:
-    """Word-material view of s: its non-punctuation runs joined, keeping
-    exactly the tokenizer's digit, Latin, Devanagari and Malayalam classes.
+def alnum_projection(s: str) -> list[str]:
+    """The non-punctuation runs of s in order, whose join is its alphanumeric
+    projection: exactly its tokens of the digit, Latin and script classes.
 
     The script classes hold letters and combining marks, so Indic vowel
     signs and virama survive and inflectional edits never look like
@@ -151,7 +151,7 @@ def alnum_projection(s: str) -> str:
     tokenizer and is dropped here, so two strings with equal projections
     differ only in whitespace and punct tokens.
     """
-    return "".join(_NONPUNCT_RUN.findall(s))
+    return _NONPUNCT_RUN.findall(s)
 
 
 def _strip_prompt_echo(s: str, prompt_prefix: str | None) -> str:

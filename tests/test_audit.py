@@ -13,6 +13,7 @@ from gec_forge import (
     load_pairs,
     reconcile,
 )
+import gec_forge.audit as audit_module
 from gec_forge.audit import STRATA, reordered_token_count
 
 import _oracles as ref
@@ -265,6 +266,21 @@ def test_dual_report_identical_candidates_mass_on_no_error(hi):
     idx = CATEGORY_ORDER.index("no_error")
     assert report["agreement"][idx][idx] == 3
     assert report["union_count"] == 0
+
+
+def test_identical_candidates_are_audited_once(hi, monkeypatch):
+    real_audit, calls = audit_module._audit, []
+
+    def counting_audit(pair, cap):
+        calls.append(pair.out)
+        return real_audit(pair, cap)
+
+    monkeypatch.setattr(audit_module, "_audit", counting_audit)
+    report = dual_report([("क", "ख", "ख")], hi)
+    assert calls == ["ख"]
+    idx = CATEGORY_ORDER.index(audit_pair("क", "ख", hi)["category"])
+    assert report["agreement"][idx][idx] == 1
+    assert reconcile("क", "ख", "ख", hi) == ("ख", "identical")
 
 
 def test_dual_report_empty_rejected(hi):

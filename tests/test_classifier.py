@@ -215,7 +215,7 @@ WHITESPACE = "".join(re.findall(r"\s", "".join(map(chr, range(0x110000)))))
 
 def test_no_whitespace_character_survives_the_projection():
     assert " " in WHITESPACE and "\u3000" in WHITESPACE
-    assert alnum_projection(WHITESPACE) == ""
+    assert alnum_projection(WHITESPACE) == []
 
 
 @given(st.text(max_size=40), st.lists(st.text(st.sampled_from(WHITESPACE), min_size=1,

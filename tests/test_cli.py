@@ -436,14 +436,17 @@ def _base_commands(tmp):
     ("classify", "--out"), ("normalize", "--out"), ("synth-prompt", "--out"),
     ("analyze", "--report"), ("score", "--report"), ("audit", "--report"),
 ])
-def test_output_in_missing_directory_exits_1_naming_the_path(tmp_path, capsys, command, flag):
-    argv = _base_commands(tmp_path)[command]
-    path = str(tmp_path / "nodir" / "out")
-    argv[argv.index(flag) + 1] = path
-    assert run(argv) == 1
-    err = capsys.readouterr().err
-    assert path in err
-    assert ".tmp-" not in err
+def test_output_in_missing_directory_exits_1_naming_the_path(tmp_path, capsys, monkeypatch,
+                                                            command, flag):
+    monkeypatch.chdir(tmp_path)  # an empty path resolves against the working directory
+    for path in (str(tmp_path / "nodir" / "out"), ""):
+        argv = _base_commands(tmp_path)[command]
+        argv[argv.index(flag) + 1] = path
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert f"No such file or directory: {path!r}" in err
+        assert ".tmp-" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["line.txt"]
 
 
 @pytest.mark.parametrize("command, flag, value", [
