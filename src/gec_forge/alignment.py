@@ -5,16 +5,15 @@ by the error classifier.
 align() returns the opcodes of difflib's SequenceMatcher with no junk
 (autojunk=False, no isjunk), from the same Ratcliff/Obershelp recursion run
 on plain tuples. difflib's longest-block scan costs about wa*wb/V steps on a
-window of wa by wb items over a vocabulary of V, so on long pairs over a
-small vocabulary the wide windows use a suffix automaton (Blumer et al.,
-"The smallest automaton recognizing the subwords of a text", 1985) at about
-wa+wb steps.
+window of wa by wb items over a vocabulary of V, so wide windows use a
+suffix automaton (Blumer et al., "The smallest automaton recognizing the
+subwords of a text", 1985) at about wa+wb steps. A window lies inside its
+parent, so the scan stops at the first block as long as the parent's.
 
 levenshtein() is the bit-parallel unit-cost edit distance of Myers (1999),
 in the global-distance form of Hyyrö (2003), on Python ints: one column of
 the DP matrix is two bit vectors of vertical deltas, updated with about ten
-integer operations per item of the longer side. Items are compared as dict
-keys, so they must be hashable.
+integer operations per item of the longer side.
 """
 from __future__ import annotations
 
@@ -25,9 +24,8 @@ from .tokenizer import LanguageProfile
 Opcode = tuple[str, int, int, int, int]  # (tag, i1, i2, j1, j2), as difflib
 
 # The scan takes about one step per equal pair a[i] == b[j] of a window, the
-# automaton about one per item. On a pair of more than this many cells with
-# more than 2*(la+lb) equal pairs, windows of more than this many cells use
-# the automaton. Both give the same block; the switch only picks the speed.
+# automaton one per item: windows of more cells take it, unless the parent's
+# block had one item and the scan stops at the first equal pair.
 _AUTOMATON_CELLS = 4096
 
 
@@ -37,38 +35,35 @@ def align(a: Sequence, b: Sequence) -> list[Opcode]:
 
     The opcodes equal SequenceMatcher(None, a, b, autojunk=False)
     .get_opcodes(). Each window of `a` against `b` gives up its longest
-    common contiguous block, earliest in `a` and then in `b` on ties, and
-    the parts left and right of the block become windows in turn. No item
-    is junk: with difflib's default autojunk, a side of 200 or more items
-    would treat items that occur in over 1% of it as junk, which changes
-    the opcodes of long pairs.
-
-    Wide windows of a pair with many matching positions are searched with a
-    suffix automaton, the others with difflib's scan; both give the same
-    block. The common prefix and suffix are not trimmed first: on
-    a=[x, y], b=[x, q, x, y] the longest block is [x, y], while trimming
-    would keep the leading x and insert [q, x].
+    common contiguous block, earliest in `a` and then in `b` on ties, and the
+    parts left and right of the block become windows in turn, with the
+    block's size as their `cap` (-1 at the root). Wide windows are searched
+    with a suffix automaton, the others with difflib's scan, which stops at a
+    block of size `cap`; both give the same block. No item is junk: with
+    difflib's default autojunk, a side of 200 or more items would treat items
+    that occur in over 1% of it as junk, which changes the opcodes of long
+    pairs. The common prefix and suffix are not trimmed first: on a=[x, y],
+    b=[x, q, x, y] the longest block is [x, y], while trimming would keep the
+    leading x and insert [q, x].
     """
     la, lb = len(a), len(b)
     b2j: dict = {}
     for j, x in enumerate(b):
         b2j.setdefault(x, []).append(j)
-    dense = (la * lb > _AUTOMATON_CELLS
-             and sum([len(b2j[x]) for x in a if x in b2j]) > 2 * (la + lb))
     blocks = []
-    windows = [(0, la, 0, lb)]
+    windows = [(0, la, 0, lb, -1)]
     while windows:
-        alo, ahi, blo, bhi = windows.pop()
-        if dense and (ahi - alo) * (bhi - blo) > _AUTOMATON_CELLS:
+        alo, ahi, blo, bhi, cap = windows.pop()
+        if cap != 1 and (ahi - alo) * (bhi - blo) > _AUTOMATON_CELLS:
             i, j, k = _longest_by_automaton(a, b, alo, ahi, blo, bhi)
         else:
-            i, j, k = _longest_by_scan(a, b2j, alo, ahi, blo, bhi)
+            i, j, k = _longest_by_scan(a, b2j, alo, ahi, blo, bhi, cap)
         if k:
             blocks.append((i, j, k))
             if alo < i and blo < j:
-                windows.append((alo, i, blo, j))
+                windows.append((alo, i, blo, j, k))
             if i + k < ahi and j + k < bhi:
-                windows.append((i + k, ahi, j + k, bhi))
+                windows.append((i + k, ahi, j + k, bhi, k))
     # difflib merges blocks that touch; without junk no two do. Each block is
     # the longest in its window, so it cannot be extended within the window,
     # and two blocks from windows that do not nest have the block that split
@@ -88,10 +83,10 @@ def align(a: Sequence, b: Sequence) -> list[Opcode]:
     return ops
 
 
-def _longest_by_scan(a, b2j, alo, ahi, blo, bhi):
+def _longest_by_scan(a, b2j, alo, ahi, blo, bhi, cap):
     """difflib's find_longest_match without junk: j2len[j] is the length of
-    the common run ending at a[i-1] and b[j]. A run beats the best only when
-    strictly longer, so ties keep the earliest i, then the earliest j."""
+    the common run ending at a[i-1] and b[j]. Only a longer run beats the
+    best, so ties keep the earliest i, then j; one of size `cap` ends it."""
     besti, bestj, bestsize = alo, blo, 0
     j2len: dict = {}
     for i in range(alo, ahi):
@@ -105,6 +100,8 @@ def _longest_by_scan(a, b2j, alo, ahi, blo, bhi):
             k = j2len[j] = get(j - 1, 0) + 1
             if k > bestsize:
                 besti, bestj, bestsize = i - k + 1, j - k + 1, k
+                if k == cap:
+                    return besti, bestj, k
     return besti, bestj, bestsize
 
 

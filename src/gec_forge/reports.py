@@ -3,6 +3,7 @@ UTF-8 reads whose errors name the file, and deterministic report
 serialization (sorted-key JSON, atomic writes)."""
 from __future__ import annotations
 
+import errno
 import json
 import os
 import tempfile
@@ -30,6 +31,8 @@ def read_text(path, newline: str | None = None) -> str:
 def write_text_atomic(path, text: str) -> None:
     """Write via a temp file in the target directory, then rename. An OSError
     names the target path, not the temp file."""
+    if not path:  # abspath("") is the working directory: its parent would get the temp file
+        raise OSError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     directory = os.path.dirname(os.path.abspath(path))
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")

@@ -91,19 +91,10 @@ EQUIVALENT = {
         "one, and the distance is exact and symmetric, so it is the same",
     ("alignment", "_AUTOMATON_CELLS = 4096", 0, "4096 -> 4097"):
         _SWITCH,
-    ("alignment", "dense = (la * lb > _AUTOMATON_CELLS", 0,
-     "la * lb > _AUTOMATON_CELLS and sum([len(b2j[x]) for x in a if x in b2j]) > 2 * (la + lb) -> "
-     "la * lb > _AUTOMATON_CELLS or sum([len(b2j[x]) for x in a if x in b2j]) > 2 * (la + lb)"):
-        _SWITCH,
-    ("alignment", "dense = (la * lb > _AUTOMATON_CELLS", 1,
-     "la * lb > _AUTOMATON_CELLS -> la * lb >= _AUTOMATON_CELLS"):
-        _SWITCH,
-    ("alignment", "and sum([len(b2j[x]) for x in a if x in b2j]) > 2 * (la + lb))", 0,
-     "sum([len(b2j[x]) for x in a if x in b2j]) > 2 * (la + lb) -> sum([len(b2j[x]) for x in a if x in b2j]) >= 2 * (la + lb)"):
-        _SWITCH,
-    ("alignment", "and sum([len(b2j[x]) for x in a if x in b2j]) > 2 * (la + lb))", 2, "2 -> 3"):
-        _SWITCH,
-    ("alignment", "if dense and (ahi - alo) * (bhi - blo) > _AUTOMATON_CELLS:", 1,
+    ("alignment", "windows = [(0, la, 0, lb, -1)]", 2, "1 -> 2"):
+        "the root's cap of -2 is, like -1, a size that no block reaches, so "
+        "the root's scan never stops early",
+    ("alignment", "if cap != 1 and (ahi - alo) * (bhi - blo) > _AUTOMATON_CELLS:", 3,
      "(ahi - alo) * (bhi - blo) > _AUTOMATON_CELLS -> "
      "(ahi - alo) * (bhi - blo) >= _AUTOMATON_CELLS"):
         _SWITCH,

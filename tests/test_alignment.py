@@ -151,8 +151,8 @@ def test_align_long_alternating_input(hi):
 @settings(max_examples=150)
 @given(_sequence_pairs())
 def test_align_matches_sequence_matcher_on_long_pairs(pair):
-    # Most of these pairs pass the density switch, so their wide windows
-    # take the suffix automaton and their narrow ones the scan.
+    # The wide windows of these pairs take the suffix automaton, and their
+    # narrow ones the scan.
     a, b = pair
     assert align(a, b) == SequenceMatcher(None, a, b, autojunk=False).get_opcodes()
 
@@ -176,11 +176,12 @@ def _random_pair(seed, len_a, len_b, symbols="ab"):
 ], ids=["random-a-longer", "random-b-longer", "single-items-b-longer", "single-items-a-longer",
         "lopsided-b-longer", "lopsided-a-longer"])
 def test_dense_pair_takes_both_searches(monkeypatch, a, b, built_on):
-    # The two block searches must agree wherever the switch sends a window;
-    # these pairs send some windows to each. The automaton is built on the
-    # shorter side of each window it searches: the other side gives the same
-    # block, only slower. The cases build the root window's automaton on
-    # `a` and on `b`.
+    # The two block searches must agree wherever the switch sends a window:
+    # the automaton takes the wide ones, unless the parent's block had one
+    # item, and the scan the rest. These pairs send some windows to each.
+    # The automaton is built on the shorter side of each window it searches:
+    # the other side gives the same block, only slower. The cases build the
+    # root window's automaton on `a` and on `b`.
     calls = {"scan": 0, "automaton": 0}
     windows, sides = [], []
 
@@ -228,6 +229,37 @@ def test_single_symbol_against_alternation_finishes_in_bounded_time(hi):
         elapsed = time.perf_counter() - started
         assert elapsed < 2.0, f"{call.__name__} took {elapsed:.3f}s"
         assert result[key] == "missing_extra_word"
+
+
+def _one_item_block_pairs(n):
+    """Pairs whose every common block has one item: a token against that
+    token alternating with another, and n distinct tokens against a copy
+    with every other one changed."""
+    distinct = [f"w{i}" for i in range(n)]
+    return [(["क"] * n, ["क", "ख"] * (n // 2)),
+            (distinct, [w + "z" if i % 2 else w for i, w in enumerate(distinct)])]
+
+
+@pytest.mark.parametrize("n", range(1, 41))
+def test_one_item_blocks_match_sequence_matcher(n):
+    # Below the automaton's size every window takes the scan, and every
+    # window past the root has cap 1: the scan stops at its first equal pair.
+    for a, b in _one_item_block_pairs(n):
+        for x, y in ((a, b), (b, a)):
+            assert align(x, y) == SequenceMatcher(None, x, y, autojunk=False).get_opcodes()
+
+
+def test_one_item_blocks_align_in_bounded_time():
+    # Each window gives up a one-item block, so each child window has cap 1
+    # and the scan stops at its first equal pair. Searched in full, each
+    # window costs a pass over the rest of the pair: 6-12 s per call.
+    for a, b in _one_item_block_pairs(8000):
+        for x, y in ((a, b), (b, a)):
+            started = time.perf_counter()
+            ops = align(x, y)
+            elapsed = time.perf_counter() - started
+            assert elapsed < 1.0, f"align of {len(x)} by {len(y)} items took {elapsed:.3f}s"
+            assert sum(i2 - i1 for tag, i1, i2, _, _ in ops if tag == "equal") == 4000
 
 
 def test_suffix_tail_change_hand_example(hi):

@@ -439,13 +439,24 @@ def _base_commands(tmp):
 def test_output_in_missing_directory_exits_1_naming_the_path(tmp_path, capsys, monkeypatch,
                                                             command, flag):
     monkeypatch.chdir(tmp_path)  # an empty path resolves against the working directory
+    temp_dirs = []
+
+    def mkstemp(*args, real=tempfile.mkstemp, **kwargs):
+        temp_dirs.append(kwargs["dir"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr("gec_forge.reports.tempfile.mkstemp", mkstemp)
     for path in (str(tmp_path / "nodir" / "out"), ""):
         argv = _base_commands(tmp_path)[command]
         argv[argv.index(flag) + 1] = path
+        temp_dirs.clear()
         assert run(argv) == 1
         err = capsys.readouterr().err
         assert f"No such file or directory: {path!r}" in err
         assert ".tmp-" not in err
+        # An empty path is rejected before a temp file is made anywhere: its
+        # absolute form names the working directory, whose parent would get it.
+        assert temp_dirs == ([str(tmp_path / "nodir")] if path else [])
     assert [p.name for p in tmp_path.iterdir()] == ["line.txt"]
 
 
