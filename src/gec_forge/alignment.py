@@ -5,10 +5,12 @@ by the error classifier.
 align() returns the opcodes of difflib's SequenceMatcher with no junk
 (autojunk=False, no isjunk), from the same Ratcliff/Obershelp recursion run
 on plain tuples. difflib's longest-block scan costs about wa*wb/V steps on a
-window of wa by wb items over a vocabulary of V, so wide windows use a
+window of wa by wb items over a vocabulary of V, so wide windows build a
 suffix automaton (Blumer et al., "The smallest automaton recognizing the
-subwords of a text", 1985) at about wa+wb steps. A window lies inside its
-parent, so the scan stops at the first block as long as the parent's.
+subwords of a text", 1985) on the window of `b` and walk the window of `a`
+along it, at about wa+wb steps; a block wins only by being longer, as in the
+scan. A window lies inside its parent, so the scan stops at the first block
+as long as the parent's.
 
 levenshtein() is the bit-parallel unit-cost edit distance of Myers (1999),
 in the global-distance form of Hyyrö (2003), on Python ints: one column of
@@ -106,39 +108,31 @@ def _longest_by_scan(a, b2j, alo, ahi, blo, bhi, cap):
 
 
 def _longest_by_automaton(a, b, alo, ahi, blo, bhi):
-    """The block _longest_by_scan finds, from a suffix automaton of the
-    shorter side's window walked along the other side's window.
+    """The block _longest_by_scan finds, from a suffix automaton of
+    b[blo:bhi] walked along a[alo:ahi].
 
-    The walk keeps the longest suffix of the walked prefix that occurs in
-    the automaton's window, and the state's first end gives that suffix's
-    earliest occurrence there. The best block is kept as its starts p in
-    the walked window and q in the automaton's, and returned as (i, j). A
-    block wins when it is longer than the best, or as long and starting
-    earlier in `a`: walking `a` that is the first i to reach the size,
-    walking `b` the earliest i and then its first j.
+    The walk keeps the longest suffix of a[alo:i+1] that occurs in the
+    window of `b`, and the state's first end gives that suffix's earliest
+    occurrence there. Only a longer block beats the best: the first i to
+    reach a size is the earliest start in `a`, and the first end its
+    earliest start in `b`.
     """
-    walk_a = bhi - blo <= ahi - alo
-    walked, lo, hi = (a, alo, ahi) if walk_a else (b, blo, bhi)
-    trans, link, length, first_end = (
-        _suffix_automaton(b, blo, bhi) if walk_a else _suffix_automaton(a, alo, ahi))
-    bestp, bestq, bestsize = lo, blo if walk_a else alo, 0
+    trans, link, length, first_end = _suffix_automaton(b, blo, bhi)
+    besti, bestj, bestsize = alo, blo, 0
     s = k = 0
-    for p in range(lo, hi):
-        x = walked[p]
+    for i in range(alo, ahi):
+        x = a[i]
         while s and x not in trans[s]:
             s = link[s]
             k = length[s]
         s = trans[s].get(x, 0)
         if s:
             k += 1
-            # Walking `a`, a block as long as the best starts later in `a`.
-            if k >= bestsize + walk_a:
-                q = first_end[s] - k + 1
-                if k > bestsize or q < bestq:
-                    bestp, bestq, bestsize = p - k + 1, q, k
+            if k > bestsize:
+                besti, bestj, bestsize = i - k + 1, first_end[s] - k + 1, k
         else:
             k = 0
-    return (bestp, bestq, bestsize) if walk_a else (bestq, bestp, bestsize)
+    return besti, bestj, bestsize
 
 
 def _suffix_automaton(seq, lo, hi):

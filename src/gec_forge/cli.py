@@ -39,6 +39,13 @@ def _read_lines(path) -> list[str]:
     return lines
 
 
+def _shown(path: str) -> str:
+    """path for the summary line on stdout. Bytes of the name that are not
+    UTF-8 reach Python as lone surrogates, which a strict stdout cannot
+    encode after the file is written; they are shown escaped, as \\xfd."""
+    return os.fsencode(path).decode("utf-8", "backslashreplace")
+
+
 @contextlib.contextmanager
 def _naming(*paths):
     """Prefix an InputError raised inside with the files its input came from."""
@@ -229,7 +236,7 @@ def cmd_classify(args) -> int:
                                      ensure_ascii=False, sort_keys=True))
         writer.writerow(record)
     write_text_atomic(args.outfile, buf.getvalue())
-    print(f"classified {len(pairs)} pairs -> {args.outfile}")
+    print(f"classified {len(pairs)} pairs -> {_shown(args.outfile)}")
     return 0
 
 
@@ -247,7 +254,7 @@ def cmd_analyze(args) -> int:
     body["normalization"] = asdict(policy)
     body["classifier_constants"] = {"SPELL_THR": SPELL_THRESHOLD}
     write_report(args.report, "distribution", body)
-    print(f"analyzed {body['total']} pairs{dropped} -> {args.report}")
+    print(f"analyzed {body['total']} pairs{dropped} -> {_shown(args.report)}")
     return 0
 
 
@@ -276,7 +283,7 @@ def cmd_normalize(args) -> int:
     else:
         out = [normalize_text(line, policy) for line in lines]
     write_text_atomic(args.outfile, "\n".join(out) + ("\n" if out else ""))
-    print(f"normalized {len(lines)} lines -> {args.outfile}")
+    print(f"normalized {len(lines)} lines -> {_shown(args.outfile)}")
     return 0
 
 
@@ -293,7 +300,7 @@ def cmd_synth_prompt(args) -> int:
     digest = hashlib.sha256(prompt.encode("utf-8")).hexdigest()
     write_text_atomic(args.outfile + ".sha256",
                       f"{digest}  {os.path.basename(args.outfile)}\n")
-    print(f"prompt ({digest[:12]}) -> {args.outfile}")
+    print(f"prompt ({digest[:12]}) -> {_shown(args.outfile)}")
     return 0
 
 
@@ -316,7 +323,7 @@ def cmd_audit(args) -> int:
             body = dual_report(triples, profile, args.cap)
         body.update({"lang": args.lang, "cap": args.cap, "total": len(triples)})
         write_report(args.report, "dual_audit", body)
-        print(f"dual-audited {len(triples)} triples -> {args.report}")
+        print(f"dual-audited {len(triples)} triples -> {_shown(args.report)}")
         return 0
     pairs = load_pairs(args.infile, policy)
     if not pairs:
@@ -336,7 +343,7 @@ def cmd_audit(args) -> int:
         "pairs": [{"row": row, **a} for row, a in enumerate(audits)],
     }
     write_report(args.report, "audit", body)
-    print(f"audited {len(audits)} pairs -> {args.report}")
+    print(f"audited {len(audits)} pairs -> {_shown(args.report)}")
     return 0
 
 

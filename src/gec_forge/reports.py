@@ -30,14 +30,18 @@ def read_text(path, newline: str | None = None) -> str:
 
 def write_text_atomic(path, text: str) -> None:
     """Write via a temp file in the target directory, then rename. An OSError
-    names the target path, not the temp file."""
+    names the target path, not the temp file. Text read by the package is
+    strict UTF-8, so only a file name can bring a lone surrogate (a byte of
+    the name that is not UTF-8, as the synth-prompt checksum line holds it);
+    it is written back as that byte."""
     if not path:  # abspath("") is the working directory: its parent would get the temp file
         raise OSError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     directory = os.path.dirname(os.path.abspath(path))
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
         try:
-            with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+            with os.fdopen(fd, "w", encoding="utf-8", errors="surrogateescape",
+                           newline="") as fh:
                 fh.write(text)
             os.replace(tmp, path)
         except BaseException:

@@ -98,11 +98,6 @@ EQUIVALENT = {
      "(ahi - alo) * (bhi - blo) > _AUTOMATON_CELLS -> "
      "(ahi - alo) * (bhi - blo) >= _AUTOMATON_CELLS"):
         _SWITCH,
-    ("alignment", "walk_a = bhi - blo <= ahi - alo", 0,
-     "bhi - blo <= ahi - alo -> bhi - blo < ahi - alo"):
-        "on a square window the automaton is built on the other side, and "
-        "the walk along either side gives the block with the earliest i, "
-        "then the earliest j",
     ("alignment", "if alo < i and blo < j:", 0, "alo < i and blo < j -> alo < i or blo < j"):
         _EMPTY_WINDOW,
     ("alignment", "if alo < i and blo < j:", 1, "alo < i -> alo <= i"):

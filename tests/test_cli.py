@@ -3,6 +3,7 @@ import contextlib
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -458,6 +459,34 @@ def test_output_in_missing_directory_exits_1_naming_the_path(tmp_path, capsys, m
         # absolute form names the working directory, whose parent would get it.
         assert temp_dirs == ([str(tmp_path / "nodir")] if path else [])
     assert [p.name for p in tmp_path.iterdir()] == ["line.txt"]
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("classify", "--out"), ("normalize", "--out"), ("synth-prompt", "--out"),
+    ("analyze", "--report"), ("score", "--report"), ("audit", "--report"),
+    ("audit --dual", "--report"),
+])
+def test_output_path_that_is_not_utf8_prints_on_a_strict_stdout(tmp_path, monkeypatch,
+                                                                command, flag):
+    # argv gives the name's byte 0xfd as the lone surrogate U+DCFD. Outside
+    # the C and POSIX locales, or under PYTHONIOENCODING=utf-8:strict, stdout
+    # cannot encode it, and the summary line must not fail once the file is
+    # written.
+    path = tmp_path / os.fsdecode(b"\xfd.out")
+    commands = _base_commands(tmp_path)
+    commands["audit --dual"] = ["audit", "--lang", "hi", "--dual", str(FIXTURE_CSV),
+                                str(FIXTURE_CSV), "--report", ""]
+    argv = commands[command]
+    argv[argv.index(flag) + 1] = str(path)
+    stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="strict")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert run(argv) == 0
+    assert path.exists()
+    if command == "synth-prompt":  # the checksum line names the file by its bytes
+        assert Path(f"{path}.sha256").read_bytes().endswith(b"  \xfd.out\n")
+    stdout.flush()
+    if command != "score":  # score prints the GLEU value, not its report path
+        assert b" -> " + str(tmp_path).encode() + b"/\\xfd.out\n" in stdout.buffer.getvalue()
 
 
 @pytest.mark.parametrize("command, flag, value", [
@@ -975,3 +1004,50 @@ def test_fuzzed_lexicon_exits_0_or_1(lang, first, lines, bad_byte_at):
         pairs = _write(Path(tmp) / "pairs.csv", _FUZZ_PAIRS)
         _run_quietly(["classify", "--lang", lang, "--lexicon", str(lexicon), "--in", pairs,
                       "--out", str(Path(tmp) / "labels.csv")], tmp)
+
+
+# Random file bytes: raw bytes, and text over pair-file, lexicon and JSON
+# characters encoded with its lone surrogates kept, so some files decode and
+# parse and others fail at either step. Half start with a pair-file header.
+_FILE_TEXT = st.text(alphabet=st.sampled_from('कखग है ,."\'\0\r\n।१a[]#{}:0') | st.characters(),
+                     max_size=32)
+_FILE_BYTES = st.tuples(
+    st.sampled_from([b"", b"input,output\n"]),
+    st.binary(max_size=48) | _FILE_TEXT.map(lambda text: text.encode("utf-8", "surrogatepass")),
+).map(b"".join)
+
+
+def _fuzz_argv(tmp):
+    """The eight command forms, each reading the file `fuzz` in tmp, and
+    classify reading it as its --lexicon."""
+    line, pairs, fuzz, out = (str(tmp / name)
+                              for name in ("line.txt", "pairs.csv", "fuzz", "out"))
+    return {
+        "classify": ["classify", "--lang", "hi", "--evidence", "--in", fuzz, "--out", out],
+        "analyze": ["analyze", "--lang", "hi", "--split", "train", "--dedup", "--in", fuzz,
+                    "--report", out],
+        "score": ["score", "--src", line, "--hyp", fuzz, "--ref", line, "--report", out],
+        "normalize": ["normalize", "--in", fuzz, "--out", out],
+        "normalize --post": ["normalize", "--post", "--in", fuzz, "--out", out],
+        "synth-prompt": ["synth-prompt", "--dist", fuzz, "--out", out],
+        "audit": ["audit", "--lang", "hi", "--in", fuzz, "--report", out],
+        "audit --dual": ["audit", "--lang", "hi", "--dual", pairs, fuzz, "--report", out],
+        "--lexicon": ["classify", "--lang", "hi", "--lexicon", fuzz, "--in", pairs,
+                      "--out", out],
+    }
+
+
+@settings(max_examples=250)
+@given(form=st.sampled_from(sorted(_fuzz_argv(Path()))), data=_FILE_BYTES)
+def test_random_file_bytes_exit_0_or_1_naming_the_file(form, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        _write(Path(tmp) / "line.txt", "राम खाता है\n")
+        _write(Path(tmp) / "pairs.csv", _FUZZ_PAIRS)
+        fuzz = Path(tmp) / "fuzz"
+        fuzz.write_bytes(data)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = run(_fuzz_argv(Path(tmp))[form])
+        assert code in (0, 1)
+        if code == 1:
+            assert err.getvalue().startswith("error: ") and str(fuzz) in err.getvalue()
