@@ -30,16 +30,12 @@ def audit_pair(
     input, prediction, profile: LanguageProfile, cap: int = DEFAULT_DISTANCE_CAP
 ) -> dict:
     """Classify input→prediction and bind the result to a functional stratum."""
-    _check_cap(cap)
     return _audit(_Pair(input, prediction, profile), cap)
 
 
-def _check_cap(cap: int) -> None:
+def _audit(pair: _Pair, cap: int) -> dict:
     if cap < 0:
         raise InputError(f"cap must be >= 0, got {cap}")
-
-
-def _audit(pair: _Pair, cap: int) -> dict:
     category = _classify(pair)[0]
     distance = levenshtein(*pair.texts())
     if category in NON_EDITS:
@@ -114,7 +110,6 @@ def reconcile(
     token edit distance, then to the candidate with fewer moved tokens,
     then to cand_a.
     """
-    _check_cap(cap)
     _, chosen, reason, _, _ = _reconcile_audited(input, cand_a, cand_b, profile, cap)
     return chosen, reason
 
@@ -124,7 +119,6 @@ def dual_report(triples, profile: LanguageProfile, cap: int = DEFAULT_DISTANCE_C
     category agreement matrix (candidate A rows x candidate B columns),
     strata cross-matrix over redundant/rectifying/risky (none omitted),
     union/intersection/conflict counts, and per-pair picks."""
-    _check_cap(cap)
     triples = list(triples)
     if not triples:
         raise InputError("dual_report needs at least one (input, cand_a, cand_b) triple")

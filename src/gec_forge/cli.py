@@ -39,11 +39,14 @@ def _read_lines(path) -> list[str]:
     return lines
 
 
-def _shown(path: str) -> str:
-    """path for the summary line on stdout. Bytes of the name that are not
-    UTF-8 reach Python as lone surrogates, which a strict stdout cannot
-    encode after the file is written; they are shown escaped, as \\xfd."""
-    return os.fsencode(path).decode("utf-8", "backslashreplace")
+def _shown(line: str) -> str:
+    """line as run prints it, on stdout or stderr. A byte of a file name that
+    is not UTF-8 reaches Python as a lone surrogate U+DC80-U+DCFF, which a
+    strict stream cannot encode; it is shown as that byte, \\xfd. Any other
+    lone surrogate, which only an in-process argv can hold, is shown as
+    \\ud800. Every str gives a line that encodes as UTF-8."""
+    return "".join(f"\\x{ord(c) - 0xDC00:02x}" if "\udc80" <= c <= "\udcff" else c
+                   for c in line).encode("utf-8", "backslashreplace").decode("utf-8")
 
 
 @contextlib.contextmanager
@@ -154,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Deterministic GEC analysis toolkit for Hindi and Malayalam")
     parser.add_argument("--version", action="version",
                         version=f"gec-forge {__version__}")
-    subs = parser.add_subparsers(dest="command", metavar="COMMAND")
+    subs = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
 
     p = subs.add_parser("classify", help="label each (input, output) CSV row")
     _add_normalization(p)
@@ -219,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args) -> str:
     profile = profile_for(args.lang, args.lexicon)
     pairs = load_pairs(args.infile, _policy(args))
     if not pairs:
@@ -236,11 +239,10 @@ def cmd_classify(args) -> int:
                                      ensure_ascii=False, sort_keys=True))
         writer.writerow(record)
     write_text_atomic(args.outfile, buf.getvalue())
-    print(f"classified {len(pairs)} pairs -> {_shown(args.outfile)}")
-    return 0
+    return f"classified {len(pairs)} pairs -> {args.outfile}"
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args) -> str:
     policy = _policy(args)
     profile = profile_for(args.lang, args.lexicon)
     pairs = load_pairs(args.infile, policy)
@@ -254,11 +256,10 @@ def cmd_analyze(args) -> int:
     body["normalization"] = asdict(policy)
     body["classifier_constants"] = {"SPELL_THR": SPELL_THRESHOLD}
     write_report(args.report, "distribution", body)
-    print(f"analyzed {body['total']} pairs{dropped} -> {_shown(args.report)}")
-    return 0
+    return f"analyzed {body['total']} pairs{dropped} -> {args.report}"
 
 
-def cmd_score(args) -> int:
+def cmd_score(args) -> str:
     policy = _policy(args)
     src, hyp, ref = _read_lines(args.src), _read_lines(args.hyp), _read_lines(args.ref)
     if not args.raw:
@@ -271,11 +272,10 @@ def cmd_score(args) -> int:
         body["normalization"] = None if args.raw else asdict(policy)
         write_report(args.report, "gleu", body)
     score = body["corpus_score"]
-    print(f"GLEU: {score:.6f} ({score * 100:.2f})")
-    return 0
+    return f"GLEU: {score:.6f} ({score * 100:.2f})"
 
 
-def cmd_normalize(args) -> int:
+def cmd_normalize(args) -> str:
     policy = _policy(args)
     lines = _read_lines(args.infile)
     if args.post:
@@ -283,11 +283,10 @@ def cmd_normalize(args) -> int:
     else:
         out = [normalize_text(line, policy) for line in lines]
     write_text_atomic(args.outfile, "\n".join(out) + ("\n" if out else ""))
-    print(f"normalized {len(lines)} lines -> {_shown(args.outfile)}")
-    return 0
+    return f"normalized {len(lines)} lines -> {args.outfile}"
 
 
-def cmd_synth_prompt(args) -> int:
+def cmd_synth_prompt(args) -> str:
     # ValueError: bad JSON, or an integer past int_max_str_digits;
     # RecursionError: arrays or objects nested past the recursion limit.
     try:
@@ -300,11 +299,10 @@ def cmd_synth_prompt(args) -> int:
     digest = hashlib.sha256(prompt.encode("utf-8")).hexdigest()
     write_text_atomic(args.outfile + ".sha256",
                       f"{digest}  {os.path.basename(args.outfile)}\n")
-    print(f"prompt ({digest[:12]}) -> {_shown(args.outfile)}")
-    return 0
+    return f"prompt ({digest[:12]}) -> {args.outfile}"
 
 
-def cmd_audit(args) -> int:
+def cmd_audit(args) -> str:
     policy = _policy(args)
     profile = profile_for(args.lang, args.lexicon)
     if args.dual:
@@ -323,8 +321,7 @@ def cmd_audit(args) -> int:
             body = dual_report(triples, profile, args.cap)
         body.update({"lang": args.lang, "cap": args.cap, "total": len(triples)})
         write_report(args.report, "dual_audit", body)
-        print(f"dual-audited {len(triples)} triples -> {_shown(args.report)}")
-        return 0
+        return f"dual-audited {len(triples)} triples -> {args.report}"
     pairs = load_pairs(args.infile, policy)
     if not pairs:
         raise InputError(f"{args.infile}: no pairs to audit")
@@ -343,27 +340,29 @@ def cmd_audit(args) -> int:
         "pairs": [{"row": row, **a} for row, a in enumerate(audits)],
     }
     write_report(args.report, "audit", body)
-    print(f"audited {len(audits)} pairs -> {_shown(args.report)}")
-    return 0
+    return f"audited {len(audits)} pairs -> {args.report}"
 
 
 def run(argv=None) -> int:
-    """Entry point returning an exit code: 0 ok, 1 input error, 2 internal."""
-    parser = build_parser()
+    """Entry point returning an exit code: 0 ok, 1 input error, 2 internal.
+    The command's summary line goes to stdout, an error line to stderr; run
+    prints both, each through _shown, so a file name reads the same on
+    either stream."""
     try:
-        args = parser.parse_args(argv)
-        if not getattr(args, "command", None):
-            parser.print_usage(sys.stderr)
-            return 1
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+        print(_shown(args.func(args)))
+        return 0
     except SystemExit as exc:  # --help / --version
         return int(exc.code or 0)
-    except (InputError, OSError, UnicodeDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (InputError, OSError) as exc:
+        message = str(exc)
+        if getattr(exc, "filename", None) is not None:  # str() spells the name with repr
+            message = f"[Errno {exc.errno}] {exc.strerror}: '{exc.filename}'"
+        print(_shown(f"error: {message}"), file=sys.stderr)
         return 1
     except Exception as exc:  # pragma: no cover - defensive
         traceback.print_exc()
-        print(f"internal error: {exc}", file=sys.stderr)
+        print(_shown(f"internal error: {exc}"), file=sys.stderr)
         return 2
 
 

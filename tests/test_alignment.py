@@ -266,6 +266,24 @@ def test_one_item_blocks_match_sequence_matcher(n):
             assert align(x, y) == SequenceMatcher(None, x, y, autojunk=False).get_opcodes()
 
 
+def _short_block_pairs(n):
+    """n distinct tokens against a copy with every third, and with every
+    fourth, one changed: every common block has 2 or 3 items."""
+    distinct = [f"w{i}" for i in range(n)]
+    return [(distinct, [w + "z" if i % k == k - 1 else w for i, w in enumerate(distinct)])
+            for k in (3, 4)]
+
+
+@pytest.mark.parametrize("n", range(1, 41))
+def test_short_blocks_match_sequence_matcher(n):
+    # Every window past the root has cap 2 or 3. Below the automaton's size
+    # the scan stops at the window's first block of that size; past it each
+    # such window builds an automaton, which makes the shape quadratic.
+    for a, b in _short_block_pairs(n):
+        for x, y in ((a, b), (b, a)):
+            assert align(x, y) == SequenceMatcher(None, x, y, autojunk=False).get_opcodes()
+
+
 def test_one_item_blocks_align_in_bounded_time():
     # Each window gives up a one-item block, so each child window has cap 1
     # and the scan stops at its first equal pair. Searched in full, each

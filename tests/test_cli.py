@@ -489,6 +489,46 @@ def test_output_path_that_is_not_utf8_prints_on_a_strict_stdout(tmp_path, monkey
         assert b" -> " + str(tmp_path).encode() + b"/\\xfd.out\n" in stdout.buffer.getvalue()
 
 
+def _stderr(monkeypatch):
+    """A stderr that encodes as Python's own does, escaping what UTF-8
+    cannot hold, in place of pytest's capture, which raises on it."""
+    stderr = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="backslashreplace")
+    monkeypatch.setattr(sys, "stderr", stderr)
+
+    def text():
+        stderr.flush()
+        return stderr.buffer.getvalue().decode("utf-8")
+    return text
+
+
+@pytest.mark.parametrize("kind", ["missing file", "malformed csv"])
+def test_input_name_that_is_not_utf8_reads_as_its_byte_on_stderr(tmp_path, monkeypatch, kind):
+    # An OSError's text spells the name with repr and an InputError's holds
+    # the surrogates themselves; the error line shows each byte as \xfd
+    # either way, as the summary line on stdout does. 0x80 and 0xff are the
+    # ends of the bytes a name's surrogates stand for.
+    path = tmp_path / os.fsdecode(b"\x80\xfd\xffin.csv")
+    if kind == "malformed csv":
+        path.write_text("input,output\nक\n", encoding="utf-8")
+    err = _stderr(monkeypatch)
+    assert run(["classify", "--lang", "hi", "--in", str(path),
+                "--out", str(tmp_path / "l.csv")]) == 1
+    assert str(tmp_path) + "/\\x80\\xfd\\xffin.csv" in err() and "\\udc" not in err()
+
+
+@pytest.mark.parametrize("flag", ["--in", "--out"])
+def test_surrogate_outside_the_byte_range_exits_1_with_one_error_line(tmp_path, monkeypatch,
+                                                                      capsys, flag):
+    # No real argv holds U+D800, but an in-process run may be given it: the
+    # path is invalid, and the error line naming it must still print.
+    argv = _base_commands(tmp_path)["normalize"]
+    argv[argv.index(flag) + 1] = str(tmp_path / "\ud800.txt")
+    err = _stderr(monkeypatch)
+    assert run(argv) == 1
+    assert capsys.readouterr().out == ""
+    assert err().startswith("error: ") and err().count("\n") == 1
+
+
 @pytest.mark.parametrize("command, flag, value", [
     ("classify", "--split", "dev"),
     ("audit", "--split", "test"),
