@@ -182,12 +182,23 @@ def levenshtein(a: Sequence, b: Sequence) -> int:
     Damerau edit distances" (Nordic J. Computing 2003). Bit i of `pv`/`mv`
     says that D[i+1][j] - D[i][j] is +1/-1 in the current column j, with the
     shorter side along i; `peq[x]` marks where x occurs on that side. The
-    cost is O(max(n, m)) operations on ints of min(n, m) bits. Items are
-    compared as dict keys, so they must be hashable.
+    common prefix and then the common suffix are trimmed first, since edit
+    distance does not change under that trim; the cost is O(max(n, m))
+    operations on ints of min(n, m) bits, for what is left. Items are
+    compared with == in the trim and as dict keys in the loop, so they must
+    be hashable.
     """
     if len(a) < len(b):
         a, b = b, a
-    m = len(b)
+    lo, n, m = 0, len(a), len(b)
+    while lo < m and a[lo] == b[lo]:
+        lo += 1
+    # The suffix stops at the prefix: "aba" and "aa" share one "a", not two.
+    while m > lo and a[n - 1] == b[m - 1]:
+        n -= 1
+        m -= 1
+    a, b = a[lo:n], b[lo:m]
+    m -= lo
     if m == 0:
         return len(a)
     peq: dict = {}

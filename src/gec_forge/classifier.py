@@ -29,6 +29,7 @@ from .tokenizer import SYNTAX_LABELS, LanguageProfile, _check_lang, same_script,
 SPELL_THRESHOLD = 2  # max Levenshtein distance still counted as a spelling slip
 
 _NULL_SENTINELS = {"nan", "null", "none"}
+_SENTINEL_LEN = max(map(len, _NULL_SENTINELS))
 
 
 # The axis order of the counts and of the dual audit.
@@ -75,7 +76,8 @@ def display_label(category: str, lang: str) -> str:
 def nullish(x) -> bool:
     """Blank after trim, or one of the nan/null/none sentinels (any case)."""
     s = "" if x is None else str(x).strip()
-    return s == "" or s.lower() in _NULL_SENTINELS
+    # str.lower() never shortens a string, so a longer one is no sentinel.
+    return not s or (len(s) <= _SENTINEL_LEN and s.lower() in _NULL_SENTINELS)
 
 
 class _Pair:
@@ -144,7 +146,9 @@ def _classify(pair: _Pair) -> tuple[str, int, str, dict]:
             for ta, tb in zip(seg_a, seg_b):
                 if same_script(ta, tb) and suffix_tail_change(ta, tb, profile.suffixes):
                     morph_hits.append([ta, tb])
-                elif levenshtein(ta, tb) <= SPELL_THRESHOLD:
+                # The distance is at least the length gap (Ukkonen 1985).
+                elif (abs(len(ta) - len(tb)) <= SPELL_THRESHOLD
+                      and levenshtein(ta, tb) <= SPELL_THRESHOLD):
                     saw_spell = True
 
     # Syntax outranks the rest; then insert/delete outranks replace.

@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import hashlib
 import io
 import json
 import os
@@ -296,6 +295,7 @@ def cmd_synth_prompt(args) -> str:
     with _naming(args.dist):
         prompt = synthesize_prompt(report)
     write_text_atomic(args.outfile, prompt)
+    import hashlib  # loads OpenSSL; only this command needs it
     digest = hashlib.sha256(prompt.encode("utf-8")).hexdigest()
     write_text_atomic(args.outfile + ".sha256",
                       f"{digest}  {os.path.basename(args.outfile)}\n")

@@ -70,6 +70,61 @@ def test_levenshtein_matches_full_matrix_oracle(pair):
     assert levenshtein(b, a) == expected
 
 
+@st.composite
+def _near_copies(draw):
+    """A random sequence and a copy with 0-3 edits, as a str or a token
+    list: the pair shares a long prefix and suffix, which random pairs
+    rarely do. A small alphabet makes the trimmed prefix and suffix often
+    overlap, as in "aba" against "aa"."""
+    symbols = draw(st.sampled_from(["ab", "abक", ["राम", "घर", "है"], ["a", "ab", "b", "ba"]]))
+    item = st.sampled_from(symbols)
+    base = draw(st.lists(item, max_size=60))
+    copy = list(base)
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(["insert", "delete", "replace"]))
+        if edit == "insert":
+            copy.insert(draw(st.integers(0, len(copy))), draw(item))
+        elif copy:
+            i = draw(st.integers(0, len(copy) - 1))
+            if edit == "delete":
+                del copy[i]
+            else:
+                copy[i] = draw(item)
+    if isinstance(symbols, str):
+        return "".join(base), "".join(copy)
+    return base, copy
+
+
+@settings(max_examples=300)
+@given(_near_copies())
+def test_trimmed_levenshtein_matches_full_matrix_oracle_on_near_copies(pair):
+    a, b = pair
+    expected = levenshtein_matrix(a, b)
+    assert levenshtein(a, b) == expected
+    assert levenshtein(b, a) == expected
+
+
+# The common prefix and suffix overlap, or one side is all prefix.
+@pytest.mark.parametrize("a,b", [
+    ("aba", "aa"), ("a", "aa"), ("aa", "aaaa"), ("abab", "ab"), ("abc", "abc"),
+    ("", "abc"), ("", ""), ("abcba", "aba"),
+    (["x", "y", "x"], ["x", "x"]), (["x"], ["x", "x"]), (["x", "y"], ["x", "y"]),
+    ([], ["x", "y"]),
+])
+def test_trim_with_overlapping_prefix_and_suffix_matches_oracle(a, b):
+    expected = levenshtein_matrix(a, b)
+    assert levenshtein(a, b) == expected
+    assert levenshtein(b, a) == expected
+
+
+# Stage 5 of the classifier skips the distance when the length gap alone
+# passes the spelling threshold; this bound is why that is exact.
+@given(st.one_of(_near_copies(), st.tuples(short_strings, short_strings)))
+def test_levenshtein_is_at_least_the_length_gap(pair):
+    a, b = pair
+    assert abs(len(a) - len(b)) <= levenshtein(a, b)
+
+
 @given(short_strings, short_strings, short_strings)
 def test_levenshtein_is_a_metric(a, b, c):
     assert levenshtein(a, b) == levenshtein(b, a)

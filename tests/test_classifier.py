@@ -85,6 +85,14 @@ def test_spell_threshold_boundary(hi):
     assert cat("कमल गररर", "कमल घर", hi) == "grammar_syntax"
 
 
+def test_spell_length_gap_boundary(hi):
+    # A length gap of exactly SPELL_THRESHOLD, and a distance of exactly that
+    # too, still passes the length gate before the distance.
+    for inp, out in (("कमल घर", "कमल घरखख"), ("कमल घरखख", "कमल घर")):
+        assert cat(inp, out, hi) == "spelling"
+    assert cat("कमल घर", "कमल घरखखख", hi) == "grammar_syntax"
+
+
 def test_cross_script_replace_skips_morphology(hi):
     # A Devanagari/Latin replacement cannot take the suffix-tail route even
     # if a tail matches; it falls through to the distance test.
@@ -166,6 +174,20 @@ def test_nullish():
     assert nullish("NaN")
     assert nullish(None)
     assert not nullish("क")
+
+
+def test_sentinels_in_any_case_and_padding():
+    for s in (" NULL ", "nOnE", "\tNaN\n", "Nan", "NULL"):
+        assert nullish(s)
+    for s in ("nulls", "nan.", "nonee", "nul", "n an", "null null"):
+        assert not nullish(s)
+
+
+def test_lower_never_shortens_a_code_point():
+    # str.lower() maps each code point to one or more, so no string longer
+    # than the longest sentinel lowers to a sentinel: nullish tests the
+    # length first. Run on this interpreter's Unicode tables.
+    assert all(len(chr(c).lower()) >= 1 for c in range(0x110000))
 
 
 @given(st.integers(0, 2**30))

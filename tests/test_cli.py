@@ -47,6 +47,18 @@ def test_run_leaves_the_root_logger_alone():
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
+def test_importing_the_cli_does_not_load_hashlib():
+    # hashlib loads OpenSSL's _hashlib; only synth-prompt needs it. -I keeps
+    # the user's site packages and environment out of the fresh interpreter.
+    code = (f"import sys; sys.path.insert(0, {str(SRC)!r}); "
+            "import gec_forge, gec_forge.cli; "
+            "gec_forge.profile_for('hi'); gec_forge.profile_for('ml'); "
+            "print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 def test_no_command_prints_usage(capsys):
     assert run([]) == 1
     assert "usage" in capsys.readouterr().err.lower()
