@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .alignment import levenshtein
+from .alignment import Opcode, levenshtein
 from .classifier import CATEGORY_ORDER, NON_EDITS, _classify, _Pair
 from .errors import InputError
 from .tokenizer import LanguageProfile
@@ -57,17 +57,13 @@ def _audit(pair: _Pair, cap: int) -> dict:
     }
 
 
-def reordered_token_count(input, prediction, profile: LanguageProfile) -> int:
-    """Tokens that were both removed somewhere and added elsewhere: the
-    signature of a move rather than a local substitution."""
-    return _moved_tokens(_Pair(input, prediction, profile))
-
-
-def _moved_tokens(pair: _Pair) -> int:
-    a, b = pair.texts()
+def reordered_token_count(a: list[str], b: list[str], ops: list[Opcode]) -> int:
+    """Tokens that ops, the opcodes of align(a, b), both remove from a
+    somewhere and add to b elsewhere: the signature of a move rather than a
+    local substitution. reconcile breaks an edit-distance tie on it."""
     removed: Counter = Counter()
     added: Counter = Counter()
-    for tag, i1, i2, j1, j2 in pair.ops():
+    for tag, i1, i2, j1, j2 in ops:
         if tag in ("delete", "replace"):
             removed.update(a[i1:i2])
         if tag in ("insert", "replace"):
@@ -91,7 +87,8 @@ def _reconcile_audited(input, cand_a, cand_b, profile, cap):
         winner = "a" if audit_a["edit_distance"] < audit_b["edit_distance"] else "b"
         reason = "edit_distance"
     else:
-        moves_a, moves_b = _moved_tokens(pair_a), _moved_tokens(pair_b)
+        moves_a = reordered_token_count(*pair_a.texts(), pair_a.ops())
+        moves_b = reordered_token_count(*pair_b.texts(), pair_b.ops())
         if moves_a != moves_b:
             winner = "a" if moves_a < moves_b else "b"
             reason = "reordering"
@@ -107,7 +104,8 @@ def reconcile(
     """Pick one of two candidate corrections.
 
     Order: rectifying > redundant > risky > none; ties go to the lower
-    token edit distance, then to the candidate with fewer moved tokens,
+    token edit distance, then to the candidate with fewer moved tokens
+    (reordered_token_count over the pair's one tokenization and alignment),
     then to cand_a.
     """
     _, chosen, reason, _, _ = _reconcile_audited(input, cand_a, cand_b, profile, cap)

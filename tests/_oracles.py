@@ -201,6 +201,11 @@ def tokens_by_class(s):
     return grouped
 
 
+def nonpunct_runs(s):
+    """The texts of the runs of s that are not punctuation, in order."""
+    return [text for text, kind in tokens_by_class(s) if kind != "punct"]
+
+
 def is_punct_by_class(s):
     """True iff no character of s is a digit or a script letter or mark."""
     return all(c in ("punct", "space") for c in char_classes(s))

@@ -1,5 +1,4 @@
 import random
-import signal
 from difflib import SequenceMatcher
 
 import pytest
@@ -18,6 +17,7 @@ from gec_forge import (
     touches_syntax,
 )
 
+from _deadline import _within
 from _oracles import apply_opcodes, levenshtein_matrix, levenshtein_recursive, validate_opcodes
 from _oracles import touches_syntax as touches_syntax_loop
 
@@ -266,32 +266,6 @@ def test_align_does_not_trim_the_common_prefix():
     # give equal, insert [q, x], equal instead.
     assert align(["x", "y"], ["x", "q", "x", "y"]) == [
         ("insert", 0, 0, 0, 2), ("equal", 0, 2, 2, 4)]
-
-
-class _Overrun(BaseException):
-    """Raised by the deadline's alarm; not an Exception, so no handler in the
-    code under test can swallow it."""
-
-
-def _within(seconds, call, *args):
-    """call(*args), failing the test once `seconds` of wall time pass, so a
-    call that regresses to a quadratic or cubic search fails, not hangs.
-    SIGALRM is delivered to the main thread, where pytest runs the test.
-    The failure carries no traceback: the alarm can land in a frame with no
-    line number, which pytest cannot render."""
-    def overrun(signum, frame):
-        raise _Overrun
-
-    old_handler = signal.signal(signal.SIGALRM, overrun)
-    old_timer = signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        return call(*args)
-    except _Overrun:
-        pass
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, *old_timer)
-        signal.signal(signal.SIGALRM, old_handler)
-    pytest.fail(f"{call.__name__} took over {seconds}s", pytrace=False)
 
 
 def test_single_symbol_against_alternation_finishes_in_bounded_time(hi):

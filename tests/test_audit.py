@@ -7,11 +7,13 @@ import pytest
 from gec_forge import (
     CATEGORY_ORDER,
     InputError,
+    align,
     audit_pair,
     classify_pair,
     dual_report,
     load_pairs,
     reconcile,
+    tokenize,
 )
 import gec_forge.audit as audit_module
 from gec_forge.audit import STRATA, reordered_token_count
@@ -164,7 +166,11 @@ def test_reconcile_fewer_moves_wins(hi):
     edited = "एक दो पाँच छह ज"  # local edits only, nothing moves
     assert audit_pair(inp, moved, hi)["edit_distance"] == 3
     assert audit_pair(inp, edited, hi)["edit_distance"] == 3
-    assert reordered_token_count(inp, moved, hi) > reordered_token_count(inp, edited, hi)
+    def moves(out):
+        a, b = tokenize(inp), tokenize(out)
+        return reordered_token_count(a, b, align(a, b))
+
+    assert moves(moved) > moves(edited)
     chosen, reason = reconcile(inp, moved, edited, hi)
     assert chosen == edited
     assert reason == "reordering"

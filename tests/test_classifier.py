@@ -10,7 +10,7 @@ from gec_forge import (CATEGORY_ORDER, InputError, alnum_projection, classify_pa
 from gec_forge.classifier import PRECEDENCE, SPELL_THRESHOLD
 
 from _gen import HI_WORDS, PUNCT_TOKENS, make_sentence, random_pairs
-from _oracles import classify_evidence as straightline_evidence, profile_dict, tokens_by_class
+from _oracles import classify_evidence as straightline_evidence, nonpunct_runs, profile_dict
 
 
 def cat(inp, out, profile):
@@ -262,10 +262,6 @@ def test_edit_outside_the_word_classes_is_punct_whitespace(hi, inp, out):
     assert classify_pair(inp, out, hi) == ("punct_whitespace", 3, "equal_projection", {})
 
 
-def _nonpunct_runs(s):
-    return [text for text, kind in tokens_by_class(s) if kind != "punct"]
-
-
 @given(st.lists(st.sampled_from(HI_WORDS[:6] + OUT_OF_CLASS), min_size=1, max_size=6),
        st.sampled_from([" ", ""]), st.data())
 def test_word_order_only_when_the_nonpunct_runs_differ(hi, words, sep, data):
@@ -274,4 +270,4 @@ def test_word_order_only_when_the_nonpunct_runs_differ(hi, words, sep, data):
              for w in data.draw(st.permutations(words))]
     inp, out = sep.join(words), sep.join(moved)
     if cat(inp, out, hi) == "word_order":
-        assert _nonpunct_runs(inp) != _nonpunct_runs(out)
+        assert nonpunct_runs(inp) != nonpunct_runs(out)

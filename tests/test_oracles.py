@@ -16,7 +16,8 @@ def _imported_modules(path):
             yield node.module or ""
 
 
-# Every helper module: the oracles and the generator that feeds both sides.
+# Every helper module: the oracles, the generator that feeds both sides and
+# the deadline.
 HELPERS = sorted(path.name for path in TESTS.glob("_*.py"))
 
 

@@ -15,7 +15,8 @@ from gec_forge import (
 from gec_forge.tokenizer import _NONPUNCT_RUN, token_script
 
 from _gen import make_sentence, random_pairs
-from _oracles import char_classes, is_punct_by_class, token_script_by_class, tokens_by_class
+from _oracles import (char_classes, is_punct_by_class, nonpunct_runs, token_script_by_class,
+                      tokens_by_class)
 
 # Letters, marks and digits of each class, danda and a sign inside the
 # script blocks, Latin, whitespace and other punct.
@@ -80,18 +81,14 @@ def test_tokenize_matches_class_oracle_on_every_code_point():
     assert [(t, kind_of(t)) for t in tokenize(text)] == tokens_by_class(text)
 
 
-def _nonpunct_runs(s):
-    return [t for t, kind in tokens_by_class(s) if kind != "punct"]
-
-
 def test_nonpunct_runs_match_class_oracle_on_every_code_point():
-    assert _NONPUNCT_RUN.findall(EVERY_CODE_POINT) == _nonpunct_runs(EVERY_CODE_POINT)
+    assert _NONPUNCT_RUN.findall(EVERY_CODE_POINT) == nonpunct_runs(EVERY_CODE_POINT)
 
 
 @given(st.one_of(st.text(), st.text(SCRIPT_POOL)))
 @example("a1क१ക൧।b")
 def test_nonpunct_runs_match_class_oracle(s):
-    assert _NONPUNCT_RUN.findall(s) == _nonpunct_runs(s)
+    assert _NONPUNCT_RUN.findall(s) == nonpunct_runs(s)
 
 
 def test_class_predicates_match_class_oracle_on_every_code_point():
