@@ -19,7 +19,7 @@ integer operations per item of the longer side.
 """
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
 
 from .tokenizer import LanguageProfile
 

@@ -13,8 +13,6 @@ import io
 import json
 import os
 import sys
-import traceback
-from dataclasses import asdict
 
 from . import __version__
 from .audit import DEFAULT_DISTANCE_CAP, STRATA, audit_pair, dual_report
@@ -252,7 +250,7 @@ def cmd_analyze(args) -> str:
         pairs = kept
     with _naming(args.infile):
         body = analyze(pairs, profile, args.split)
-    body["normalization"] = asdict(policy)
+    body["normalization"] = policy._asdict()
     body["classifier_constants"] = {"SPELL_THR": SPELL_THRESHOLD}
     write_report(args.report, "distribution", body)
     return f"analyzed {body['total']} pairs{dropped} -> {args.report}"
@@ -268,7 +266,7 @@ def cmd_score(args) -> str:
     with _naming(args.src, args.hyp, args.ref):
         body = gleu_corpus(src, hyp, ref, args.max_n)
     if args.report is not None:
-        body["normalization"] = None if args.raw else asdict(policy)
+        body["normalization"] = None if args.raw else policy._asdict()
         write_report(args.report, "gleu", body)
     score = body["corpus_score"]
     return f"GLEU: {score:.6f} ({score * 100:.2f})"
@@ -361,6 +359,7 @@ def run(argv=None) -> int:
         print(_shown(f"error: {message}"), file=sys.stderr)
         return 1
     except Exception as exc:  # pragma: no cover - defensive
+        import traceback  # loads textwrap; only a bug reaches here
         traceback.print_exc()
         print(_shown(f"internal error: {exc}"), file=sys.stderr)
         return 2

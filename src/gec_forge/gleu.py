@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Sequence
 from itertools import chain
-from typing import Sequence
 
 from .errors import InputError
 

@@ -12,7 +12,7 @@ import json
 import os
 import re
 import unicodedata
-from dataclasses import dataclass, fields
+from collections import namedtuple
 
 from .errors import InputError
 from .reports import DATA_DIR, read_text
@@ -63,22 +63,20 @@ POLICY_CHOICES = {
 }
 
 
-@dataclass(frozen=True)
-class NormalizationPolicy:
+class NormalizationPolicy(namedtuple(
+        "NormalizationPolicy",
+        "invisibles_policy collapse_whitespace unify_terminal_punct danda_policy digit_policy",
+        defaults=("strip", True, False, "keep_danda", "to_ascii"))):
     """Switches for normalize_text; the defaults reproduce the ingestion
     pipeline (NFKC, invisibles stripped, whitespace collapsed, ASCII digits,
     danda kept as-is). A named policy is one of its POLICY_CHOICES strings
     and every other key is a bool; any other value raises InputError."""
 
-    invisibles_policy: str = "strip"
-    collapse_whitespace: bool = True
-    unify_terminal_punct: bool = False
-    danda_policy: str = "keep_danda"
-    digit_policy: str = "to_ascii"
+    __slots__ = ()
 
-    def __post_init__(self):
-        for key in POLICY_KEYS:
-            value = getattr(self, key)
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        for key, value in zip(self._fields, self):
             choices = POLICY_CHOICES.get(key)
             if choices is None:
                 if type(value) is not bool:  # 1 == True, but 1 is no switch
@@ -87,10 +85,15 @@ class NormalizationPolicy:
                 raise InputError(
                     f"normalization {key} must be one of {', '.join(choices)}, got {value!r}"
                 )
+        return self
+
+    @classmethod
+    def _make(cls, values):  # _replace builds through _make: run the checks
+        return cls(*values)
 
 
 # The normalization keys, in report order; each is also a flag dest.
-POLICY_KEYS = tuple(f.name for f in fields(NormalizationPolicy))
+POLICY_KEYS = NormalizationPolicy._fields
 DEFAULT_POLICY = NormalizationPolicy()
 
 

@@ -14,8 +14,8 @@ from __future__ import annotations
 import os
 import re
 import unicodedata
-from dataclasses import dataclass
-from typing import Iterable
+from collections import namedtuple
+from collections.abc import Iterable
 
 from .errors import InputError
 from .reports import DATA_DIR, read_text
@@ -39,19 +39,22 @@ def _check_lang(lang: str) -> None:
         raise InputError(f"unknown language: {lang!r} (expected one of {sorted(SYNTAX_LABELS)})")
 
 
-@dataclass(frozen=True)
-class LanguageProfile:
-    """Per-language lexica, immutable after load."""
+class LanguageProfile(namedtuple("LanguageProfile", "name auxiliaries postpositions suffixes")):
+    """Per-language lexica, immutable after load: frozensets of auxiliaries
+    and postpositions, and a tuple of suffixes, deduplicated, longest-first."""
 
-    name: str  # "hi" | "ml"
-    auxiliaries: frozenset[str]
-    postpositions: frozenset[str]
-    suffixes: tuple[str, ...]  # deduplicated, longest-first
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         _check_lang(self.name)
         if self.name == "ml" and self.postpositions:
             raise InputError("Malayalam profiles use [suffixes], not [postpositions]")
+        return self
+
+    @classmethod
+    def _make(cls, values):  # _replace builds through _make: run the checks
+        return cls(*values)
 
 
 def _letters_and_marks(lo: int, hi: int) -> str:

@@ -7,7 +7,6 @@ import os
 import subprocess
 import sys
 import tempfile
-from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -47,15 +46,23 @@ def test_run_leaves_the_root_logger_alone():
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
-def test_importing_the_cli_does_not_load_hashlib():
-    # hashlib loads OpenSSL's _hashlib; only synth-prompt needs it. -I keeps
-    # the user's site packages and environment out of the fresh interpreter.
+# Modules no command needs at start-up: hashlib loads OpenSSL's _hashlib, for
+# synth-prompt only; dataclasses loads inspect; traceback loads textwrap, for
+# an internal error only; typing feeds no annotation at run time.
+_NOT_AT_START_UP = ["_hashlib", "dataclasses", "hashlib", "inspect", "textwrap", "traceback",
+                    "typing"]
+
+
+def test_importing_the_cli_loads_only_what_runs():
+    # -I keeps the user's site packages and environment out of the fresh
+    # interpreter, and -S the .pth files of site-packages, which may import
+    # any module before the package does.
     code = (f"import sys; sys.path.insert(0, {str(SRC)!r}); "
             "import gec_forge, gec_forge.cli; "
             "gec_forge.profile_for('hi'); gec_forge.profile_for('ml'); "
-            "print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))")
-    proc = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True,
-                          check=True)
+            f"print(sorted(set({_NOT_AT_START_UP!r}) & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True,
+                          text=True, check=True)
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
@@ -225,7 +232,7 @@ def test_each_policy_flag_sets_exactly_its_key(tmp_path, flags, key, value):
     report_path = tmp_path / "dist.json"
     assert run(["analyze", "--lang", "hi", "--split", "train", "--in", str(FIXTURE_CSV),
                 "--report", str(report_path), *flags]) == 0
-    expected = asdict(DEFAULT_POLICY)
+    expected = DEFAULT_POLICY._asdict()
     if key is not None:
         expected[key] = value
     assert json.loads(report_path.read_text(encoding="utf-8"))["normalization"] == expected

@@ -1,5 +1,4 @@
 from collections import Counter
-from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import example, given
@@ -184,8 +183,15 @@ def test_profiles(hi, ml):
 
 
 def test_profile_is_frozen():
-    with pytest.raises(FrozenInstanceError):
+    with pytest.raises(AttributeError):
         profile_for("hi").name = "ml"
+    with pytest.raises(AttributeError):  # no field beyond the four
+        profile_for("hi").extra = "ml"
+    # A changed copy is checked as a new profile is.
+    with pytest.raises(InputError, match="unknown language"):
+        profile_for("hi")._replace(name="xx")
+    with pytest.raises(InputError, match="Malayalam"):
+        profile_for("ml")._replace(postpositions=frozenset({"x"}))
 
 
 def test_lexicon_loader(tmp_path):
